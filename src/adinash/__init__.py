@@ -12,7 +12,6 @@ from .adi import (
 from .entropy import BestResponse, Entropy, best_response, entropy_value
 from .exact import (
     PairwiseMatrices,
-    PairwiseMatrix,
     exact_pairwise_matrices,
     expected_utility,
     pairwise_jacobian_exact,

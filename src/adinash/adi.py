@@ -84,87 +84,89 @@ def _is_regularized(kind):
     return kind.family != "none" and kind.temperature > 0.0
 
 
-def adi_gradient_shannon(matrices, grads, x, temperature):
-    """Gradient of the Shannon-regularized deviation incentive per player.
+def symmetric_adi_exact(game, strategy):
+    """Unregularized exact deviation incentive when all n players of a
+    SymmetricGame share `strategy`: n times one player's best-response gain."""
+    grad = game.deviation_payoffs(strategy)
+    return game.players * float(grad.max() - np.dot(strategy, grad))
 
-    `grads` feeds the responses (exact gradients or auxiliary y); the policy
-    term is rebuilt from the pairwise blocks. Below the temperature cutoff the
-    response Jacobian vanishes and the hard zero-temperature limit applies.
+
+def response_terms(nabla, y, x, kind):
+    """One player's (policy, effect) terms of the deviation-incentive gradient.
+
+    `nabla` is the player's payoff gradient rebuilt from the pairwise blocks,
+    `y` the gradient that feeds the response (exact, or the auxiliary
+    estimate), `x` the player's strategy. The gradient is -policy plus, for
+    every partner, the partner's block transposed onto the partner's effect.
+
+    Shannon: below the temperature cutoff, and for `none`, the response
+    Jacobian vanishes and the hard zero-temperature limit applies. Tsallis
+    requires a nonnegative `y` (offset the game first). Both sparsity
+    corrections ride the scale's derivative direction BR^(1-p): the
+    response's and the current strategy's regularizer values differ only
+    through that shared scale, so the x-side term carries BR^(1-p) as well.
+    At power 0 the corrections vanish and the policy term reduces to
+    nabla - ||nabla||_inf, whose constant part the tangent projection removes.
     """
-    profile = as_profile(x)
-    n = profile.players
-    nabla = [matrices.payoff_gradient(profile, i) for i in range(n)]
-    policy, effects = [], []
-    for i in range(n):
-        y = np.asarray(grads[i], dtype=float)
-        if temperature >= SHANNON_TEMP_MIN:
-            br = special.softmax(y / temperature)
-            br_jac = (np.diag(br) - np.outer(br, br)) / temperature
-            with np.errstate(divide="ignore"):
-                log_br = np.clip(np.log(br), LOGIT_FLOOR, 0.0)
-            br_policy = nabla[i] - temperature * (log_br + 1.0)
-            effect = (br - profile[i]) + br_jac @ br_policy
-        else:
-            effect = _hard_argmax(y) - profile[i]
-        pol = np.array(nabla[i])
-        if temperature > 0.0:
-            with np.errstate(divide="ignore"):
-                log_x = np.clip(np.log(profile[i]), LOGIT_FLOOR, 0.0)
-            pol -= temperature * (log_x + 1.0)
-        policy.append(pol)
-        effects.append(effect)
-    return _assemble(matrices, policy, effects, n)
-
-
-def adi_gradient_tsallis(matrices, grads, x, power):
-    """Gradient of the Tsallis-regularized deviation incentive per player.
-
-    Requires nonnegative `grads` (offset the game first). Both sparsity
-    corrections ride the scale's derivative direction BR^(1-p): the response's
-    and the current strategy's regularizer values differ only through that
-    shared scale, so the x-side term carries BR^(1-p) as well. At power 0 the
-    corrections vanish and the policy term reduces to nabla - ||nabla||_inf,
-    whose constant part the tangent projection removes.
-    """
-    profile = as_profile(x)
-    n = profile.players
-    kind = Entropy.tsallis(power)
-    nabla = [matrices.payoff_gradient(profile, i) for i in range(n)]
-    policy, effects = [], []
-    for i in range(n):
-        y = np.asarray(grads[i], dtype=float)
+    y = np.asarray(y, dtype=float)
+    temperature = kind.temperature
+    if kind.family == "tsallis":
         if np.any(y < 0.0):
             raise ValueError("tsallis gradient needs nonnegative payoff gradients")
         br = best_response(y, kind)
-        s = br.scale
-        xk = profile[i]
-        br_sparse = 1.0 - np.sum(br.dist ** (power + 1.0))
-        x_sparse = 1.0 - np.sum(xk ** (power + 1.0))
-        effect = (br.dist - xk) + (br_sparse - x_sparse) / (power + 1.0) * br.dist ** (
-            1.0 - power
-        )
-        policy.append(nabla[i] - s * xk**power)
-        effects.append(effect)
-    return _assemble(matrices, policy, effects, n)
+        br_sparse = 1.0 - np.sum(br.dist ** (temperature + 1.0))
+        x_sparse = 1.0 - np.sum(x ** (temperature + 1.0))
+        effect = (br.dist - x) + (br_sparse - x_sparse) / (
+            temperature + 1.0
+        ) * br.dist ** (1.0 - temperature)
+        return nabla - br.scale * x**temperature, effect
+    if temperature >= SHANNON_TEMP_MIN:
+        br = special.softmax(y / temperature)
+        br_jac = (np.diag(br) - np.outer(br, br)) / temperature
+        with np.errstate(divide="ignore"):
+            log_br = np.clip(np.log(br), LOGIT_FLOOR, 0.0)
+        effect = (br - x) + br_jac @ (nabla - temperature * (log_br + 1.0))
+    else:
+        effect = _hard_argmax(y) - x
+    policy = np.array(nabla)
+    if temperature > 0.0:
+        with np.errstate(divide="ignore"):
+            log_x = np.clip(np.log(x), LOGIT_FLOOR, 0.0)
+        policy -= temperature * (log_x + 1.0)
+    return policy, effect
 
 
-def _assemble(matrices, policy, effects, n):
+def adi_gradient(matrices, grads, x, kind):
+    """Gradient of the `kind`-regularized deviation incentive per player.
+
+    `grads` feeds the responses (exact gradients or auxiliary y); the policy
+    term is rebuilt from the pairwise blocks.
+    """
+    profile = as_profile(x)
+    n = profile.players
+    terms = [
+        response_terms(matrices.payoff_gradient(profile, i), grads[i], profile[i], kind)
+        for i in range(n)
+    ]
     out = []
     for i in range(n):
-        g = -policy[i]
+        g = -terms[i][0]
         for j in range(n):
             if j != i:
                 # owner-j block with i's actions on the rows
-                g = g + matrices.matrix(j, i).T @ effects[j]
+                g = g + matrices.matrix(j, i).T @ terms[j][1]
         out.append(g)
     return out
 
 
-def adi_gradient(matrices, grads, x, kind):
-    """Dispatch on the entropy family; `none` uses the zero-temperature limit."""
-    if kind.family == "tsallis":
-        return adi_gradient_tsallis(matrices, grads, x, kind.temperature)
-    return adi_gradient_shannon(matrices, grads, x, kind.temperature)
+def adi_gradient_shannon(matrices, grads, x, temperature):
+    """adi_gradient under Shannon entropy at `temperature`."""
+    return adi_gradient(matrices, grads, x, Entropy.shannon(temperature))
+
+
+def adi_gradient_tsallis(matrices, grads, x, power):
+    """adi_gradient under the Tsallis bonus at `power`."""
+    return adi_gradient(matrices, grads, x, Entropy.tsallis(power))
 
 
 def consensus_loss_check(game, x, validate=True):

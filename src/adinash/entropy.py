@@ -54,11 +54,6 @@ class Entropy:
             return self.temperature < TSALLIS_POWER_MIN
         return True
 
-    def with_temperature(self, value):
-        if self.family == "none":
-            return self
-        return Entropy(self.family, float(value))
-
     def anneal(self):
         """Halve the temperature, clip into [0, 1], snap below cutoff to 0."""
         if self.family == "none":

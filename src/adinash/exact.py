@@ -2,7 +2,6 @@
 pairwise bimatrix blocks shared by every solver. Desk-scale tensors only."""
 
 import itertools
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -60,16 +59,7 @@ def pairwise_jacobian_exact(game, x, owner, partner, validate=True):
     block = _contract(game.player_tensor(owner), list(profile), keep=(owner, partner))
     if partner < owner:  # keep owner's actions on the rows
         block = block.T
-    return PairwiseMatrix(owner, partner, block)
-
-
-@dataclass(frozen=True)
-class PairwiseMatrix:
-    """One estimated or exact bimatrix block, owner's actions on the rows."""
-
-    owner: int
-    partner: int
-    values: np.ndarray
+    return block
 
 
 class PairwiseMatrices:
@@ -88,9 +78,6 @@ class PairwiseMatrices:
 
     def matrix(self, owner, partner):
         return self._blocks[(owner, partner)]
-
-    def block(self, owner, partner):
-        return PairwiseMatrix(owner, partner, self._blocks[(owner, partner)])
 
     def pairs(self):
         return sorted(self._blocks)
@@ -115,7 +102,7 @@ def exact_pairwise_matrices(game, x, validate=True):
             if i != j:
                 blocks[(i, j)] = pairwise_jacobian_exact(
                     game, profile, i, j, validate=False
-                ).values
+                )
     return PairwiseMatrices(blocks, game.action_counts)
 
 

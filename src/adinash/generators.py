@@ -40,18 +40,6 @@ def blotto_allocations(coins, fields):
     return np.array(allocations, dtype=np.int64)
 
 
-def blotto_field_scores(own, opponents):
-    """Per-field score: 2/k - 1 when tied with k-1 others at the strict max,
-    -1 when beaten. Even tie splits keep the 2-player game exactly zero-sum."""
-    opp = np.asarray(opponents)
-    opp_max = opp.max(axis=0)
-    ties = (opp == opp_max).sum(axis=0)
-    win_share = np.where(
-        own > opp_max, 1.0, np.where(own == opp_max, 1.0 / (1.0 + ties), 0.0)
-    )
-    return 2.0 * win_share - 1.0
-
-
 def make_blotto(spec=BlottoSpec(), dense=False, size_budget=10_000_000):
     """Colonel Blotto over coin allocations; net fields won, ties split evenly.
 

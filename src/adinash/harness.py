@@ -12,7 +12,13 @@ from .entropy import Entropy
 from .exact import exact_pairwise_matrices
 from .normalform import as_profile, multiset_count
 from .oracles import as_oracle
-from .sampling import SampleConfig, estimate_pairwise_matrices, new_rng, sample_joint_action
+from .sampling import (
+    SampleConfig,
+    estimate_pairwise_matrices,
+    mean_pairwise_matrices,
+    new_rng,
+    sample_joint_action,
+)
 from .solvers import AdidasSolver, BaselineSolver, SymmetricAdidasSolver
 
 SOLVER_FACTORIES = {
@@ -128,6 +134,18 @@ def _run_cell(config, cell_index, cell, rep):
     return RunResult(run_id, cell, seed, final, below, path)
 
 
+def _failed_run(config, index, cell, rep, err):
+    return RunResult(
+        f"cell{index:03d}-rep{rep:02d}",
+        cell,
+        config.base_seed + rep,
+        float("nan"),
+        None,
+        "",
+        error=str(err),
+    )
+
+
 def run_experiment(config, workers=1):
     """Execute every (cell x repetition), summarize, pick the best cell.
 
@@ -157,33 +175,13 @@ def run_experiment(config, workers=1):
                 try:
                     results.append(fut.result())
                 except Exception as err:  # cell failure: record, continue
-                    results.append(
-                        RunResult(
-                            f"cell{index:03d}-rep{rep:02d}",
-                            cell,
-                            config.base_seed + rep,
-                            float("nan"),
-                            None,
-                            "",
-                            error=str(err),
-                        )
-                    )
+                    results.append(_failed_run(config, index, cell, rep, err))
     else:
         for index, cell, rep in jobs:
             try:
                 results.append(_run_cell(config, index, cell, rep))
             except Exception as err:
-                results.append(
-                    RunResult(
-                        f"cell{index:03d}-rep{rep:02d}",
-                        cell,
-                        config.base_seed + rep,
-                        float("nan"),
-                        None,
-                        "",
-                        error=str(err),
-                    )
-                )
+                results.append(_failed_run(config, index, cell, rep, err))
 
     results.sort(key=lambda r: r.run_id)
     summaries = []
@@ -292,7 +290,7 @@ def measure_gradient_bias(game, x, kinds, sample_counts, trials, seed=0):
                         block_sets.append(
                             estimate_pairwise_matrices(oracle, joint, SampleConfig())
                         )
-                    blocks = _mean_blocks(block_sets, game.action_counts)
+                    blocks = mean_pairwise_matrices(block_sets)
                     grads = [
                         blocks.payoff_gradient(profile, i)
                         for i in range(profile.players)
@@ -314,19 +312,6 @@ def measure_gradient_bias(game, x, kinds, sample_counts, trials, seed=0):
                 )
             )
     return rows
-
-
-def _mean_blocks(block_sets, action_counts):
-    from .exact import PairwiseMatrices
-
-    keys = block_sets[0].pairs()
-    return PairwiseMatrices(
-        {
-            key: sum(bs.matrix(*key) for bs in block_sets) / len(block_sets)
-            for key in keys
-        },
-        action_counts,
-    )
 
 
 @dataclass

@@ -268,10 +268,6 @@ class SymmetricGame:
             self._keys = ordered
         return self._keys
 
-    def position_payoffs(self, multiset):
-        ms = tuple(sorted(int(a) for a in multiset))
-        return self.table[multiset_rank(ms, self.actions)]
-
     def payoff(self, own_action, opponents):
         """Payoff to a player choosing own_action against an opponent multiset."""
         joint = tuple(sorted((int(own_action), *map(int, opponents))))

@@ -19,7 +19,6 @@ class SampleConfig:
     """
 
     repeats: int = 1
-    seed: int = 0
     bernoulli_repeats: int = 1
 
     def __post_init__(self):
@@ -84,6 +83,20 @@ def estimate_pairwise_matrices(oracle, joint_action, config=SampleConfig()):
         for key in blocks:
             blocks[key] /= fills
     return PairwiseMatrices(blocks, counts)
+
+
+def mean_pairwise_matrices(block_sets):
+    """Entrywise mean of block sets over the same pairs; one set passes through."""
+    if len(block_sets) == 1:
+        return block_sets[0]
+    first = block_sets[0]
+    return PairwiseMatrices(
+        {
+            key: sum(bs.matrix(*key) for bs in block_sets) / len(block_sets)
+            for key in first.pairs()
+        },
+        first.action_counts,
+    )
 
 
 def payoff_gradient_from_estimates(matrices, x, player):

@@ -10,23 +10,24 @@ estimates are amortized across iterations through the auxiliary variables y.
 import time
 
 import numpy as np
-from scipy import special
 
-from ..adi import adi_amortized, adi_exact, adi_gradient
-from ..entropy import (
-    LOGIT_FLOOR,
-    SHANNON_TEMP_MIN,
-    Entropy,
-    _hard_argmax,
-    best_response,
+from ..adi import (
+    adi_amortized,
+    adi_exact,
+    adi_gradient,
+    response_terms,
+    symmetric_adi_exact,
 )
-from ..exact import PairwiseMatrices, exact_pairwise_matrices
+# best_response has no caller here; bench/tracer.py patches this binding
+from ..entropy import Entropy, best_response  # noqa: F401
+from ..exact import exact_pairwise_matrices
 from ..normalform import GameTensor, StrategyProfile, SymmetricGame
 from ..oracles import BernoulliOracle, PayoffOracle, as_oracle
 from ..sampling import (
     AuxiliaryState,
     SampleConfig,
     estimate_pairwise_matrices,
+    mean_pairwise_matrices,
     new_rng,
     sample_joint_action,
     update_aux,
@@ -80,17 +81,6 @@ def _step(strategy, gradient, learning_rate, projection):
     raise ValueError(f"unknown projection {projection!r}")
 
 
-def _average_blocks(block_sets, action_counts):
-    if len(block_sets) == 1:
-        return block_sets[0]
-    keys = block_sets[0].pairs()
-    blocks = {
-        key: sum(bs.matrix(*key) for bs in block_sets) / len(block_sets)
-        for key in keys
-    }
-    return PairwiseMatrices(blocks, action_counts)
-
-
 class AdidasSolver(BaseSolver):
     """Anneal-and-descend Nash approximator for general normal-form games.
 
@@ -138,98 +128,70 @@ class AdidasSolver(BaseSolver):
         self.seed = seed
         self.run_id = run_id
 
-    # -- shared helpers -----------------------------------------------------
+    def fit(self, game_or_oracle):
+        return self._descend(_GeneralView, game_or_oracle)
+
+    def solve(self, game_or_oracle):
+        """Functional form: returns (profile, log)."""
+        self.fit(game_or_oracle)
+        return self.profile_, self.log_
 
     def _validate(self):
-        if self.learning_rate <= 0.0 or self.aux_learning_rate <= 0.0:
-            raise ValueError("learning rates must be positive")
-        if self.adi_threshold <= 0.0:
-            raise ValueError("adi_threshold must be positive")
-        if self.iterations < 1:
+        """Reject bad hyperparameters, NaN and inf included, naming each."""
+        for name in ("learning_rate", "aux_learning_rate", "adi_threshold"):
+            value = getattr(self, name)
+            if not (np.isfinite(value) and value > 0.0):
+                raise ValueError(f"{name} must be positive and finite, got {value!r}")
+        temperature = self.initial_temperature
+        if temperature is not None and not np.isfinite(float(temperature)):
+            raise ValueError(f"initial_temperature must be finite, got {temperature!r}")
+        if not self.iterations >= 1:
             raise ValueError("need at least one iteration")
-        if self.samples < 1:
+        if not self.samples >= 1:
             raise ValueError("need at least one sample per iteration")
+        if not self.bernoulli_repeats >= 1:
+            raise ValueError("bernoulli_repeats must be >= 1")
 
-    def _prepare_game(self, game_or_oracle):
-        """Returns (oracle, desk_game or None, applied payoff offset)."""
-        kind = _resolve_entropy(self.entropy, self.initial_temperature)
-        desk = None
-        offset = 0.0
-        if isinstance(game_or_oracle, (GameTensor, SymmetricGame)):
-            desk = game_or_oracle
-            if kind.family == "tsallis":
-                offset = tsallis_offset(desk)
-                if offset:
-                    desk = desk.offset(offset)
-            oracle = as_oracle(desk)
-        elif isinstance(game_or_oracle, PayoffOracle):
-            oracle = game_or_oracle
-            if isinstance(oracle, BernoulliOracle):
-                desk = oracle.mean_game()
-        else:
-            raise TypeError(f"cannot fit {type(game_or_oracle)!r}")
-        if self.exact_gradients and desk is None:
-            raise ValueError("exact gradients need a desk-scale game, not a bare oracle")
-        return oracle, desk, offset, kind
-
-    def _exact_cadence(self, desk):
-        if self.exact_adi_every is not None:
-            return int(self.exact_adi_every)
-        if desk is not None and desk.is_desk_scale():
-            return max(1, int(self.iterations) // 100)
-        return 0
-
-    # -- the loop ------------------------------------------------------------
-
-    def fit(self, game_or_oracle):
+    def _descend(self, view_type, game_or_oracle):
+        """The anneal-and-descend loop of both solvers; `view_type` supplies
+        everything that depends on the kind of game."""
         self._validate()
-        oracle, desk, offset, kind = self._prepare_game(game_or_oracle)
-        counts = oracle.action_counts
-        n = oracle.players
+        kind = _resolve_entropy(self.entropy, self.initial_temperature)
+        view = view_type(game_or_oracle, kind, self)
+        oracle, desk = view.oracle, view.desk
+        iterations = int(self.iterations)
         rng = new_rng(self.seed)
-        x = StrategyProfile.uniform(counts)
-        aux = AuxiliaryState.zeros(counts)
+        x = view.wrap([np.full(m, 1.0 / m) for m in view.counts])
+        aux = AuxiliaryState.zeros(view.counts)
         anneal_steps = 0
-        cadence = self._exact_cadence(desk)
-        log = IterateLog(self.run_id or f"adidas-{self.seed}", self.seed)
+        cadence = self._exact_cadence(view)
+        log = IterateLog(self.run_id or f"{view.run_prefix}-{self.seed}", self.seed)
         queries_before = oracle.queries
         running_mean = [np.array(s) for s in x]
-        sample_cfg = SampleConfig(repeats=1, bernoulli_repeats=self.bernoulli_repeats)
         started = time.perf_counter()
 
-        for t in range(1, int(self.iterations) + 1):
+        for t in range(1, iterations + 1):
             if self.exact_gradients:
-                matrices = exact_pairwise_matrices(desk, x)
+                blocks = view.exact_blocks(x)
             else:
-                block_sets = []
-                for _ in range(int(self.samples)):
-                    joint = sample_joint_action(x, rng)
-                    block_sets.append(
-                        estimate_pairwise_matrices(oracle, joint, sample_cfg)
-                    )
-                matrices = _average_blocks(block_sets, counts)
-
-            nabla = [matrices.payoff_gradient(x, i) for i in range(n)]
-            aux = update_aux(aux, nabla, self.aux_learning_rate)
-            estimate = adi_amortized(x, aux.y, kind)
-            estimate_unreg = adi_amortized(x, aux.y, Entropy.none())
-            gradients = adi_gradient(matrices, aux.y, x, kind)
+                blocks = view.sampled_blocks(x, rng)
+            aux = update_aux(aux, view.payoff_gradients(blocks, x), self.aux_learning_rate)
+            estimate, estimate_unreg = view.amortized(x, aux.y, kind)
+            gradients = view.gradients(blocks, aux.y, x, kind)
             if not all(np.all(np.isfinite(g)) for g in gradients):
                 raise FloatingPointError(
                     f"non-finite deviation-incentive gradient at iteration {t}"
                 )
             if self.tangent_projection:
                 gradients = [tangent_project(g) for g in gradients]
-            x = StrategyProfile(
+            x = view.wrap(
                 [
-                    _step(x[i], gradients[i], self.learning_rate, self.projection)
-                    for i in range(n)
+                    _step(s, g, self.learning_rate, self.projection)
+                    for s, g in zip(x, gradients)
                 ]
             )
             if self.average_iterates:
-                running_mean = [
-                    m + (s - m) / t for m, s in zip(running_mean, x)
-                ]
+                running_mean = [m + (s - m) / t for m, s in zip(running_mean, x)]
 
             # anneal decision from the same evaluation that produced the step
             if self.anneal:
@@ -238,191 +200,202 @@ class AdidasSolver(BaseSolver):
                 )
 
             exact_value = None
-            report_profile = (
-                StrategyProfile(running_mean) if self.average_iterates else x
-            )
-            if cadence and (t % cadence == 0 or t == int(self.iterations)) and desk is not None:
-                exact_value = adi_exact(desk, report_profile, Entropy.none()).total
+            report = view.wrap(running_mean) if self.average_iterates else x
+            if cadence and (t % cadence == 0 or t == iterations) and desk is not None:
+                exact_value = view.exact_adi(report)
             log.append(
                 iteration=t,
                 adi_estimate=estimate.total,
-                adi_estimate_unreg=estimate_unreg.total,
+                adi_estimate_unreg=estimate_unreg,
                 adi_exact=exact_value,
                 temperature=kind.temperature,
                 queries=oracle.queries - queries_before,
-                profile_digest=profile_hash(list(report_profile)),
+                profile_digest=profile_hash(list(report)),
                 wall_ms=(time.perf_counter() - started) * 1000.0,
             )
 
-        self.profile_ = StrategyProfile(running_mean) if self.average_iterates else x
-        self.last_profile_ = x
+        view.set_fitted(self, view.wrap(running_mean) if self.average_iterates else x, x)
         self.aux_ = aux
         self.entropy_ = kind
         self.log_ = log
         self.queries_ = oracle.queries - queries_before
-        self.payoff_offset_ = offset
+        self.payoff_offset_ = view.offset
         return self
 
-    def solve(self, game_or_oracle):
-        """Functional form: returns (profile, log)."""
-        self.fit(game_or_oracle)
-        return self.profile_, self.log_
+    def _exact_cadence(self, view):
+        if self.exact_adi_every is not None:
+            return int(self.exact_adi_every)
+        if view.desk is not None and view.exact_is_cheap():
+            return max(1, int(self.iterations) // 100)
+        return 0
 
 
-class SymmetricAdidasSolver(BaseSolver):
+class SymmetricAdidasSolver(AdidasSolver):
     """ADIDAS specialised to symmetric games and a symmetric equilibrium.
 
     One shared strategy and one auxiliary vector; gradients use the focal
     player's pairwise block, its transpose for the partner view, and the
     (n - 1) multiplier for identical opponents. A gradient costs m^2 queries
-    per sample instead of (nm)^2.
+    per sample instead of (nm)^2. Takes AdidasSolver's parameters; the
+    entropy defaults to Tsallis.
     """
 
-    def __init__(
-        self,
-        entropy="tsallis",
-        initial_temperature=None,
-        learning_rate=0.01,
-        aux_learning_rate=0.1,
-        adi_threshold=0.001,
-        iterations=1000,
-        samples=1,
-        bernoulli_repeats=1,
-        exact_gradients=False,
-        projection="euclidean",
-        tangent_projection=True,
-        average_iterates=False,
-        anneal=True,
-        exact_adi_every=None,
-        seed=0,
-        run_id=None,
-    ):
-        self.entropy = entropy
-        self.initial_temperature = initial_temperature
-        self.learning_rate = learning_rate
-        self.aux_learning_rate = aux_learning_rate
-        self.adi_threshold = adi_threshold
-        self.iterations = iterations
-        self.samples = samples
-        self.bernoulli_repeats = bernoulli_repeats
-        self.exact_gradients = exact_gradients
-        self.projection = projection
-        self.tangent_projection = tangent_projection
-        self.average_iterates = average_iterates
-        self.anneal = anneal
-        self.exact_adi_every = exact_adi_every
-        self.seed = seed
-        self.run_id = run_id
+    def __init__(self, entropy="tsallis", **params):
+        super().__init__(entropy=entropy, **params)
+
+    @classmethod
+    def _param_names(cls):
+        return AdidasSolver._param_names()
 
     def fit(self, game_or_oracle):
-        AdidasSolver._validate(self)
-        kind = _resolve_entropy(self.entropy, self.initial_temperature)
-        desk = None
-        offset = 0.0
-        if isinstance(game_or_oracle, SymmetricGame):
-            desk = game_or_oracle
-            if kind.family == "tsallis":
-                offset = tsallis_offset(desk)
-                if offset:
-                    desk = desk.offset(offset)
-            oracle = as_oracle(desk)
-        elif isinstance(game_or_oracle, PayoffOracle) and game_or_oracle.is_symmetric():
-            oracle = game_or_oracle
-            if isinstance(oracle, BernoulliOracle):
-                desk = oracle.mean_game()
-        else:
-            raise ValueError("symmetric solver needs a symmetric game or oracle")
-        if self.exact_gradients and desk is None:
-            raise ValueError("exact gradients need the symmetric game itself")
-
-        n = oracle.players
-        m = oracle.action_counts[0]
-        rng = new_rng(self.seed)
-        x = np.full(m, 1.0 / m)
-        aux = AuxiliaryState([np.zeros(m)], t=1)
-        anneal_steps = 0
-        cadence = self._cadence(desk)
-        log = IterateLog(self.run_id or f"adidas-sym-{self.seed}", self.seed)
-        queries_before = oracle.queries
-        running_mean = np.array(x)
-        started = time.perf_counter()
-
-        for t in range(1, int(self.iterations) + 1):
-            own = self._own_block(oracle, desk, x, rng)
-            nabla = own @ x
-            aux = update_aux(aux, [nabla], self.aux_learning_rate)
-            y = aux.y[0]
-            gradient = _symmetric_gradient(own, x, y, kind, n)
-            estimate = adi_amortized(StrategyProfile([x] * n), [y] * n, kind)
-            unreg_value = n * float(y.max() - np.dot(y, x))
-            if not np.all(np.isfinite(gradient)):
-                raise FloatingPointError(
-                    f"non-finite deviation-incentive gradient at iteration {t}"
-                )
-            if self.tangent_projection:
-                gradient = tangent_project(gradient)
-            x = _step(x, gradient, self.learning_rate, self.projection)
-            if self.average_iterates:
-                running_mean = running_mean + (x - running_mean) / t
-
-            if self.anneal:
-                kind, anneal_steps = anneal_decision(
-                    kind, estimate.mean, anneal_steps, self.adi_threshold, self.aux_learning_rate
-                )
-
-            report = running_mean if self.average_iterates else x
-            exact_value = None
-            if cadence and (t % cadence == 0 or t == int(self.iterations)) and desk is not None:
-                exact_value = _symmetric_exact_adi(desk, report, n)
-            log.append(
-                iteration=t,
-                adi_estimate=estimate.total,
-                adi_estimate_unreg=unreg_value,
-                adi_exact=exact_value,
-                temperature=kind.temperature,
-                queries=oracle.queries - queries_before,
-                profile_digest=profile_hash([report]),
-                wall_ms=(time.perf_counter() - started) * 1000.0,
-            )
-
-        self.strategy_ = np.array(running_mean if self.average_iterates else x)
-        self.last_strategy_ = np.array(x)
-        self.profile_ = StrategyProfile([self.strategy_] * n)
-        self.aux_ = aux
-        self.entropy_ = kind
-        self.log_ = log
-        self.queries_ = oracle.queries - queries_before
-        self.payoff_offset_ = offset
-        return self
+        return self._descend(_SymmetricView, game_or_oracle)
 
     def solve(self, game_or_oracle):
+        """Functional form: returns (strategy, log)."""
         self.fit(game_or_oracle)
         return self.strategy_, self.log_
 
-    def _cadence(self, desk):
-        if self.exact_adi_every is not None:
-            return int(self.exact_adi_every)
-        if desk is not None and desk.shared_strategy_eval_cost() <= 10_000_000:
-            return max(1, int(self.iterations) // 100)
-        return 0
 
-    def _own_block(self, oracle, desk, x, rng):
-        if self.exact_gradients:
-            return desk.pair_payoff_matrix(x)
-        cum = np.cumsum(x)
+class _GeneralView:
+    """A general game or oracle as the descent loop sees it: one strategy per
+    player and every ordered pair's block."""
+
+    run_prefix = "adidas"
+    games = (GameTensor, SymmetricGame)
+    needs_desk = "exact gradients need a desk-scale game, not a bare oracle"
+
+    def __init__(self, game_or_oracle, kind, solver):
+        """Accepts the input or raises; builds the oracle and, when the
+        payoffs are known, the desk game, offset for Tsallis."""
+        self.desk = None
+        self.offset = 0.0
+        if isinstance(game_or_oracle, self.games):
+            self.desk = game_or_oracle
+            if kind.family == "tsallis":
+                self.offset = tsallis_offset(self.desk)
+                if self.offset:
+                    self.desk = self.desk.offset(self.offset)
+            self.oracle = as_oracle(self.desk)
+        elif self.accepts_oracle(game_or_oracle):
+            self.oracle = game_or_oracle
+            if isinstance(self.oracle, BernoulliOracle):
+                self.desk = self.oracle.mean_game()
+        else:
+            raise self.rejection(game_or_oracle)
+        if solver.exact_gradients and self.desk is None:
+            raise ValueError(self.needs_desk)
+        self.players = self.oracle.players
+        self.samples = int(solver.samples)
+        self.bernoulli_repeats = int(solver.bernoulli_repeats)
+
+    def accepts_oracle(self, source):
+        return isinstance(source, PayoffOracle)
+
+    def rejection(self, source):
+        return TypeError(f"cannot fit {type(source)!r}")
+
+    @property
+    def counts(self):
+        return self.oracle.action_counts
+
+    def wrap(self, strategies):
+        return StrategyProfile(strategies)
+
+    def exact_is_cheap(self):
+        return self.desk.is_desk_scale()
+
+    def exact_blocks(self, x):
+        return exact_pairwise_matrices(self.desk, x)
+
+    def sampled_blocks(self, x, rng):
+        config = SampleConfig(bernoulli_repeats=self.bernoulli_repeats)
+        block_sets = []
+        for _ in range(self.samples):
+            joint = sample_joint_action(x, rng)
+            block_sets.append(estimate_pairwise_matrices(self.oracle, joint, config))
+        return mean_pairwise_matrices(block_sets)
+
+    def payoff_gradients(self, matrices, x):
+        return [matrices.payoff_gradient(x, i) for i in range(self.players)]
+
+    def amortized(self, x, y, kind):
+        """The amortized ADI report under `kind`, and its unregularized total."""
+        return adi_amortized(x, y, kind), adi_amortized(x, y, Entropy.none()).total
+
+    def gradients(self, matrices, y, x, kind):
+        return adi_gradient(matrices, y, x, kind)
+
+    def exact_adi(self, profile):
+        return adi_exact(self.desk, profile, Entropy.none()).total
+
+    def set_fitted(self, solver, profile, last):
+        solver.profile_ = profile
+        solver.last_profile_ = last
+
+
+class _SymmetricView(_GeneralView):
+    """A symmetric game or oracle as the descent loop sees it: the iterate is
+    a one-element list holding the shared strategy, and the blocks are the
+    focal player's m x m block."""
+
+    run_prefix = "adidas-sym"
+    games = (SymmetricGame,)
+    needs_desk = "exact gradients need the symmetric game itself"
+
+    def accepts_oracle(self, source):
+        return isinstance(source, PayoffOracle) and source.is_symmetric()
+
+    def rejection(self, source):
+        return ValueError("symmetric solver needs a symmetric game or oracle")
+
+    @property
+    def counts(self):
+        return self.oracle.action_counts[:1]
+
+    def wrap(self, strategies):
+        return list(strategies)
+
+    def exact_is_cheap(self):
+        return self.desk.shared_strategy_eval_cost() <= 10_000_000
+
+    def exact_blocks(self, x):
+        return self.desk.pair_payoff_matrix(x[0])
+
+    def sampled_blocks(self, x, rng):
+        cum = np.cumsum(x[0])
+        last = x[0].size - 1
+        reps = self.bernoulli_repeats
         total = None
-        fills = int(self.samples)
-        for _ in range(fills):
+        for _ in range(self.samples):
             rest = [
-                min(int(np.searchsorted(cum, rng.random(), side="right")), x.size - 1)
-                for _ in range(oracle.players - 2)
+                min(int(np.searchsorted(cum, rng.random(), side="right")), last)
+                for _ in range(self.players - 2)
             ]
-            reps = int(self.bernoulli_repeats)
             block = sum(
-                oracle.symmetric_pair_payoffs(rest) for _ in range(reps)
+                self.oracle.symmetric_pair_payoffs(rest) for _ in range(reps)
             ) / reps
             total = block if total is None else total + block
-        return total / fills
+        return total / self.samples
+
+    def payoff_gradients(self, own, x):
+        return [own @ x[0]]
+
+    def amortized(self, x, y, kind):
+        (strategy,), (tracker,) = x, y
+        n = self.players
+        report = adi_amortized(StrategyProfile([strategy] * n), [tracker] * n, kind)
+        return report, n * float(tracker.max() - np.dot(tracker, strategy))
+
+    def gradients(self, own, y, x, kind):
+        return [_symmetric_gradient(own, x[0], y[0], kind, self.players)]
+
+    def exact_adi(self, strategies):
+        return symmetric_adi_exact(self.desk, strategies[0])
+
+    def set_fitted(self, solver, strategies, last):
+        solver.strategy_ = np.array(strategies[0])
+        solver.last_strategy_ = np.array(last[0])
+        solver.profile_ = StrategyProfile([solver.strategy_] * self.players)
 
 
 def _symmetric_gradient(own, x, y, kind, players):
@@ -432,38 +405,8 @@ def _symmetric_gradient(own, x, y, kind, players):
     its transpose, and the cross term is multiplied by the (n - 1) identical
     opponents.
     """
-    nabla = own @ x
-    temp = kind.temperature
-    if kind.family == "tsallis":
-        br = best_response(y, kind)
-        s = br.scale
-        p = temp
-        br_sparse = 1.0 - np.sum(br.dist ** (p + 1.0))
-        x_sparse = 1.0 - np.sum(x ** (p + 1.0))
-        effect = (br.dist - x) + (br_sparse - x_sparse) / (p + 1.0) * br.dist ** (1.0 - p)
-        policy = nabla - s * x**p
-    else:
-        if kind.family == "shannon" and temp >= SHANNON_TEMP_MIN:
-            br = special.softmax(y / temp)
-            br_jac = (np.diag(br) - np.outer(br, br)) / temp
-            with np.errstate(divide="ignore"):
-                log_br = np.clip(np.log(br), LOGIT_FLOOR, 0.0)
-            effect = (br - x) + br_jac @ (nabla - temp * (log_br + 1.0))
-        else:
-            effect = _hard_argmax(y) - x
-        policy = np.array(nabla)
-        if temp > 0.0:
-            with np.errstate(divide="ignore"):
-                log_x = np.clip(np.log(x), LOGIT_FLOOR, 0.0)
-            policy -= temp * (log_x + 1.0)
+    policy, effect = response_terms(own @ x, y, x, kind)
     return -policy + (players - 1) * (own.T @ effect)
-
-
-def _symmetric_exact_adi(desk, strategy, players):
-    """Unregularized exact deviation incentive, summed over the n players."""
-    grad = desk.deviation_payoffs(strategy)
-    gain = float(grad.max() - np.dot(strategy, grad))
-    return players * gain
 
 
 def adidas(oracle, **params):

@@ -133,13 +133,6 @@ class IterateLog:
                 return r["iteration"]
         return None
 
-    def queries_at_first_below(self, threshold, column="adi_estimate"):
-        for r in self.records:
-            v = r[column]
-            if not np.isnan(v) and v < threshold:
-                return r["queries"]
-        return None
-
     def csv_bytes(self):
         buf = io.StringIO()
         writer = csv.writer(buf, quoting=csv.QUOTE_MINIMAL, lineterminator="\n")

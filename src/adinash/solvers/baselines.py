@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..adi import adi_exact, adi_gradient_shannon
+from ..adi import adi_exact, adi_gradient_shannon, symmetric_adi_exact
 from ..entropy import Entropy, _hard_argmax
 from ..exact import PairwiseMatrices, exact_pairwise_matrices, payoff_gradient
 from ..normalform import GameTensor, StrategyProfile, SymmetricGame
@@ -49,10 +49,6 @@ def _gradients(source, profile):
         payoff_gradient(source, profile, i, validate=False)
         for i in range(profile.players)
     ]
-
-
-def _lowest_index_argmax(v):
-    return int(np.argmax(v))
 
 
 def baseline_step(method, state, source, learning_rate):
@@ -99,7 +95,7 @@ def baseline_step(method, state, source, learning_rate):
         emp_profile = StrategyProfile(empirical)
         grads = _gradients(source, emp_profile)
         for i in range(n):
-            state.counts[i][_lowest_index_argmax(grads[i])] += 1.0
+            state.counts[i][int(np.argmax(grads[i]))] += 1.0
         new = [state.counts[i] / state.counts[i].sum() for i in range(n)]
     elif method == "ed":
         grads_now = _gradients(source, x)
@@ -177,7 +173,7 @@ def symmetric_baseline_step(method, state, game, learning_rate):
         c = state.counts
         empirical = c / c.sum() if c.sum() > 0 else np.full(x.size, 1.0 / x.size)
         grad = game.deviation_payoffs(empirical)
-        state.counts[_lowest_index_argmax(grad)] += 1.0
+        state.counts[int(np.argmax(grad))] += 1.0
         state.strategy = state.counts / state.counts.sum()
     else:
         grad = game.deviation_payoffs(x)
@@ -248,8 +244,7 @@ class BaselineSolver(BaseSolver):
                 )
                 tracked = state.average if report == "average" else state.strategy
                 if cadence and (t % cadence == 0 or t == int(self.iterations)):
-                    grad = game.deviation_payoffs(tracked)
-                    exact = game.players * float(grad.max() - np.dot(tracked, grad))
+                    exact = symmetric_adi_exact(game, tracked)
                     log.append(
                         iteration=t,
                         adi_estimate=exact,

@@ -82,11 +82,11 @@ class TestPairwiseJacobian:
         rng = np.random.default_rng(4)
         x = random_profile(rng, biased_game)
         block = pairwise_jacobian_exact(biased_game, x, 0, 1)
-        assert np.array_equal(block.values, biased_game.player_tensor(0))
+        assert np.array_equal(block, biased_game.player_tensor(0))
         # independent of the profile
         y = random_profile(rng, biased_game)
         assert np.array_equal(
-            pairwise_jacobian_exact(biased_game, y, 0, 1).values, block.values
+            pairwise_jacobian_exact(biased_game, y, 0, 1), block
         )
 
     def test_gradient_identity_across_partners(self):
@@ -100,7 +100,7 @@ class TestPairwiseJacobian:
                     if j == i:
                         continue
                     block = pairwise_jacobian_exact(g, x, i, j)
-                    assert np.abs(block.values @ x[j] - grad).max() <= 1e-9
+                    assert np.abs(block @ x[j] - grad).max() <= 1e-9
 
     def test_uniform_third_player_average(self):
         rng = np.random.default_rng(6)
@@ -117,7 +117,7 @@ class TestPairwiseJacobian:
         slices = np.mean(
             [g.player_tensor(0)[:, :, a3] for a3 in range(m3)], axis=0
         )
-        assert np.allclose(block.values, slices, atol=1e-12)
+        assert np.allclose(block, slices, atol=1e-12)
 
     def test_rejects_same_player(self, biased_game):
         x = StrategyProfile.uniform([3, 2])

@@ -153,7 +153,7 @@ class TestSymmetricGame:
         dense = g.expand_to_tensor()
         x = rng.dirichlet(np.ones(3))
         profile = StrategyProfile([x] * 4)
-        block = pairwise_jacobian_exact(dense, profile, 0, 1).values
+        block = pairwise_jacobian_exact(dense, profile, 0, 1)
         assert np.allclose(g.pair_payoff_matrix(x), block, atol=1e-12)
 
     def test_batch_function_matches_scalar(self):

@@ -150,6 +150,29 @@ class TestAdidasSolver:
         with pytest.raises(ValueError):
             AdidasSolver(exact_gradients=True).fit(oracle)
 
+    @pytest.mark.parametrize("solver_type", [AdidasSolver, SymmetricAdidasSolver])
+    @pytest.mark.parametrize(
+        "name,value",
+        [
+            (name, value)
+            for name in (
+                "learning_rate",
+                "aux_learning_rate",
+                "adi_threshold",
+                "initial_temperature",
+            )
+            for value in (float("nan"), float("inf"))
+        ]
+        + [("bernoulli_repeats", 0)],
+    )
+    def test_rejects_bad_hyperparameter_by_name(self, solver_type, name, value):
+        # NaN slips through "<= 0" checks: it used to run without annealing
+        # or fail deep inside the loop
+        game = make_el_farol(ElFarolSpec(players=3))
+        solver = solver_type(entropy="shannon", iterations=5, **{name: value})
+        with pytest.raises(ValueError, match=name):
+            solver.fit(game)
+
     def test_get_set_params_roundtrip(self):
         solver = AdidasSolver(learning_rate=0.3, samples=7)
         params = solver.get_params()
@@ -246,6 +269,15 @@ class TestSymmetricAdidas:
             logs.append(s.log_.csv_bytes())
         assert logs[0] == logs[1]
 
+    def test_params_are_the_general_solvers_with_tsallis_default(self):
+        general = AdidasSolver().get_params()
+        shared = SymmetricAdidasSolver().get_params()
+        assert shared == {**general, "entropy": "tsallis"}
+        clone = SymmetricAdidasSolver(entropy="shannon", samples=3).clone(seed=4)
+        assert clone.get_params() == {
+            **general, "entropy": "shannon", "samples": 3, "seed": 4
+        }
+
     def test_functional_surface(self):
         game = make_el_farol(ElFarolSpec())
         strategy, log = adidas_symmetric(
@@ -262,7 +294,17 @@ class TestSymmetricGeneralAgreement:
 
         return SymmetricGame.from_function(4, 3, payoff)
 
-    @pytest.mark.parametrize("entropy,temp", [("shannon", 0.3), ("tsallis", 0.4)])
+    @pytest.mark.parametrize(
+        "entropy,temp",
+        [
+            ("shannon", 0.3),
+            ("shannon", 0.0),
+            ("none", 0.0),
+            ("tsallis", 0.4),
+            ("tsallis", 0.0),
+            ("tsallis", 1.0),
+        ],
+    )
     def test_shared_gradient_matches_general_pipeline(self, entropy, temp):
         # from a shared strategy, the single-strategy gradient must equal any
         # player's gradient under the full pairwise assembly
