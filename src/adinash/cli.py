@@ -220,6 +220,8 @@ def cmd_nfg(args):
         if not args.game or not args.out:
             raise ValueError("nfg export needs --game and --out")
         game = build_game(args)
+        if hasattr(game, "mean_game"):
+            game = game.mean_game()
         if hasattr(game, "expand_to_tensor"):
             game = game.expand_to_tensor()
         nfg.write_nfg(args.out, game, title=args.game)

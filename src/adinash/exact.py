@@ -121,9 +121,9 @@ def _symmetric_deviation_payoffs(game, profile, player):
     width = int(np.prod([s.size for s in supports]))
     if width * game.actions > 20_000_000:
         raise ValueError("opponent support too large for exact enumeration")
+    actions = np.arange(game.actions)
     grad = np.zeros(game.actions)
     for combo in itertools.product(*supports):
         w = float(np.prod([o[a] for o, a in zip(others, combo)]))
-        for a in range(game.actions):
-            grad[a] += w * game.payoff(a, combo)
+        grad += w * game.lookup(actions, np.broadcast_to(combo, (actions.size, len(combo))))
     return grad

@@ -12,6 +12,9 @@ import numpy as np
 from .simplex import as_distribution
 
 DESK_SCALE_ENTRIES = 10_000_000
+# symmetric pair tables above this many entries are not cached; each block is
+# then read from the payoff table directly
+PAIR_TABLE_ENTRIES = 20_000_000
 
 
 def multiset_count(actions, players):
@@ -64,6 +67,11 @@ def multiset_rank_array(multisets, actions):
 def enumerate_multisets(actions, size):
     """Ascending-sorted multisets of the given size, in lexicographic order."""
     return itertools.combinations_with_replacement(range(actions), size)
+
+
+def _multiset_rows(actions, size):
+    """enumerate_multisets as an (entries, size) int array."""
+    return np.array(list(enumerate_multisets(actions, size)), dtype=np.int64)
 
 
 def validate_joint_action(joint, action_counts):
@@ -201,7 +209,6 @@ class SymmetricGame:
         table = table.copy()
         table.flags.writeable = False
         self.table = table
-        self._keys = None
         self._dev_table = None
         self._pair_cache = None
 
@@ -222,7 +229,7 @@ class SymmetricGame:
     @classmethod
     def from_batch_function(cls, players, actions, batch_fn):
         """Build from a vectorized ``batch_fn(own (N,), opponents (N, n-1)) -> (N,)``."""
-        keys = np.array(list(enumerate_multisets(actions, players)), dtype=np.int64)
+        keys = _multiset_rows(actions, players)
         ranks = multiset_rank_array(keys, actions)
         table = np.zeros((keys.shape[0], players))
         cols = np.arange(players)
@@ -233,46 +240,45 @@ class SymmetricGame:
 
     @classmethod
     def from_tensor(cls, game, tol=1e-12):
-        """Compress a dense tensor, verifying permutation invariance."""
+        """Compress a dense tensor, verifying permutation invariance: the
+        expansion of the compressed game must reproduce every entry."""
         n = game.players
         if len(set(game.action_counts)) != 1:
             raise ValueError("symmetric game needs identical action counts")
         m = game.action_counts[0]
-        count = multiset_count(m, n)
-        table = np.full((count, n), np.nan)
-        for joint in itertools.product(range(m), repeat=n):
-            order = np.argsort(joint, kind="stable")
-            ms = tuple(joint[o] for o in order)
-            r = multiset_rank(ms, m)
-            for pos, player in enumerate(order):
-                value = game.payoffs[(player, *joint)]
-                if np.isnan(table[r, pos]):
-                    table[r, pos] = value
-                elif abs(table[r, pos] - value) > tol:
-                    raise ValueError(
-                        f"tensor is not permutation-invariant at multiset {ms}"
-                    )
-        return cls(n, m, table)
+        keys = _multiset_rows(m, n)
+        table = np.zeros((keys.shape[0], n))
+        # position p of a sorted key is the payoff of player p in that joint
+        table[multiset_rank_array(keys, m)] = game.payoffs[(np.arange(n), *keys.T[:, :, None])]
+        symmetric = cls(n, m, table)
+        mismatch = np.abs(symmetric.expand_to_tensor().payoffs - game.payoffs) > tol
+        if mismatch.any():
+            player, *joint = np.argwhere(mismatch)[0].tolist()
+            raise ValueError(
+                f"tensor is not permutation-invariant: player {player} at joint {tuple(joint)}"
+            )
+        return symmetric
 
     # -- lookups -----------------------------------------------------------
 
-    def keys(self):
-        """Sorted multiset keys as an (entries, players) int array."""
-        if self._keys is None:
-            keys = np.array(
-                list(enumerate_multisets(self.actions, self.players)), dtype=np.int64
-            )
-            ranks = multiset_rank_array(keys, self.actions)
-            ordered = np.empty_like(keys)
-            ordered[ranks] = keys
-            self._keys = ordered
-        return self._keys
+    def lookup(self, own, opponents):
+        """Payoffs of own actions (N,) against opponent actions (N, n-1).
+
+        The one reader of the table layout: row = rank of the sorted joint
+        action, column = first position of the own action inside it.
+        """
+        own = np.asarray(own, dtype=np.int64)
+        joint = np.concatenate([opponents, own[:, None]], axis=1)
+        joint.sort(axis=1)
+        if np.any(joint[:, 0] < 0) or np.any(joint[:, -1] >= self.actions):
+            raise ValueError(f"actions outside [0, {self.actions})")
+        pos = np.argmax(joint == own[:, None], axis=1)
+        return self.table[multiset_rank_array(joint, self.actions), pos]
 
     def payoff(self, own_action, opponents):
         """Payoff to a player choosing own_action against an opponent multiset."""
-        joint = tuple(sorted((int(own_action), *map(int, opponents))))
-        pos = joint.index(int(own_action))
-        return float(self.table[multiset_rank(joint, self.actions)][pos])
+        opponents = np.asarray(opponents, dtype=np.int64).reshape(1, self.players - 1)
+        return float(self.lookup([own_action], opponents)[0])
 
     @property
     def entry_count(self):
@@ -311,23 +317,14 @@ class SymmetricGame:
         return counts, log_coef
 
     def _deviation_table(self):
-        """Payoff of (own action, opponent multiset), shape (m, #opp-multisets)."""
+        """Payoff of (own action, opponent multiset), shape (m, #opp-multisets),
+        opponent multisets in lexicographic order."""
         if self._dev_table is None:
-            m, n = self.actions, self.players
-            opp = np.array(
-                list(enumerate_multisets(m, n - 1)), dtype=np.int64
-            ).reshape(-1, n - 1)
-            dev = np.zeros((m, opp.shape[0]))
-            # rank of sorted({a} U M) and the position of a inside it, vectorized
-            for a in range(m):
-                joint = np.concatenate(
-                    [opp, np.full((opp.shape[0], 1), a, dtype=np.int64)], axis=1
-                )
-                joint.sort(axis=1)
-                pos = np.argmax(joint == a, axis=1)
-                ranks = multiset_rank_array(joint, m)
-                dev[a] = self.table[ranks, pos]
-            counts, log_coef = self._multiset_weights(opp, m)
+            opp = _multiset_rows(self.actions, self.players - 1)
+            dev = np.stack(
+                [self.lookup(np.full(opp.shape[0], a), opp) for a in range(self.actions)]
+            )
+            counts, log_coef = self._multiset_weights(opp, self.actions)
             self._dev_table = (dev, counts, log_coef)
         return self._dev_table
 
@@ -355,42 +352,40 @@ class SymmetricGame:
         return table @ weights
 
     def _pair_table(self):
-        """u(r; c, rest_k) for all r, c, k plus rest-multiset weights; cached."""
+        """u(r; c, rest_k) for all r, c, k plus rest-multiset weights; cached.
+
+        Indexes the deviation table: u(r; c, rest) = dev[r, column of the
+        opponent multiset c + rest], with no payoff lookups of its own.
+        """
         if self._pair_cache is None:
-            m = self.actions
-            if self.players == 2:
-                rest = np.zeros((1, 0), dtype=np.int64)
-            else:
-                rest = np.array(
-                    list(enumerate_multisets(m, self.players - 2)), dtype=np.int64
-                )
-            out = np.zeros((m, m, rest.shape[0]))
-            for c in range(m):
-                joint = np.concatenate(
-                    [rest, np.full((rest.shape[0], 1), c, dtype=np.int64)], axis=1
-                )
-                for r in range(m):
-                    full = np.concatenate(
-                        [joint, np.full((joint.shape[0], 1), r, dtype=np.int64)], axis=1
-                    )
-                    full.sort(axis=1)
-                    pos = np.argmax(full == r, axis=1)
-                    ranks = multiset_rank_array(full, m)
-                    out[r, c] = self.table[ranks, pos]
+            m, n = self.actions, self.players
+            dev, _, _ = self._deviation_table()
+            opp = _multiset_rows(m, n - 1)
+            column = np.empty(opp.shape[0], dtype=np.int64)
+            column[multiset_rank_array(opp, m)] = np.arange(opp.shape[0])
+            rest = _multiset_rows(m, n - 2)
+            k = rest.shape[0]
+            opponents = np.column_stack([np.repeat(np.arange(m), k), np.tile(rest, (m, 1))])
+            opponents.sort(axis=1)
+            columns = column[multiset_rank_array(opponents, m)].reshape(m, k)
             counts, log_coef = self._multiset_weights(rest, m)
             index = {tuple(row): k for k, row in enumerate(rest.tolist())}
-            self._pair_cache = (out, counts, log_coef, index)
+            # np.take keeps the (m, m, K) C layout that `table @ weights` sums in
+            self._pair_cache = (np.take(dev, columns, axis=1), counts, log_coef, index)
         return self._pair_cache
 
     def pair_block_at(self, rest_actions):
-        """The (m, m) block u(r; c, rest) for one fixed opponent rest; served
-        from the cached pair table when it fits the desk budget, else None."""
-        if self.players > 2:
-            size = self.actions**2 * multiset_count(self.actions, self.players - 2)
-        else:
-            size = self.actions**2
-        if self._pair_cache is None and size > 20_000_000:
-            return None
+        """The (m, m) block u(r; c, rest) for one fixed opponent rest: served
+        from the cached pair table when it fits ``PAIR_TABLE_ENTRIES``, else
+        read with one lookup."""
+        m = self.actions
+        # m^2 entries per multiset of the n - 2 other opponents
+        size = m * m * math.comb(m + self.players - 3, self.players - 2)
+        if self._pair_cache is None and size > PAIR_TABLE_ENTRIES:
+            actions = np.arange(m)
+            rest = np.asarray(rest_actions, dtype=np.int64)
+            opponents = np.column_stack([np.tile(rest, (m * m, 1)), np.tile(actions, m)])
+            return self.lookup(np.repeat(actions, m), opponents).reshape(m, m)
         table, _, _, index = self._pair_table()
         key = tuple(sorted(int(a) for a in rest_actions))
         return np.array(table[:, :, index[key]])
@@ -400,12 +395,9 @@ class SymmetricGame:
         if not self.is_desk_scale():
             raise ValueError("game too large to expand densely")
         m, n = self.actions, self.players
-        payoffs = np.zeros((n, *([m] * n)))
-        for joint in itertools.product(range(m), repeat=n):
-            for i in range(n):
-                opponents = joint[:i] + joint[i + 1:]
-                payoffs[(i, *joint)] = self.payoff(joint[i], opponents)
-        return GameTensor(payoffs)
+        joints = np.indices((m,) * n).reshape(n, -1).T
+        payoffs = [self.lookup(joints[:, i], np.delete(joints, i, axis=1)) for i in range(n)]
+        return GameTensor(np.reshape(payoffs, (n, *(m,) * n)))
 
     def __repr__(self):
         return (

@@ -10,31 +10,7 @@ import threading
 
 import numpy as np
 
-from .normalform import (
-    GameTensor,
-    SymmetricGame,
-    multiset_rank_array,
-    validate_joint_action,
-)
-
-
-def _symmetric_block(game, rest_actions):
-    """G[r, c] = u(focal plays r; designated opponent plays c; rest fixed)."""
-    cached = game.pair_block_at(rest_actions)
-    if cached is not None:
-        return cached
-    m = game.actions
-    rest = np.asarray(sorted(rest_actions), dtype=np.int64)
-    rows = np.repeat(np.arange(m, dtype=np.int64), m)
-    cols = np.tile(np.arange(m, dtype=np.int64), m)
-    full = np.concatenate(
-        [np.broadcast_to(rest, (m * m, rest.size)), rows[:, None], cols[:, None]],
-        axis=1,
-    )
-    full.sort(axis=1)
-    pos = np.argmax(full == rows[:, None], axis=1)
-    ranks = multiset_rank_array(full, m)
-    return game.table[ranks, pos].reshape(m, m)
+from .normalform import GameTensor, SymmetricGame, validate_joint_action
 
 
 class PayoffOracle:
@@ -133,7 +109,7 @@ class SymmetricOracle(PayoffOracle):
 
         The partner's view of the same draw is the transpose, by exchangeability.
         """
-        block = _symmetric_block(self.game, rest_actions)
+        block = self.game.pair_block_at(rest_actions)
         self._count(block.size)
         return block
 
@@ -180,7 +156,7 @@ class BernoulliOracle(PayoffOracle):
         return self.symmetric_pair_payoffs(rest)
 
     def symmetric_pair_payoffs(self, rest_actions):
-        probs = _symmetric_block(self.winrates, rest_actions)
+        probs = self.winrates.pair_block_at(rest_actions)
         start = self._count(probs.size)
         return self._draw(probs, start)
 

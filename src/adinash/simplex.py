@@ -71,7 +71,8 @@ def mirror_step_entropic(x, g, step_size):
     """Entropic mirror-descent step: multiplicative weights against gradient g.
 
     Returns ``x * exp(-step_size * g)`` renormalized; requires all of x's mass
-    components strictly positive so the iterate stays in the simplex interior.
+    components strictly positive so the iterate stays in the simplex interior,
+    and raises FloatingPointError when a coordinate of the result underflows.
     """
     x = np.asarray(x, dtype=float)
     g = np.asarray(g, dtype=float)
@@ -80,4 +81,7 @@ def mirror_step_entropic(x, g, step_size):
     logits = np.log(x) - step_size * g
     logits -= logits.max()
     z = np.exp(logits)
-    return z / z.sum()
+    out = z / z.sum()
+    if not np.all(out > 0.0):
+        raise FloatingPointError("entropic mirror step left the simplex interior")
+    return out

@@ -7,6 +7,7 @@ whenever the amortized estimate drops under the threshold. Payoff-gradient
 estimates are amortized across iterations through the auxiliary variables y.
 """
 
+import functools
 import time
 
 import numpy as np
@@ -304,8 +305,16 @@ class _GeneralView:
     def exact_is_cheap(self):
         return self.desk.is_desk_scale()
 
+    @functools.cached_property
+    def tensor(self):
+        """The desk game as a tensor, expanded once for exact blocks; exact
+        ADI keeps reading the desk game itself."""
+        if isinstance(self.desk, SymmetricGame):
+            return self.desk.expand_to_tensor()
+        return self.desk
+
     def exact_blocks(self, x):
-        return exact_pairwise_matrices(self.desk, x)
+        return exact_pairwise_matrices(self.tensor, x)
 
     def sampled_blocks(self, x, rng):
         config = SampleConfig(bernoulli_repeats=self.bernoulli_repeats)

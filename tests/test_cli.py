@@ -1,4 +1,7 @@
+import numpy as np
+
 from adinash.cli import main, parse_config_file
+from adinash.generators import planted_winrates
 from adinash.nfg import read_nfg
 
 
@@ -71,6 +74,26 @@ class TestSolve:
         assert code == 2
         assert "numeric failure" in stderr
 
+    def test_mirror_underflow_is_numeric_failure(self, capsys):
+        # a Shannon mirror step underflows a coordinate of the shared strategy
+        code, _, stderr = run_cli(
+            capsys,
+            "solve",
+            "--game", "blotto",
+            "--coins", "4",
+            "--fields", "3",
+            "--players", "3",
+            "--solver", "adidas-symmetric",
+            "--entropy", "shannon",
+            "--projection", "mirror",
+            "--learning-rate", "0.05",
+            "--samples", "2",
+            "--iterations", "60",
+            "--seed", "3",
+        )
+        assert code == 2
+        assert "numeric failure" in stderr
+
 
 class TestNfg:
     def test_export_then_info_and_roundtrip(self, capsys, tmp_path):
@@ -84,6 +107,24 @@ class TestNfg:
 
         code, stdout, _ = run_cli(capsys, "nfg", "info", "--path", str(path))
         assert code == 0 and "players=2" in stdout
+
+        code, stdout, _ = run_cli(capsys, "nfg", "roundtrip", "--path", str(path))
+        assert code == 0 and "roundtrip ok" in stdout
+
+    def test_export_bernoulli_metagame_writes_mean_game(self, capsys, tmp_path):
+        path = tmp_path / "meta.nfg"
+        code, _, _ = run_cli(
+            capsys,
+            "nfg", "export",
+            "--game", "bernoulli-meta",
+            "--players", "3",
+            "--actions", "3",
+            "--out", str(path),
+        )
+        assert code == 0
+        game, _, _ = read_nfg(str(path))
+        want = planted_winrates(3, 3, seed=0).expand_to_tensor()
+        assert np.allclose(game.payoffs, want.payoffs, rtol=0.0, atol=1e-12)
 
         code, stdout, _ = run_cli(capsys, "nfg", "roundtrip", "--path", str(path))
         assert code == 0 and "roundtrip ok" in stdout

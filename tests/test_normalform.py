@@ -1,8 +1,12 @@
 import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from adinash import normalform
 from adinash.exact import expected_utility, pairwise_jacobian_exact, payoff_gradient
 from adinash.normalform import (
     GameTensor,
@@ -121,6 +125,12 @@ class TestSymmetricGame:
         for opponents in itertools.product(range(4), repeat=2):
             assert g.payoff(2, opponents) == g.payoff(2, tuple(reversed(opponents)))
 
+    def test_lookup_rejects_out_of_range_actions(self):
+        g = _random_symmetric(np.random.default_rng(0), 3, 3)
+        for own, opponents in [(-1, (0, 0)), (3, (0, 0)), (0, (1, 3))]:
+            with pytest.raises(ValueError, match="outside"):
+                g.payoff(own, opponents)
+
     def test_tensor_roundtrip_lossless(self):
         g = _random_symmetric(np.random.default_rng(1), 3, 3)
         dense = g.expand_to_tensor()
@@ -131,6 +141,11 @@ class TestSymmetricGame:
         # biased game has 3 vs 2 actions; build a square asymmetric game instead
         t = np.zeros((2, 2, 2))
         t[0, 0, 1] = 1.0
+        with pytest.raises(ValueError):
+            SymmetricGame.from_tensor(GameTensor(t))
+        # tied players must agree too: u_0(0, 0) = 1 but u_1(0, 0) = 0
+        t = np.zeros((2, 2, 2))
+        t[0, 0, 0] = 1.0
         with pytest.raises(ValueError):
             SymmetricGame.from_tensor(GameTensor(t))
 
@@ -178,3 +193,58 @@ class TestSymmetricGame:
         got = payoff_gradient(g, profile, 0)
         want = payoff_gradient(dense, profile, 0)
         assert np.allclose(got, want, atol=1e-12)
+
+
+@st.composite
+def symmetric_games(draw):
+    """Small random games, 2-4 players and 1-4 actions, with one independent
+    payoff per table cell: tied positions of a multiset may disagree, so only
+    the first position of an action is ever read."""
+    players = draw(st.integers(2, 4))
+    actions = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return SymmetricGame.from_function(
+        players, actions, lambda own, opponents: float(rng.uniform(-1, 1))
+    )
+
+
+def _scalar_lookup(game, own, opponents):
+    joint = tuple(sorted((own, *opponents)))
+    return game.table[multiset_rank(joint, game.actions), joint.index(own)]
+
+
+class TestMultisetLookupProperties:
+    @settings(max_examples=50, deadline=None)
+    @given(symmetric_games())
+    def test_lookup_matches_scalar_reference(self, game):
+        joints = np.array(list(itertools.product(range(game.actions), repeat=game.players)))
+        want = [_scalar_lookup(game, int(j[0]), j[1:].tolist()) for j in joints]
+        assert np.array_equal(game.lookup(joints[:, 0], joints[:, 1:]), want)
+
+    @settings(max_examples=50, deadline=None)
+    @given(symmetric_games())
+    def test_tensor_roundtrip_lossless(self, game):
+        dense = game.expand_to_tensor()
+        back = SymmetricGame.from_tensor(dense)
+        assert np.array_equal(back.expand_to_tensor().payoffs, dense.payoffs)
+        # the compressed table of a tensor is a fixed point of the round trip
+        assert np.array_equal(SymmetricGame.from_tensor(back.expand_to_tensor()).table, back.table)
+
+    @settings(max_examples=50, deadline=None)
+    @given(symmetric_games())
+    def test_cached_pair_block_equals_fallback(self, game):
+        dense = game.expand_to_tensor().payoffs
+        rests = list(itertools.product(range(game.actions), repeat=game.players - 2))
+        with mock.patch.object(normalform, "PAIR_TABLE_ENTRIES", 0):
+            fallback = [game.pair_block_at(rest) for rest in rests]
+        assert game._pair_cache is None
+        cached = [game.pair_block_at(rest) for rest in rests]
+        for rest, read, served in zip(rests, fallback, cached):
+            want = dense[(0, slice(None), slice(None), *rest)]
+            assert np.array_equal(read, want)
+            assert np.array_equal(served, want)
+
+    @given(st.integers(1, 6), st.integers(1, 5))
+    def test_multiset_rank_is_bijection(self, actions, size):
+        ranks = [multiset_rank(ms, actions) for ms in enumerate_multisets(actions, size)]
+        assert sorted(ranks) == list(range(multiset_count(actions, size)))

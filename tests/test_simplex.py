@@ -88,6 +88,11 @@ class TestMirrorStep:
         with pytest.raises(ValueError):
             mirror_step_entropic([0.0, 1.0], [1.0, 0.0], 0.1)
 
+    def test_underflow_is_a_numeric_failure(self):
+        # exp(-1500) underflows: the result would have a zero coordinate
+        with pytest.raises(FloatingPointError):
+            mirror_step_entropic([0.5, 0.5], [0.0, 1e5], 0.015)
+
     def test_stays_interior(self):
         rng = np.random.default_rng(3)
         x = np.array([0.25, 0.25, 0.5])

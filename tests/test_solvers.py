@@ -3,7 +3,13 @@ import pytest
 
 from adinash.adi import adi_exact
 from adinash.entropy import Entropy
-from adinash.generators import ElFarolSpec, make_el_farol, make_modified_shapley
+from adinash.generators import (
+    ElFarolSpec,
+    make_bernoulli_metagame,
+    make_el_farol,
+    make_modified_shapley,
+    planted_winrates,
+)
 from adinash.normalform import GameTensor, StrategyProfile, SymmetricGame
 from adinash.oracles import TensorOracle
 from adinash.simplex import is_distribution
@@ -149,6 +155,26 @@ class TestAdidasSolver:
         oracle = TensorOracle(matching_pennies)
         with pytest.raises(ValueError):
             AdidasSolver(exact_gradients=True).fit(oracle)
+
+    @pytest.mark.parametrize(
+        "source",
+        [
+            lambda: make_el_farol(ElFarolSpec(players=3)),
+            lambda: make_bernoulli_metagame(planted_winrates(3, 3, seed=0), seed=0),
+        ],
+        ids=["el-farol", "bernoulli"],
+    )
+    def test_exact_gradients_on_a_symmetric_game(self, source):
+        # the compressed desk game is expanded for the exact blocks, so the
+        # run follows the dense game's trajectory (it raised TypeError)
+        game = source()
+        params = dict(exact_gradients=True, iterations=20, seed=0, exact_adi_every=0)
+        fitted = AdidasSolver(**params).fit(game)
+        desk = game.mean_game() if hasattr(game, "mean_game") else game
+        dense = AdidasSolver(**params).fit(desk.expand_to_tensor())
+        for got, want in zip(fitted.profile_, dense.profile_):
+            assert np.array_equal(got, want)
+        assert fitted.queries_ == 0
 
     @pytest.mark.parametrize("solver_type", [AdidasSolver, SymmetricAdidasSolver])
     @pytest.mark.parametrize(
