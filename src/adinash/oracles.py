@@ -93,11 +93,15 @@ class SymmetricOracle(PayoffOracle):
     def is_symmetric(self):
         return True
 
+    def _read(self, payoffs):
+        """Hand out `payoffs` as queries: count them and return the samples."""
+        self._count(payoffs.size)
+        return payoffs
+
     def query(self, player, joint_action):
         joint = validate_joint_action(joint_action, self.action_counts)
         opponents = joint[:player] + joint[player + 1:]
-        self._count(1)
-        return float(self.game.payoff(joint[player], opponents))
+        return float(self._read(np.array([self.game.payoff(joint[player], opponents)]))[0])
 
     def pair_payoffs(self, owner, partner, base_joint):
         joint = validate_joint_action(base_joint, self.action_counts)
@@ -109,12 +113,10 @@ class SymmetricOracle(PayoffOracle):
 
         The partner's view of the same draw is the transpose, by exchangeability.
         """
-        block = self.game.pair_block_at(rest_actions)
-        self._count(block.size)
-        return block
+        return self._read(self.game.pair_block_at(rest_actions))
 
 
-class BernoulliOracle(PayoffOracle):
+class BernoulliOracle(SymmetricOracle):
     """Stochastic symmetric oracle: each query is a Bernoulli(winrate) draw.
 
     Winrates live in a SymmetricGame-shaped table with values in [0, 1]. Draw
@@ -128,37 +130,23 @@ class BernoulliOracle(PayoffOracle):
             raise TypeError("winrates must be a SymmetricGame-shaped table")
         if winrates.table.min() < 0.0 or winrates.table.max() > 1.0:
             raise ValueError("winrates must lie in [0, 1]")
-        super().__init__(winrates.players, winrates.action_counts)
-        self.winrates = winrates
+        super().__init__(winrates)
         self.seed = int(seed)
-
-    def is_symmetric(self):
-        return True
 
     def mean_game(self):
         """The expected-payoff game; exact ADI against it scores the true winrates."""
-        return self.winrates
+        return self.game
 
-    def _draw(self, probs, start):
+    def _read(self, probs):
+        """One Bernoulli(p) draw per winrate, from the Philox stream at the query count."""
+        start = self._count(probs.size)
         stream = np.random.Generator(np.random.Philox(key=self.seed, counter=start))
         return (stream.random(probs.shape) < probs).astype(float)
 
-    def query(self, player, joint_action):
-        joint = validate_joint_action(joint_action, self.action_counts)
-        opponents = joint[:player] + joint[player + 1:]
-        p = self.winrates.payoff(joint[player], opponents)
-        start = self._count(1)
-        return float(self._draw(np.array([p]), start)[0])
-
-    def pair_payoffs(self, owner, partner, base_joint):
-        joint = validate_joint_action(base_joint, self.action_counts)
-        rest = [joint[k] for k in range(self.players) if k not in (owner, partner)]
-        return self.symmetric_pair_payoffs(rest)
-
+    # its own entry, not the base's: bench/tracer.py patches each class's
+    # method, and delegating would count every block twice
     def symmetric_pair_payoffs(self, rest_actions):
-        probs = self.winrates.pair_block_at(rest_actions)
-        start = self._count(probs.size)
-        return self._draw(probs, start)
+        return self._read(self.game.pair_block_at(rest_actions))
 
 
 def as_oracle(game_or_oracle):

@@ -74,11 +74,22 @@ def tsallis_offset(game):
     return -low + TSALLIS_OFFSET_MARGIN * (spread if spread > 0.0 else 1.0)
 
 
-def _step(strategy, gradient, learning_rate, projection):
+def descent_step(strategies, gradients, learning_rate, projection="euclidean", tangent=True):
+    """One descent step per strategy, as plain arrays for the caller to wrap.
+
+    The gradient is tangent-projected (which can overflow on huge finite
+    entries), checked finite, then stepped; a non-finite one raises
+    FloatingPointError.
+    """
+    if tangent:
+        gradients = [tangent_project(g) for g in gradients]
+    if not all(np.all(np.isfinite(g)) for g in gradients):
+        raise FloatingPointError("non-finite deviation-incentive gradient")
+    pairs = zip(strategies, gradients)
     if projection == "euclidean":
-        return simplex_project_euclidean(strategy - learning_rate * gradient)
+        return [simplex_project_euclidean(s - learning_rate * g) for s, g in pairs]
     if projection == "mirror":
-        return mirror_step_entropic(strategy, gradient, learning_rate)
+        return [mirror_step_entropic(s, g, learning_rate) for s, g in pairs]
     raise ValueError(f"unknown projection {projection!r}")
 
 
@@ -146,12 +157,10 @@ class AdidasSolver(BaseSolver):
         temperature = self.initial_temperature
         if temperature is not None and not np.isfinite(float(temperature)):
             raise ValueError(f"initial_temperature must be finite, got {temperature!r}")
-        if not self.iterations >= 1:
-            raise ValueError("need at least one iteration")
-        if not self.samples >= 1:
-            raise ValueError("need at least one sample per iteration")
-        if not self.bernoulli_repeats >= 1:
-            raise ValueError("bernoulli_repeats must be >= 1")
+        for name in ("iterations", "samples", "bernoulli_repeats"):
+            value = getattr(self, name)
+            if not value >= 1:
+                raise ValueError(f"{name} must be >= 1, got {value!r}")
 
     def _descend(self, view_type, game_or_oracle):
         """The anneal-and-descend loop of both solvers; `view_type` supplies
@@ -179,17 +188,10 @@ class AdidasSolver(BaseSolver):
             aux = update_aux(aux, view.payoff_gradients(blocks, x), self.aux_learning_rate)
             estimate, estimate_unreg = view.amortized(x, aux.y, kind)
             gradients = view.gradients(blocks, aux.y, x, kind)
-            if not all(np.all(np.isfinite(g)) for g in gradients):
-                raise FloatingPointError(
-                    f"non-finite deviation-incentive gradient at iteration {t}"
-                )
-            if self.tangent_projection:
-                gradients = [tangent_project(g) for g in gradients]
             x = view.wrap(
-                [
-                    _step(s, g, self.learning_rate, self.projection)
-                    for s, g in zip(x, gradients)
-                ]
+                descent_step(
+                    x, gradients, self.learning_rate, self.projection, self.tangent_projection
+                )
             )
             if self.average_iterates:
                 running_mean = [m + (s - m) / t for m, s in zip(running_mean, x)]
@@ -463,9 +465,7 @@ def warmup_anneal_descend(
             matrices = exact_pairwise_matrices(game, x)
             nabla = [matrices.payoff_gradient(x, i) for i in range(n)]
             grads = adi_gradient(matrices, nabla, x, kind)
-            if tangent_projection:
-                grads = [tangent_project(g) for g in grads]
             x = StrategyProfile(
-                [_step(x[i], grads[i], step_size, projection) for i in range(n)]
+                descent_step(x, grads, step_size, projection, tangent_projection)
             )
     return x

@@ -12,15 +12,22 @@ from ..adi import adi_exact, adi_gradient_shannon, symmetric_adi_exact
 from ..entropy import Entropy, _hard_argmax
 from ..exact import PairwiseMatrices, exact_pairwise_matrices, payoff_gradient
 from ..normalform import GameTensor, StrategyProfile, SymmetricGame
-from ..simplex import simplex_project_euclidean, tangent_project
+from ..simplex import simplex_project_euclidean
+from .adidas import descent_step
 from .base import BaseSolver, IterateLog, profile_hash
 
 METHODS = ("ftrl", "rm", "fp", "ed", "extragrad", "ped")
+SHARED_METHODS = ("ftrl", "rm", "fp")
 
 
 @dataclass
 class BaselineState:
-    """Mutable per-method state; unused slots stay None."""
+    """Mutable per-method state; unused slots stay None.
+
+    `profile` holds one strategy per player, or, for the shared-strategy form
+    on a SymmetricGame, a one-element list holding the strategy every player
+    shares.
+    """
 
     profile: StrategyProfile
     t: int = 0
@@ -30,25 +37,28 @@ class BaselineState:
     inner_step: float = None
 
     @classmethod
-    def initial(cls, action_counts):
-        uniform = StrategyProfile.uniform(action_counts)
+    def initial(cls, action_counts, wrap=StrategyProfile):
+        """Uniform start; `wrap=list` keeps the strategies as built (a
+        StrategyProfile renormalizes them), as the shared form does."""
+        profile = wrap([np.full(m, 1.0 / m) for m in action_counts])
         return cls(
-            profile=uniform,
+            profile=profile,
             t=0,
             cumulative_regret=[np.zeros(m) for m in action_counts],
             counts=[np.zeros(m) for m in action_counts],
-            average=[np.array(s) for s in uniform],
+            average=[np.array(s) for s in profile],
         )
 
 
 def _gradients(source, profile):
-    """Per-player payoff gradients from a game or from estimated blocks."""
+    """Per-player payoff gradients from a game or from estimated blocks; one
+    gradient for a strategy shared by every player of a SymmetricGame."""
+    n = len(profile)
     if isinstance(source, PairwiseMatrices):
-        return [source.payoff_gradient(profile, i) for i in range(profile.players)]
-    return [
-        payoff_gradient(source, profile, i, validate=False)
-        for i in range(profile.players)
-    ]
+        return [source.payoff_gradient(profile, i) for i in range(n)]
+    if n < source.players:
+        return [source.deviation_payoffs(profile[0])]
+    return [payoff_gradient(source, profile, i, validate=False) for i in range(n)]
 
 
 def baseline_step(method, state, source, learning_rate):
@@ -56,13 +66,23 @@ def baseline_step(method, state, source, learning_rate):
 
     `source` is a desk-scale game for exact play or a PairwiseMatrices bundle
     of estimates (ftrl / rm / fp / ped only; the best-response dynamics need
-    the game itself to re-evaluate gradients at modified profiles).
+    the game itself to re-evaluate gradients at modified profiles). A state
+    with fewer strategies than `source` has players is the shared-strategy
+    form: ftrl / rm / fp on a SymmetricGame.
     """
     if method not in METHODS:
         raise ValueError(f"unknown baseline {method!r}; choose from {METHODS}")
     x = state.profile
-    n = x.players
+    n = len(x)
     t = state.t + 1
+    # StrategyProfile renormalizes, which would change a shared strategy's bytes
+    wrap = StrategyProfile
+    if n < source.players:
+        if method not in SHARED_METHODS:
+            raise ValueError(f"{method!r} has no shared-strategy form here")
+        if not isinstance(source, SymmetricGame):
+            raise ValueError("the shared-strategy form needs a SymmetricGame")
+        wrap = list
 
     if method in ("ed", "extragrad") and isinstance(source, PairwiseMatrices):
         raise ValueError(f"{method} needs the game itself, not estimates")
@@ -92,8 +112,7 @@ def baseline_step(method, state, source, learning_rate):
             empirical.append(
                 c / c.sum() if c.sum() > 0 else np.full(c.size, 1.0 / c.size)
             )
-        emp_profile = StrategyProfile(empirical)
-        grads = _gradients(source, emp_profile)
+        grads = _gradients(source, wrap(empirical))
         for i in range(n):
             state.counts[i][int(np.argmax(grads[i]))] += 1.0
         new = [state.counts[i] / state.counts[i].sum() for i in range(n)]
@@ -106,7 +125,7 @@ def baseline_step(method, state, source, learning_rate):
             for i in range(n)
         ]
     elif method == "extragrad":
-        inner = getattr(state, "inner_step", None)
+        inner = state.inner_step
         grads_now = _gradients(source, x)
         if inner is None or np.isinf(inner):
             midpoint = StrategyProfile([_hard_argmax(g) for g in grads_now])
@@ -128,13 +147,9 @@ def baseline_step(method, state, source, learning_rate):
         else:
             matrices = exact_pairwise_matrices(source, x, validate=False)
         grads = [matrices.payoff_gradient(x, i) for i in range(n)]
-        descent = adi_gradient_shannon(matrices, grads, x, 0.0)
-        new = [
-            simplex_project_euclidean(x[i] - learning_rate * tangent_project(descent[i]))
-            for i in range(n)
-        ]
+        new = descent_step(x, adi_gradient_shannon(matrices, grads, x, 0.0), learning_rate)
 
-    state.profile = StrategyProfile(new)
+    state.profile = wrap(new)
     state.t = t
     state.average = [
         a + (s - a) / t for a, s in zip(state.average, state.profile)
@@ -142,62 +157,14 @@ def baseline_step(method, state, source, learning_rate):
     return state
 
 
-@dataclass
-class SymmetricBaselineState:
-    """Single-strategy state for no-regret play on symmetric games."""
-
-    strategy: np.ndarray
-    t: int = 0
-    cumulative_regret: np.ndarray = None
-    counts: np.ndarray = None
-    average: np.ndarray = None
-
-    @classmethod
-    def initial(cls, actions):
-        return cls(
-            strategy=np.full(actions, 1.0 / actions),
-            t=0,
-            cumulative_regret=np.zeros(actions),
-            counts=np.zeros(actions),
-            average=np.full(actions, 1.0 / actions),
-        )
-
-
-def symmetric_baseline_step(method, state, game, learning_rate):
-    """Shared-strategy ftrl / rm / fp against a compressed symmetric game."""
-    if method not in ("ftrl", "rm", "fp"):
-        raise ValueError(f"{method!r} has no shared-strategy form here")
-    x = state.strategy
-    t = state.t + 1
-    if method == "fp":
-        c = state.counts
-        empirical = c / c.sum() if c.sum() > 0 else np.full(x.size, 1.0 / x.size)
-        grad = game.deviation_payoffs(empirical)
-        state.counts[int(np.argmax(grad))] += 1.0
-        state.strategy = state.counts / state.counts.sum()
-    else:
-        grad = game.deviation_payoffs(x)
-        if method == "ftrl":
-            state.strategy = simplex_project_euclidean(x + learning_rate * grad)
-        else:
-            state.cumulative_regret += grad - float(np.dot(x, grad))
-            positive = np.clip(state.cumulative_regret, 0.0, None)
-            total = positive.sum()
-            state.strategy = (
-                positive / total if total > 0.0 else np.full(x.size, 1.0 / x.size)
-            )
-    state.t = t
-    state.average = state.average + (state.strategy - state.average) / t
-    return state
-
-
 class BaselineSolver(BaseSolver):
     """Estimator wrapper around the baseline steps with exact-ADI logging.
 
     `report="average"` evaluates and returns the running iterate average (the
-    convergence object for rm / fp); `"last"` uses the final iterate.
-    `symmetric=True` runs the shared-strategy form on a SymmetricGame, the
-    mode used when a symmetric equilibrium is required.
+    convergence object for rm / fp); `"last"` uses the final iterate; None
+    picks "average" for rm / fp and "last" otherwise. `symmetric=True` runs
+    the shared-strategy form of ftrl / rm / fp on a SymmetricGame, the mode
+    used when a symmetric equilibrium is required.
     """
 
     def __init__(
@@ -222,14 +189,35 @@ class BaselineSolver(BaseSolver):
         self.seed = seed
         self.run_id = run_id
 
+    def _validate(self):
+        """Reject bad hyperparameters, NaN and inf included, naming each."""
+        if self.method not in METHODS:
+            raise ValueError(f"method must be one of {METHODS}, got {self.method!r}")
+        if self.report not in (None, "average", "last"):
+            raise ValueError(f"report must be None, 'average' or 'last', got {self.report!r}")
+        if not self.iterations >= 1:
+            raise ValueError(f"iterations must be >= 1, got {self.iterations!r}")
+        rate = self.learning_rate
+        if not (np.isfinite(rate) and rate > 0.0):
+            raise ValueError(f"learning_rate must be positive and finite, got {rate!r}")
+        inner = self.inner_step
+        if not (inner is None or inner == np.inf or (np.isfinite(inner) and inner > 0.0)):
+            raise ValueError(f"inner_step must be None, inf or positive and finite, got {inner!r}")
+        if self.symmetric and self.method not in SHARED_METHODS:
+            raise ValueError(
+                f"symmetric=True needs a method in {SHARED_METHODS}, got {self.method!r}"
+            )
+
     def fit(self, game):
+        self._validate()
         if not isinstance(game, (GameTensor, SymmetricGame)):
             raise TypeError("baselines run on desk-scale games")
         report = self.report or ("average" if self.method in ("rm", "fp") else "last")
+        iterations = int(self.iterations)
         cadence = (
             int(self.exact_adi_every)
             if self.exact_adi_every is not None
-            else max(1, int(self.iterations) // 100)
+            else max(1, iterations // 100)
         )
         log = IterateLog(self.run_id or f"{self.method}-{self.seed}", self.seed)
         started = time.perf_counter()
@@ -237,39 +225,20 @@ class BaselineSolver(BaseSolver):
         if self.symmetric:
             if not isinstance(game, SymmetricGame):
                 raise ValueError("symmetric baselines need a SymmetricGame")
-            state = SymmetricBaselineState.initial(game.actions)
-            for t in range(1, int(self.iterations) + 1):
-                state = symmetric_baseline_step(
-                    self.method, state, game, self.learning_rate
-                )
-                tracked = state.average if report == "average" else state.strategy
-                if cadence and (t % cadence == 0 or t == int(self.iterations)):
-                    exact = symmetric_adi_exact(game, tracked)
-                    log.append(
-                        iteration=t,
-                        adi_estimate=exact,
-                        adi_exact=exact,
-                        temperature=0.0,
-                        queries=0,
-                        profile_digest=profile_hash([tracked]),
-                        wall_ms=(time.perf_counter() - started) * 1000.0,
-                    )
-            self.state_ = state
-            self.strategy_ = np.array(
-                state.average if report == "average" else state.strategy
-            )
-            self.profile_ = StrategyProfile([self.strategy_] * game.players)
-            self.log_ = log
-            return self
-
-        dense = game.expand_to_tensor() if isinstance(game, SymmetricGame) else game
-        state = BaselineState.initial(dense.action_counts)
+            source = game
+            state = BaselineState.initial((game.actions,), wrap=list)
+        else:
+            source = game.expand_to_tensor() if isinstance(game, SymmetricGame) else game
+            state = BaselineState.initial(source.action_counts)
         state.inner_step = self.inner_step
-        for t in range(1, int(self.iterations) + 1):
-            state = baseline_step(self.method, state, dense, self.learning_rate)
+        for t in range(1, iterations + 1):
+            state = baseline_step(self.method, state, source, self.learning_rate)
             tracked = state.average if report == "average" else list(state.profile)
-            if cadence and (t % cadence == 0 or t == int(self.iterations)):
-                exact = adi_exact(dense, StrategyProfile(tracked), Entropy.none()).total
+            if cadence and (t % cadence == 0 or t == iterations):
+                if self.symmetric:
+                    exact = symmetric_adi_exact(game, tracked[0])
+                else:
+                    exact = adi_exact(source, StrategyProfile(tracked), Entropy.none()).total
                 log.append(
                     iteration=t,
                     adi_estimate=exact,
@@ -280,9 +249,12 @@ class BaselineSolver(BaseSolver):
                     wall_ms=(time.perf_counter() - started) * 1000.0,
                 )
         self.state_ = state
-        self.profile_ = StrategyProfile(
-            state.average if report == "average" else list(state.profile)
-        )
+        final = state.average if report == "average" else list(state.profile)
+        if self.symmetric:
+            self.strategy_ = np.array(final[0])
+            self.profile_ = StrategyProfile([self.strategy_] * game.players)
+        else:
+            self.profile_ = StrategyProfile(final)
         self.log_ = log
         return self
 

@@ -5,14 +5,13 @@ from adinash.adi import adi_exact
 from adinash.entropy import Entropy
 from adinash.exact import exact_pairwise_matrices
 from adinash.generators import ElFarolSpec, make_el_farol
-from adinash.normalform import GameTensor, StrategyProfile
+from adinash.normalform import GameTensor, StrategyProfile, SymmetricGame
 from adinash.simplex import is_distribution
 from adinash.solvers import (
     BaselineSolver,
     BaselineState,
     baseline_step,
 )
-from adinash.solvers.baselines import SymmetricBaselineState, symmetric_baseline_step
 
 from conftest import random_game, random_profile
 
@@ -133,14 +132,44 @@ class TestSharedStrategyForms:
 
     def test_symmetric_fp_counts(self):
         game = make_el_farol(ElFarolSpec())
-        state = SymmetricBaselineState.initial(2)
-        state = symmetric_baseline_step("fp", state, game, 0.1)
-        assert state.counts.sum() == 1.0
+        state = BaselineState.initial((2,), wrap=list)
+        state = baseline_step("fp", state, game, 0.1)
+        assert len(state.counts) == 1
+        assert state.counts[0].sum() == 1.0
 
     def test_no_shared_form_for_ed(self):
         game = make_el_farol(ElFarolSpec())
         with pytest.raises(ValueError):
-            symmetric_baseline_step("ed", SymmetricBaselineState.initial(2), game, 0.1)
+            baseline_step("ed", BaselineState.initial((2,), wrap=list), game, 0.1)
+
+    def test_shared_form_needs_symmetric_game(self):
+        three = GameTensor(np.zeros((3, 2, 2, 2)))
+        with pytest.raises(ValueError):
+            baseline_step("rm", BaselineState.initial((2,), wrap=list), three, 0.1)
+
+    @pytest.mark.parametrize("method, tol", [("ftrl", 1e-12), ("rm", 1e-5), ("fp", 1e-12)])
+    def test_forms_agree_on_random_symmetric_games(self, method, tol):
+        # continuous payoffs: no exact argmax ties for fp to break differently
+        rng = np.random.default_rng(7)
+        for _ in range(10):
+            players, actions = (int(v) for v in rng.integers(2, 5, size=2))
+            weights = rng.normal(size=actions + players - 1)
+
+            def batch(own, opponents):
+                sorted_opponents = np.sort(opponents, axis=1)
+                return np.sin(weights[own] + 1.7 * sorted_opponents @ weights[actions:])
+
+            game = SymmetricGame.from_batch_function(players, actions, batch)
+            shared = BaselineState.initial((actions,), wrap=list)
+            general = BaselineState.initial((actions,) * players)
+            dense = game.expand_to_tensor()
+            for _ in range(30):
+                shared = baseline_step(method, shared, game, 0.1)
+                general = baseline_step(method, general, dense, 0.1)
+            assert len(shared.profile) == 1
+            for s, a in zip(general.profile, general.average):
+                assert np.abs(s - shared.profile[0]).max() <= tol
+                assert np.abs(a - shared.average[0]).max() <= tol
 
 
 class TestValidation:
@@ -170,3 +199,32 @@ class TestValidation:
                 state = baseline_step(method, state, g, 0.3)
                 for s in state.profile:
                     assert is_distribution(s, tol=1e-9)
+
+    @pytest.mark.parametrize(
+        "params, name",
+        [
+            (dict(method="bogus", iterations=0), "method"),
+            (dict(report="avg"), "report"),
+            (dict(iterations=0), "iterations"),
+            (dict(learning_rate=float("nan")), "learning_rate"),
+            (dict(learning_rate=float("inf")), "learning_rate"),
+            (dict(learning_rate=0.0), "learning_rate"),
+            (dict(method="extragrad", inner_step=0.0), "inner_step"),
+            (dict(method="extragrad", inner_step=float("nan")), "inner_step"),
+            (dict(method="extragrad", inner_step=-float("inf")), "inner_step"),
+            (dict(method="ed", symmetric=True), "symmetric"),
+        ],
+    )
+    def test_solver_rejects_bad_parameter_by_name(self, params, name):
+        # these used to run silently ("avg" as "last"), or fail later with an
+        # IndexError (iterations=0) or a projection error (NaN rate)
+        game = make_el_farol(ElFarolSpec(players=3))
+        with pytest.raises(ValueError, match=name):
+            BaselineSolver(**params).fit(game)
+
+    def test_infinite_inner_step_is_the_hard_midpoint(self, matching_pennies):
+        hard = BaselineSolver(method="extragrad", iterations=20).fit(matching_pennies)
+        inf = BaselineSolver(
+            method="extragrad", iterations=20, inner_step=float("inf")
+        ).fit(matching_pennies)
+        assert inf.log_.csv_bytes() == hard.log_.csv_bytes()

@@ -60,6 +60,15 @@ class TestSolve:
         assert code == 1
         assert "configuration error" in stderr
 
+    def test_baseline_without_iterations_is_config_error(self, capsys):
+        # used to die with an uncaught IndexError from the empty log
+        code, _, stderr = run_cli(
+            capsys, "solve", "--game", "shapley", "--solver", "rm", "--iterations", "0"
+        )
+        assert code == 1
+        assert "configuration error" in stderr
+        assert "iterations" in stderr
+
     def test_numeric_failure_exit_code(self, capsys, monkeypatch):
         # a diverging run aborts with FloatingPointError; the CLI maps it to 2
         from adinash.solvers import AdidasSolver

@@ -15,6 +15,7 @@ from adinash.oracles import TensorOracle
 from adinash.simplex import is_distribution
 from adinash.solvers import (
     AdidasSolver,
+    BaselineSolver,
     SymmetricAdidasSolver,
     adidas,
     adidas_symmetric,
@@ -432,6 +433,24 @@ class TestWarmup:
         )
         for s in profile:
             assert np.allclose(s, 0.5)
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda g: AdidasSolver(exact_gradients=True, entropy="none", iterations=5).fit(g),
+        lambda g: BaselineSolver(method="ped", iterations=5, learning_rate=0.1).fit(g),
+        lambda g: warmup_anneal_descend(g, 1, 5, 1.0),
+    ],
+    ids=["adidas", "ped", "warmup"],
+)
+def test_overflowing_tangent_projection_is_numeric_failure(run):
+    # the gradient entries are finite but their sum overflows in the tangent
+    # projection; this used to surface as ValueError from the simplex step
+    rng = np.random.default_rng(0)
+    game = GameTensor(rng.choice([-1.7e308, 1.7e308], size=(2, 3, 3)) * rng.random((2, 3, 3)))
+    with np.errstate(all="ignore"), pytest.raises(FloatingPointError):
+        run(game)
 
 
 def test_tsallis_offset_margin():
