@@ -35,9 +35,9 @@ from .normalform import (
 from .oracles import BernoulliOracle, PayoffOracle, SymmetricOracle, TensorOracle
 from .sampling import (
     AuxiliaryState,
-    SampleConfig,
     estimate_pairwise_matrices,
     payoff_gradient_from_estimates,
+    sample_actions,
     sample_joint_action,
     update_aux,
 )

@@ -52,28 +52,28 @@ def adi_exact(game, x, kind=Entropy.none(), validate=True):
     Desk-scale games only (full enumeration).
     """
     profile = as_profile(x, game.action_counts) if validate else x
-    per = np.zeros(len(profile))
-    for k in range(len(profile)):
-        grad = payoff_gradient(game, profile, k, validate=False)
-        br = best_response(grad, kind)
-        gain = float(np.dot(br.dist - profile[k], grad))
-        gain += entropy_value(br.dist, kind, br.scale)
-        gain -= entropy_value(profile[k], kind, br.scale)
-        per[k] = gain
-    return AdiReport(per, regularized=_is_regularized(kind))
+    grads = [payoff_gradient(game, profile, k, validate=False) for k in range(len(profile))]
+    return _gains(profile, grads, kind)
 
 
 def adi_amortized(x, aux, kind=Entropy.none()):
     """Deviation incentive with the auxiliary estimates y in place of the
     exact payoff gradients, including inside the best response."""
     profile = as_profile(x)
-    per = np.zeros(profile.players)
-    for k in range(profile.players):
-        y = np.asarray(aux[k], dtype=float)
+    grads = [np.asarray(aux[k], dtype=float) for k in range(profile.players)]
+    for k, y in enumerate(grads):
         if y.shape != profile[k].shape:
             raise ValueError(f"aux vector {k} has shape {y.shape}, want {profile[k].shape}")
-        br = best_response(y, kind)
-        gain = float(np.dot(y, br.dist - profile[k]))
+    return _gains(profile, grads, kind)
+
+
+def _gains(profile, grads, kind):
+    """Each player's gain from the `kind` best response to its payoff
+    gradient over its current strategy, regularizer values included."""
+    per = np.zeros(len(profile))
+    for k, grad in enumerate(grads):
+        br = best_response(grad, kind)
+        gain = float(np.dot(grad, br.dist - profile[k]))
         gain += entropy_value(br.dist, kind, br.scale)
         gain -= entropy_value(profile[k], kind, br.scale)
         per[k] = gain

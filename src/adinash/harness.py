@@ -7,19 +7,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .adi import adi_gradient
 from .entropy import Entropy
 from .exact import exact_pairwise_matrices
-from .normalform import as_profile, multiset_count
-from .oracles import as_oracle
-from .sampling import (
-    SampleConfig,
-    estimate_pairwise_matrices,
-    mean_pairwise_matrices,
-    new_rng,
-    sample_joint_action,
-)
+from .normalform import SymmetricGame, as_profile, multiset_count
+from .oracles import BernoulliOracle, as_oracle
+from .sampling import new_rng
 from .solvers import AdidasSolver, BaselineSolver, SymmetricAdidasSolver
+from .solvers.adidas import blocks_gradient, sample_pairwise_matrices
 
 SOLVER_FACTORIES = {
     "adidas": AdidasSolver,
@@ -264,38 +258,28 @@ def measure_gradient_bias(game, x, kinds, sample_counts, trials, seed=0):
     zero-temperature gradient, whose comparison trades estimator bias against
     target distortion and so has an interior optimum over the temperature
     grid. A sample count of 0 requests the exact-block path (zero bias).
+    Exact blocks come from the dense expansion of a symmetric game (the mean
+    game of a Bernoulli oracle); samples query the game's oracle.
     """
     profile = as_profile(x, game.action_counts)
     oracle = as_oracle(game)
     rng = new_rng(seed)
-    exact_blocks = exact_pairwise_matrices(game, profile)
-    exact_grads = [
-        exact_blocks.payoff_gradient(profile, i) for i in range(profile.players)
-    ]
-    cold = np.concatenate(
-        adi_gradient(exact_blocks, exact_grads, profile, Entropy.none())
-    )
+    desk = game.mean_game() if isinstance(game, BernoulliOracle) else game
+    if isinstance(desk, SymmetricGame):
+        desk = desk.expand_to_tensor()
+    exact_blocks = exact_pairwise_matrices(desk, profile)
+    cold = np.concatenate(blocks_gradient(exact_blocks, profile, Entropy.none()))
     rows = []
     for kind in kinds:
-        exact_full = np.concatenate(adi_gradient(exact_blocks, exact_grads, profile, kind))
+        exact_full = np.concatenate(blocks_gradient(exact_blocks, profile, kind))
         for count in sample_counts:
             if count == 0:
                 mean = exact_full
             else:
                 acc = np.zeros_like(exact_full)
                 for _ in range(trials):
-                    block_sets = []
-                    for _ in range(count):
-                        joint = sample_joint_action(profile, rng)
-                        block_sets.append(
-                            estimate_pairwise_matrices(oracle, joint, SampleConfig())
-                        )
-                    blocks = mean_pairwise_matrices(block_sets)
-                    grads = [
-                        blocks.payoff_gradient(profile, i)
-                        for i in range(profile.players)
-                    ]
-                    acc += np.concatenate(adi_gradient(blocks, grads, profile, kind))
+                    blocks = sample_pairwise_matrices(oracle, profile, rng, count)
+                    acc += np.concatenate(blocks_gradient(blocks, profile, kind))
                 mean = acc / trials
             distance, angle = _compare(mean, exact_full)
             cold_distance, cold_angle = _compare(mean, cold)

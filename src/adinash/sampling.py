@@ -9,23 +9,6 @@ from .exact import PairwiseMatrices
 from .normalform import as_profile
 
 
-@dataclass(frozen=True)
-class SampleConfig:
-    """How hard to hit the oracle per estimate.
-
-    `repeats` block fills are averaged at the given joint action (each one an
-    independent draw for stochastic oracles); `bernoulli_repeats` additionally
-    averages that many draws per fill for noisy entries.
-    """
-
-    repeats: int = 1
-    bernoulli_repeats: int = 1
-
-    def __post_init__(self):
-        if self.repeats < 1 or self.bernoulli_repeats < 1:
-            raise ValueError("repeat counts must be >= 1")
-
-
 @dataclass
 class AuxiliaryState:
     """Exponentially averaged payoff-gradient estimates, one per player."""
@@ -43,46 +26,48 @@ def new_rng(seed):
     return np.random.Generator(np.random.Philox(key=int(seed)))
 
 
+def sample_actions(strategy, rng, count=1):
+    """`count` independent draws from one strategy, by inverse CDF."""
+    cum = np.cumsum(strategy)
+    draws = np.searchsorted(cum, [rng.random() for _ in range(count)], side="right")
+    return np.minimum(draws, cum.size - 1).tolist()
+
+
 def sample_joint_action(x, rng):
-    """One independent categorical draw per player, by inverse CDF."""
-    profile = as_profile(x)
-    joint = []
-    for strategy in profile:
-        u = rng.random()
-        joint.append(int(np.searchsorted(np.cumsum(strategy), u, side="right")))
-    return tuple(min(a, s.size - 1) for a, s in zip(joint, profile))
+    """One independent categorical draw per player."""
+    return tuple(sample_actions(strategy, rng)[0] for strategy in as_profile(x))
 
 
-def estimate_pairwise_matrices(oracle, joint_action, config=SampleConfig()):
+def estimate_pairwise_matrices(oracle, joint_action, repeats=1):
     """Fill every ordered pair's block by substituting (r, c) into the sample.
 
-    All pairs reuse the same joint action. Averages repeats x bernoulli_repeats
-    independent fills; the query counter advances by sum_{i != j} m_i * m_j per
-    fill. Oracle failures surface with the offending pair attached.
+    All pairs reuse the same joint action. Averages `repeats` independent
+    fills (each a fresh draw for stochastic oracles); the query counter
+    advances by sum_{i != j} m_i * m_j per fill.
     """
+    if not repeats >= 1:
+        raise ValueError(f"repeats must be >= 1, got {repeats!r}")
+    return mean_pairwise_matrices(
+        [_fill(oracle, joint_action) for _ in range(int(repeats))]
+    )
+
+
+def _fill(oracle, joint_action):
+    """One fill of every ordered pair's block; oracle failures surface with
+    the offending pair attached."""
     n = oracle.players
-    counts = oracle.action_counts
-    fills = config.repeats * config.bernoulli_repeats
     blocks = {}
-    for rep in range(fills):
-        for i in range(n):
-            for j in range(n):
-                if i == j:
-                    continue
-                try:
-                    block = oracle.pair_payoffs(i, j, joint_action)
-                except Exception as err:
-                    raise RuntimeError(
-                        f"oracle failed on pair ({i}, {j}) at joint {tuple(joint_action)}"
-                    ) from err
-                if (i, j) in blocks:
-                    blocks[(i, j)] += block
-                else:
-                    blocks[(i, j)] = block
-    if fills > 1:
-        for key in blocks:
-            blocks[key] /= fills
-    return PairwiseMatrices(blocks, counts)
+    for i in range(n):
+        for j in range(n):
+            if i == j:
+                continue
+            try:
+                blocks[(i, j)] = oracle.pair_payoffs(i, j, joint_action)
+            except Exception as err:
+                raise RuntimeError(
+                    f"oracle failed on pair ({i}, {j}) at joint {tuple(joint_action)}"
+                ) from err
+    return PairwiseMatrices(blocks, oracle.action_counts)
 
 
 def mean_pairwise_matrices(block_sets):

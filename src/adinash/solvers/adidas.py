@@ -26,10 +26,10 @@ from ..normalform import GameTensor, StrategyProfile, SymmetricGame
 from ..oracles import BernoulliOracle, PayoffOracle, as_oracle
 from ..sampling import (
     AuxiliaryState,
-    SampleConfig,
     estimate_pairwise_matrices,
     mean_pairwise_matrices,
     new_rng,
+    sample_actions,
     sample_joint_action,
     update_aux,
 )
@@ -78,16 +78,20 @@ def descent_step(strategies, gradients, learning_rate, projection="euclidean", t
     """One descent step per strategy, as plain arrays for the caller to wrap.
 
     The gradient is tangent-projected (which can overflow on huge finite
-    entries), checked finite, then stepped; a non-finite one raises
-    FloatingPointError.
+    entries), checked finite, then stepped; a non-finite gradient or
+    Euclidean step raises FloatingPointError. Ascent is descent on the
+    negated gradients with `tangent=False`.
     """
     if tangent:
         gradients = [tangent_project(g) for g in gradients]
     if not all(np.all(np.isfinite(g)) for g in gradients):
-        raise FloatingPointError("non-finite deviation-incentive gradient")
+        raise FloatingPointError("non-finite gradient")
     pairs = zip(strategies, gradients)
     if projection == "euclidean":
-        return [simplex_project_euclidean(s - learning_rate * g) for s, g in pairs]
+        stepped = [s - learning_rate * g for s, g in pairs]
+        if not all(np.all(np.isfinite(v)) for v in stepped):
+            raise FloatingPointError(f"step at learning rate {learning_rate!r} overflowed")
+        return [simplex_project_euclidean(v) for v in stepped]
     if projection == "mirror":
         return [mirror_step_entropic(s, g, learning_rate) for s, g in pairs]
     raise ValueError(f"unknown projection {projection!r}")
@@ -154,6 +158,11 @@ class AdidasSolver(BaseSolver):
             value = getattr(self, name)
             if not (np.isfinite(value) and value > 0.0):
                 raise ValueError(f"{name} must be positive and finite, got {value!r}")
+        if not self.aux_learning_rate <= 1.0:
+            raise ValueError(f"aux_learning_rate must be <= 1, got {self.aux_learning_rate!r}")
+        every = self.exact_adi_every
+        if not (every is None or every >= 0):
+            raise ValueError(f"exact_adi_every must be None or >= 0, got {every!r}")
         temperature = self.initial_temperature
         if temperature is not None and not np.isfinite(float(temperature)):
             raise ValueError(f"initial_temperature must be finite, got {temperature!r}")
@@ -319,12 +328,9 @@ class _GeneralView:
         return exact_pairwise_matrices(self.tensor, x)
 
     def sampled_blocks(self, x, rng):
-        config = SampleConfig(bernoulli_repeats=self.bernoulli_repeats)
-        block_sets = []
-        for _ in range(self.samples):
-            joint = sample_joint_action(x, rng)
-            block_sets.append(estimate_pairwise_matrices(self.oracle, joint, config))
-        return mean_pairwise_matrices(block_sets)
+        return sample_pairwise_matrices(
+            self.oracle, x, rng, self.samples, self.bernoulli_repeats
+        )
 
     def payoff_gradients(self, matrices, x):
         return [matrices.payoff_gradient(x, i) for i in range(self.players)]
@@ -373,15 +379,10 @@ class _SymmetricView(_GeneralView):
         return self.desk.pair_payoff_matrix(x[0])
 
     def sampled_blocks(self, x, rng):
-        cum = np.cumsum(x[0])
-        last = x[0].size - 1
         reps = self.bernoulli_repeats
         total = None
         for _ in range(self.samples):
-            rest = [
-                min(int(np.searchsorted(cum, rng.random(), side="right")), last)
-                for _ in range(self.players - 2)
-            ]
+            rest = sample_actions(x[0], rng, self.players - 2)
             block = sum(
                 self.oracle.symmetric_pair_payoffs(rest) for _ in range(reps)
             ) / reps
@@ -420,6 +421,24 @@ def _symmetric_gradient(own, x, y, kind, players):
     return -policy + (players - 1) * (own.T @ effect)
 
 
+def sample_pairwise_matrices(oracle, x, rng, samples, repeats=1):
+    """Blocks averaged over `samples` joint actions drawn from `x`, each
+    filled `repeats` times."""
+    return mean_pairwise_matrices(
+        [
+            estimate_pairwise_matrices(oracle, sample_joint_action(x, rng), repeats)
+            for _ in range(samples)
+        ]
+    )
+
+
+def blocks_gradient(matrices, x, kind):
+    """The `kind` deviation-incentive gradient with the payoff gradients that
+    feed the responses rebuilt from the same blocks."""
+    nabla = [matrices.payoff_gradient(x, i) for i in range(len(x))]
+    return adi_gradient(matrices, nabla, x, kind)
+
+
 def adidas(oracle, **params):
     """Functional surface: run the general solver, return (profile, log)."""
     return AdidasSolver(**params).solve(oracle)
@@ -453,7 +472,6 @@ def warmup_anneal_descend(
         game = game.expand_to_tensor()
     lam = 0.0
     x = StrategyProfile.uniform(game.action_counts)
-    n = game.players
     for _ in range(int(anneal_rounds)):
         lam += float(anneal_increment)
         temperature = 1.0 / lam
@@ -462,9 +480,7 @@ def warmup_anneal_descend(
         kind = Entropy(entropy_family, temperature)
         step_size = learning_rate * min(1.0, temperature)
         for _ in range(int(descent_steps)):
-            matrices = exact_pairwise_matrices(game, x)
-            nabla = [matrices.payoff_gradient(x, i) for i in range(n)]
-            grads = adi_gradient(matrices, nabla, x, kind)
+            grads = blocks_gradient(exact_pairwise_matrices(game, x), x, kind)
             x = StrategyProfile(
                 descent_step(x, grads, step_size, projection, tangent_projection)
             )

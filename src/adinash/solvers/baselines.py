@@ -8,12 +8,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..adi import adi_exact, adi_gradient_shannon, symmetric_adi_exact
+from ..adi import adi_exact, symmetric_adi_exact
 from ..entropy import Entropy, _hard_argmax
 from ..exact import PairwiseMatrices, exact_pairwise_matrices, payoff_gradient
 from ..normalform import GameTensor, StrategyProfile, SymmetricGame
-from ..simplex import simplex_project_euclidean
-from .adidas import descent_step
+from .adidas import blocks_gradient, descent_step
 from .base import BaseSolver, IterateLog, profile_hash
 
 METHODS = ("ftrl", "rm", "fp", "ed", "extragrad", "ped")
@@ -89,10 +88,7 @@ def baseline_step(method, state, source, learning_rate):
 
     if method == "ftrl":
         grads = _gradients(source, x)
-        new = [
-            simplex_project_euclidean(x[i] + learning_rate * grads[i])
-            for i in range(n)
-        ]
+        new = descent_step(x, [-g for g in grads], learning_rate, tangent=False)
     elif method == "rm":
         grads = _gradients(source, x)
         for i in range(n):
@@ -120,10 +116,7 @@ def baseline_step(method, state, source, learning_rate):
         grads_now = _gradients(source, x)
         responses = StrategyProfile([_hard_argmax(g) for g in grads_now])
         ascent = _gradients(source, responses)
-        new = [
-            simplex_project_euclidean(x[i] + learning_rate * ascent[i])
-            for i in range(n)
-        ]
+        new = descent_step(x, [-g for g in ascent], learning_rate, tangent=False)
     elif method == "extragrad":
         inner = state.inner_step
         grads_now = _gradients(source, x)
@@ -131,23 +124,16 @@ def baseline_step(method, state, source, learning_rate):
             midpoint = StrategyProfile([_hard_argmax(g) for g in grads_now])
         else:
             midpoint = StrategyProfile(
-                [
-                    simplex_project_euclidean(x[i] + inner * grads_now[i])
-                    for i in range(n)
-                ]
+                descent_step(x, [-g for g in grads_now], inner, tangent=False)
             )
         outer = _gradients(source, midpoint)
-        new = [
-            simplex_project_euclidean(x[i] + learning_rate * outer[i])
-            for i in range(n)
-        ]
+        new = descent_step(x, [-g for g in outer], learning_rate, tangent=False)
     else:  # ped: descent on the zero-entropy deviation incentive
         if isinstance(source, PairwiseMatrices):
             matrices = source
         else:
             matrices = exact_pairwise_matrices(source, x, validate=False)
-        grads = [matrices.payoff_gradient(x, i) for i in range(n)]
-        new = descent_step(x, adi_gradient_shannon(matrices, grads, x, 0.0), learning_rate)
+        new = descent_step(x, blocks_gradient(matrices, x, Entropy.none()), learning_rate)
 
     state.profile = wrap(new)
     state.t = t
@@ -203,6 +189,9 @@ class BaselineSolver(BaseSolver):
         inner = self.inner_step
         if not (inner is None or inner == np.inf or (np.isfinite(inner) and inner > 0.0)):
             raise ValueError(f"inner_step must be None, inf or positive and finite, got {inner!r}")
+        every = self.exact_adi_every
+        if not (every is None or every >= 1):
+            raise ValueError(f"exact_adi_every must be None or >= 1, got {every!r}")
         if self.symmetric and self.method not in SHARED_METHODS:
             raise ValueError(
                 f"symmetric=True needs a method in {SHARED_METHODS}, got {self.method!r}"
@@ -234,7 +223,7 @@ class BaselineSolver(BaseSolver):
         for t in range(1, iterations + 1):
             state = baseline_step(self.method, state, source, self.learning_rate)
             tracked = state.average if report == "average" else list(state.profile)
-            if cadence and (t % cadence == 0 or t == iterations):
+            if t % cadence == 0 or t == iterations:
                 if self.symmetric:
                     exact = symmetric_adi_exact(game, tracked[0])
                 else:

@@ -32,7 +32,6 @@ from adinash.normalform import StrategyProfile, multiset_count
 from adinash.oracles import TensorOracle
 from adinash.sampling import (
     AuxiliaryState,
-    SampleConfig,
     estimate_pairwise_matrices,
     new_rng,
     sample_joint_action,
@@ -287,7 +286,7 @@ def test_criterion_08_sampling_unbiasedness():
         sample_rng = new_rng(int(rng.integers(1 << 30)))
         for _ in range(draws):
             joint = sample_joint_action(profile, sample_rng)
-            blocks = estimate_pairwise_matrices(oracle, joint, SampleConfig())
+            blocks = estimate_pairwise_matrices(oracle, joint)
             flat = np.concatenate(
                 [blocks.matrix(*key).ravel() for key in blocks.pairs()]
             )

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adinash.adi import (
     adi_amortized,
@@ -263,3 +265,62 @@ class TestConsensusIdentity:
         x = StrategyProfile.uniform([2, 2])
         with pytest.raises(ValueError):
             consensus_loss_check(matching_pennies, x)
+
+
+@st.composite
+def games_and_profiles(draw):
+    """Random 2-3 player games with 2-4 actions each and payoffs in [0, 1]
+    (nonnegative, so Tsallis responses are defined), with an interior
+    profile."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    game = random_game(rng, players=draw(st.integers(2, 3)), low=0.0, high=1.0)
+    return game, random_profile(rng, game)
+
+
+ALL_KINDS = (
+    Entropy.none(),
+    Entropy.shannon(0.05),
+    Entropy.shannon(0.5),
+    Entropy.tsallis(0.25),
+    Entropy.tsallis(1.0),
+)
+SHIFT_INVARIANT_KINDS = ALL_KINDS[:3]  # the Tsallis bonus scales with payoffs
+
+
+def _relabel(game, profile, order):
+    """The same game with new player k being old player order[k]."""
+    payoffs = np.transpose(game.payoffs[list(order)], (0, *(1 + p for p in order)))
+    return GameTensor(payoffs), StrategyProfile([profile[p] for p in order])
+
+
+class TestAdiProperties:
+    @settings(max_examples=40, deadline=None)
+    @given(games_and_profiles())
+    def test_amortized_with_exact_gradients_is_exact(self, case):
+        game, x = case
+        y = [payoff_gradient(game, x, k) for k in range(game.players)]
+        for kind in ALL_KINDS:
+            exact = adi_exact(game, x, kind).per_player
+            assert np.array_equal(adi_amortized(x, y, kind).per_player, exact)
+
+    @settings(max_examples=40, deadline=None)
+    @given(games_and_profiles(), st.floats(-5.0, 5.0))
+    def test_unregularized_nonnegative_and_shift_invariant(self, case, shift):
+        game, x = case
+        assert adi_exact(game, x, Entropy.none()).total >= -1e-12
+        shifted = game.offset(shift)
+        for kind in SHIFT_INVARIANT_KINDS:
+            base = adi_exact(game, x, kind).per_player
+            assert np.allclose(adi_exact(shifted, x, kind).per_player, base, rtol=0, atol=1e-9)
+
+    @settings(max_examples=40, deadline=None)
+    @given(games_and_profiles(), st.randoms(use_true_random=False))
+    def test_relabelling_players_permutes_the_gains(self, case, random):
+        game, x = case
+        order = list(range(game.players))
+        random.shuffle(order)
+        relabelled, y = _relabel(game, x, order)
+        for kind in ALL_KINDS:
+            base = adi_exact(game, x, kind).per_player
+            got = adi_exact(relabelled, y, kind).per_player
+            assert np.allclose(got, base[order], rtol=0, atol=1e-9)

@@ -213,11 +213,13 @@ class TestValidation:
             (dict(method="extragrad", inner_step=float("nan")), "inner_step"),
             (dict(method="extragrad", inner_step=-float("inf")), "inner_step"),
             (dict(method="ed", symmetric=True), "symmetric"),
+            (dict(exact_adi_every=0), "exact_adi_every"),
         ],
     )
     def test_solver_rejects_bad_parameter_by_name(self, params, name):
         # these used to run silently ("avg" as "last"), or fail later with an
-        # IndexError (iterations=0) or a projection error (NaN rate)
+        # IndexError (iterations=0, or exact_adi_every=0 leaving the log
+        # empty) or a projection error (NaN rate)
         game = make_el_farol(ElFarolSpec(players=3))
         with pytest.raises(ValueError, match=name):
             BaselineSolver(**params).fit(game)

@@ -1,8 +1,10 @@
 import numpy as np
+import pytest
 
 from adinash.cli import main, parse_config_file
 from adinash.generators import planted_winrates
-from adinash.nfg import read_nfg
+from adinash.nfg import read_nfg, write_nfg
+from adinash.normalform import GameTensor
 
 
 def run_cli(capsys, *argv):
@@ -103,6 +105,24 @@ class TestSolve:
         assert code == 2
         assert "numeric failure" in stderr
 
+    def test_overflowing_step_is_numeric_failure(self, capsys, tmp_path):
+        # finite gradients whose step overflows used to reach the simplex
+        # projection and exit 1 as "cannot project non-finite vector"
+        path = tmp_path / "huge.nfg"
+        write_nfg(path, GameTensor(np.random.default_rng(0).uniform(-1e300, 1e300, (2, 3, 3))))
+        with np.errstate(all="ignore"):
+            code, _, stderr = run_cli(
+                capsys,
+                "solve",
+                "--game", "nfg",
+                "--path", str(path),
+                "--solver", "ftrl",
+                "--learning-rate", "1e10",
+                "--iterations", "5",
+            )
+        assert code == 2
+        assert "numeric failure" in stderr
+
 
 class TestNfg:
     def test_export_then_info_and_roundtrip(self, capsys, tmp_path):
@@ -164,6 +184,32 @@ class TestReportAndBias:
         )
         assert code == 0
         assert stdout.splitlines()[0].startswith("family,temperature")
+
+    @pytest.mark.parametrize(
+        "game",
+        [
+            ("--game", "el-farol", "--players", "4"),
+            ("--game", "bernoulli-meta", "--players", "3", "--actions", "3"),
+        ],
+        ids=["el-farol", "bernoulli-meta"],
+    )
+    def test_bias_table_on_symmetric_games(self, capsys, game):
+        # exact blocks come from the dense expansion; these used to exit 1
+        # (symmetric game) or die with an AttributeError (Bernoulli oracle)
+        code, stdout, stderr = run_cli(
+            capsys,
+            "bias",
+            *game,
+            "--temperatures", "0.1",
+            "--sample-counts", "0", "2",
+            "--trials", "2",
+        )
+        assert code == 0, stderr
+        header, *rows = [line.split(",") for line in stdout.splitlines()]
+        distance = header.index("distance")
+        assert [row[header.index("samples")] for row in rows] == ["0", "2"]
+        assert float(rows[0][distance]) == 0.0
+        assert np.isfinite(float(rows[1][distance]))
 
 
 class TestSweep:

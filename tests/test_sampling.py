@@ -2,14 +2,15 @@ import numpy as np
 import pytest
 
 from adinash.exact import exact_pairwise_matrices, payoff_gradient
-from adinash.normalform import StrategyProfile
-from adinash.oracles import TensorOracle
+from adinash.generators import planted_winrates
+from adinash.normalform import GameTensor, StrategyProfile
+from adinash.oracles import BernoulliOracle, TensorOracle
 from adinash.sampling import (
     AuxiliaryState,
-    SampleConfig,
     estimate_pairwise_matrices,
     new_rng,
     payoff_gradient_from_estimates,
+    sample_actions,
     sample_joint_action,
     update_aux,
 )
@@ -51,25 +52,58 @@ class TestJointActionSampling:
         assert np.abs(freq - 0.25).max() <= 0.01
 
 
+    @pytest.mark.parametrize("players", [3, 4, 6])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_shared_strategy_draws_match_joint_draws(self, players, seed):
+        # the symmetric solver draws the n - 2 other opponents with
+        # sample_actions; on an exactly normalized strategy (one that a
+        # StrategyProfile leaves unchanged) that is the joint sampler's draw
+        s = np.array([0.125, 0.5, 0.25, 0.125])
+        rng = new_rng(seed)
+        joint_rng = new_rng(seed)
+        for _ in range(20):
+            shared = sample_actions(s, rng, players - 2)
+            assert tuple(shared) == sample_joint_action([s] * (players - 2), joint_rng)
+
+
 class TestPairwiseEstimation:
     def test_two_player_deterministic_recovers_tables(self, biased_game):
         oracle = TensorOracle(biased_game)
-        blocks = estimate_pairwise_matrices(oracle, (0, 0), SampleConfig())
+        blocks = estimate_pairwise_matrices(oracle, (0, 0))
         assert np.array_equal(blocks.matrix(0, 1), biased_game.player_tensor(0))
         assert np.array_equal(blocks.matrix(1, 0), biased_game.player_tensor(1).T)
         # independent of the conditioning joint action for two players
-        blocks2 = estimate_pairwise_matrices(oracle, (2, 1), SampleConfig())
+        blocks2 = estimate_pairwise_matrices(oracle, (2, 1))
         assert np.array_equal(blocks2.matrix(0, 1), blocks.matrix(0, 1))
 
     def test_query_counter_per_fill(self):
-        from adinash.normalform import GameTensor
-
-        g = GameTensor(np.zeros((3, 4, 4, 4)))
+        g =GameTensor(np.zeros((3, 4, 4, 4)))
         oracle = TensorOracle(g)
-        estimate_pairwise_matrices(oracle, (0, 0, 0), SampleConfig())
+        estimate_pairwise_matrices(oracle, (0, 0, 0))
         assert oracle.queries == 6 * 16
-        estimate_pairwise_matrices(oracle, (0, 0, 0), SampleConfig(repeats=3))
+        estimate_pairwise_matrices(oracle, (0, 0, 0), repeats=3)
         assert oracle.queries == 6 * 16 + 3 * 6 * 16
+
+    def test_repeats_average_independent_fills(self):
+        # repeats=3 is the entrywise mean of three single fills drawn from an
+        # oracle with the same seed, at the same query cost
+        table = planted_winrates(3, 3, seed=2)
+        joint = (0, 1, 2)
+        repeated = BernoulliOracle(table, seed=5)
+        got = estimate_pairwise_matrices(repeated, joint, repeats=3)
+        single = BernoulliOracle(table, seed=5)
+        fills = [estimate_pairwise_matrices(single, joint) for _ in range(3)]
+        assert repeated.queries == single.queries == 3 * 6 * 9
+        for key in got.pairs():
+            want = (fills[0].matrix(*key) + fills[1].matrix(*key) + fills[2].matrix(*key)) / 3
+            assert np.array_equal(got.matrix(*key), want)
+
+    @pytest.mark.parametrize("repeats", [0, -1, float("nan")])
+    def test_rejects_repeats_below_one(self, repeats):
+        oracle = TensorOracle(GameTensor(np.zeros((2, 2, 2))))
+        with pytest.raises(ValueError, match="repeats"):
+            estimate_pairwise_matrices(oracle, (0, 0), repeats=repeats)
+        assert oracle.queries == 0
 
     def test_sampled_blocks_unbiased(self):
         rng = np.random.default_rng(3)
@@ -82,7 +116,7 @@ class TestPairwiseEstimation:
         sample_rng = new_rng(11)
         for _ in range(draws):
             joint = sample_joint_action(x, sample_rng)
-            blocks = estimate_pairwise_matrices(oracle, joint, SampleConfig())
+            blocks = estimate_pairwise_matrices(oracle, joint)
             stacked = np.concatenate(
                 [blocks.matrix(*key).ravel() for key in blocks.pairs()]
             )
@@ -103,14 +137,14 @@ class TestPairwiseEstimation:
         rng = np.random.default_rng(4)
         g = random_game(rng, players=2)
         with pytest.raises(RuntimeError, match=r"pair \(0, 1\)"):
-            estimate_pairwise_matrices(Broken(g), (0, 0), SampleConfig())
+            estimate_pairwise_matrices(Broken(g), (0, 0))
 
 
 class TestGradientFromEstimates:
     def test_two_player_exact(self, biased_game):
         oracle = TensorOracle(biased_game)
         x = StrategyProfile([[0.2, 0.5, 0.3], [0.4, 0.6]])
-        blocks = estimate_pairwise_matrices(oracle, (0, 0), SampleConfig())
+        blocks = estimate_pairwise_matrices(oracle, (0, 0))
         grad = payoff_gradient_from_estimates(blocks, x, 0)
         assert np.allclose(grad, payoff_gradient(biased_game, x, 0), atol=1e-12)
 
@@ -136,7 +170,7 @@ class TestGradientFromEstimates:
         acc = np.zeros(g.action_counts[0])
         for _ in range(draws):
             joint = sample_joint_action(x, sample_rng)
-            blocks = estimate_pairwise_matrices(oracle, joint, SampleConfig())
+            blocks = estimate_pairwise_matrices(oracle, joint)
             acc += payoff_gradient_from_estimates(blocks, x, 0)
         mean = acc / draws
         exact = payoff_gradient(g, x, 0)
@@ -219,7 +253,7 @@ class TestAuxiliaryUpdates:
         rate = 0.005
         for _ in range(4000):
             joint = sample_joint_action(x, sample_rng)
-            blocks = estimate_pairwise_matrices(oracle, joint, SampleConfig())
+            blocks = estimate_pairwise_matrices(oracle, joint)
             grads = [blocks.payoff_gradient(x, i) for i in range(3)]
             state = update_aux(state, grads, rate)
         kind = Entropy.shannon(0.2)

@@ -190,11 +190,13 @@ class TestAdidasSolver:
             )
             for value in (float("nan"), float("inf"))
         ]
-        + [("bernoulli_repeats", 0)],
+        + [("bernoulli_repeats", 0), ("aux_learning_rate", 2.0), ("exact_adi_every", -1)],
     )
     def test_rejects_bad_hyperparameter_by_name(self, solver_type, name, value):
         # NaN slips through "<= 0" checks: it used to run without annealing
-        # or fail deep inside the loop
+        # or fail deep inside the loop; aux_learning_rate=2 failed at the
+        # first aux update without naming it, and exact_adi_every=-1 ran an
+        # exact evaluation every iteration
         game = make_el_farol(ElFarolSpec(players=3))
         solver = solver_type(entropy="shannon", iterations=5, **{name: value})
         with pytest.raises(ValueError, match=name):
@@ -450,6 +452,29 @@ def test_overflowing_tangent_projection_is_numeric_failure(run):
     rng = np.random.default_rng(0)
     game = GameTensor(rng.choice([-1.7e308, 1.7e308], size=(2, 3, 3)) * rng.random((2, 3, 3)))
     with np.errstate(all="ignore"), pytest.raises(FloatingPointError):
+        run(game)
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda g: BaselineSolver(method="ped", iterations=5, learning_rate=1e10).fit(g),
+        lambda g: BaselineSolver(method="ftrl", iterations=5, learning_rate=1e10).fit(g),
+        lambda g: BaselineSolver(method="ed", iterations=5, learning_rate=1e10).fit(g),
+        lambda g: BaselineSolver(
+            method="extragrad", iterations=5, learning_rate=1e10, inner_step=1e10
+        ).fit(g),
+        lambda g: AdidasSolver(
+            exact_gradients=True, entropy="none", iterations=5, learning_rate=1e10
+        ).fit(g),
+    ],
+    ids=["ped", "ftrl", "ed", "extragrad", "adidas"],
+)
+def test_overflowing_step_is_numeric_failure(run):
+    # the gradients are finite but the step itself overflows; this used to
+    # surface as ValueError from the simplex projection
+    game = GameTensor(np.random.default_rng(0).uniform(-1e300, 1e300, (2, 3, 3)))
+    with np.errstate(all="ignore"), pytest.raises(FloatingPointError, match="overflowed"):
         run(game)
 
 
