@@ -5,8 +5,7 @@ from .adi import (
     AdiReport,
     adi_amortized,
     adi_exact,
-    adi_gradient_shannon,
-    adi_gradient_tsallis,
+    adi_gradient,
     consensus_loss_check,
 )
 from .entropy import BestResponse, Entropy, best_response, entropy_value
@@ -36,7 +35,6 @@ from .oracles import BernoulliOracle, PayoffOracle, SymmetricOracle, TensorOracl
 from .sampling import (
     AuxiliaryState,
     estimate_pairwise_matrices,
-    payoff_gradient_from_estimates,
     sample_actions,
     sample_joint_action,
     update_aux,

@@ -145,8 +145,8 @@ def adi_gradient(matrices, grads, x, kind):
     profile = as_profile(x)
     n = profile.players
     terms = [
-        response_terms(matrices.payoff_gradient(profile, i), grads[i], profile[i], kind)
-        for i in range(n)
+        response_terms(nabla, grads[i], profile[i], kind)
+        for i, nabla in enumerate(matrices.payoff_gradients(profile))
     ]
     out = []
     for i in range(n):
@@ -157,16 +157,6 @@ def adi_gradient(matrices, grads, x, kind):
                 g = g + matrices.matrix(j, i).T @ terms[j][1]
         out.append(g)
     return out
-
-
-def adi_gradient_shannon(matrices, grads, x, temperature):
-    """adi_gradient under Shannon entropy at `temperature`."""
-    return adi_gradient(matrices, grads, x, Entropy.shannon(temperature))
-
-
-def adi_gradient_tsallis(matrices, grads, x, power):
-    """adi_gradient under the Tsallis bonus at `power`."""
-    return adi_gradient(matrices, grads, x, Entropy.tsallis(power))
 
 
 def consensus_loss_check(game, x, validate=True):

@@ -77,7 +77,10 @@ class PairwiseMatrices:
             self._blocks[key] = values
 
     def matrix(self, owner, partner):
-        return self._blocks[(owner, partner)]
+        try:
+            return self._blocks[(owner, partner)]
+        except KeyError:
+            raise ValueError(f"missing pairwise block ({owner}, {partner})") from None
 
     def pairs(self):
         return sorted(self._blocks)
@@ -91,6 +94,10 @@ class PairwiseMatrices:
             if j != player
         ]
         return sum(terms) / len(terms)
+
+    def payoff_gradients(self, x):
+        """Every player's payoff_gradient, in player order."""
+        return [self.payoff_gradient(x, i) for i in range(self.players)]
 
 
 def exact_pairwise_matrices(game, x, validate=True):

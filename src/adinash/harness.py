@@ -45,15 +45,24 @@ class ExperimentConfig:
     selection_threshold: float = 0.01
 
     def cells(self):
+        """Every combination of the grids, except where `aux_rate_ratio` times
+        the cell's learning rate would give an auxiliary rate above 1, which
+        no solver accepts: the ratio grid is capped per learning rate."""
         if not self.grids:
             return [{}]
         keys = sorted(self.grids)
         for key in keys:
             if not self.grids[key]:
                 raise ValueError(f"empty sweep grid for {key!r}")
-        return [
+        cells = (
             dict(zip(keys, combo))
             for combo in itertools.product(*(self.grids[k] for k in keys))
+        )
+        return [
+            cell
+            for cell in cells
+            if "aux_rate_ratio" not in cell
+            or _resolve_cell_params(self.base_params, cell)["aux_learning_rate"] <= 1.0
         ]
 
 

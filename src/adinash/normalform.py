@@ -311,8 +311,10 @@ class SymmetricGame:
 
         size = multisets.shape[1]
         counts = np.zeros((multisets.shape[0], actions), dtype=np.float64)
-        for j in range(actions):
-            counts[:, j] = (multisets == j).sum(axis=1)
+        rows = np.arange(multisets.shape[0])
+        for column in multisets.T:
+            # one entry per row in each column: no index repeats within a step
+            counts[rows, column] += 1.0
         log_coef = math.lgamma(size + 1) - gammaln(counts + 1.0).sum(axis=1)
         return counts, log_coef
 
@@ -347,12 +349,14 @@ class SymmetricGame:
         opponent; by exchangeability the opponent's view is G.T.
         """
         x = as_distribution(strategy, self.actions)
-        table, counts, log_coef, _ = self._pair_table()
+        table, counts, log_coef = self._pair_table()
         weights = np.exp(log_coef + counts @ np.log(np.clip(x, 1e-300, None)))
-        return table @ weights
+        m = self.actions
+        return (weights @ table.reshape(-1, m * m)).reshape(m, m)
 
     def _pair_table(self):
-        """u(r; c, rest_k) for all r, c, k plus rest-multiset weights; cached.
+        """u(r; c, rest) as a (K, m, m) table, one contiguous m x m block per
+        rest multiset in colex rank order, plus the rest-multiset weights; cached.
 
         Indexes the deviation table: u(r; c, rest) = dev[r, column of the
         opponent multiset c + rest], with no payoff lookups of its own.
@@ -363,32 +367,49 @@ class SymmetricGame:
             opp = _multiset_rows(m, n - 1)
             column = np.empty(opp.shape[0], dtype=np.int64)
             column[multiset_rank_array(opp, m)] = np.arange(opp.shape[0])
-            rest = _multiset_rows(m, n - 2)
+            rows = _multiset_rows(m, n - 2)
+            # rests in colex rank order: a rest's rank is its table row
+            rest = np.empty_like(rows)
+            rest[multiset_rank_array(rows, m)] = rows
             k = rest.shape[0]
             opponents = np.column_stack([np.repeat(np.arange(m), k), np.tile(rest, (m, 1))])
             opponents.sort(axis=1)
-            columns = column[multiset_rank_array(opponents, m)].reshape(m, k)
+            # columns[k, c]: dev column of the opponent multiset c + rest_k
+            columns = column[multiset_rank_array(opponents, m)].reshape(m, k).T
+            table = np.empty((k, m, m))
+            # one own action at a time: no temporary the size of the table
+            for r in range(m):
+                table[:, r, :] = dev[r, columns]
             counts, log_coef = self._multiset_weights(rest, m)
-            index = {tuple(row): k for k, row in enumerate(rest.tolist())}
-            # np.take keeps the (m, m, K) C layout that `table @ weights` sums in
-            self._pair_cache = (np.take(dev, columns, axis=1), counts, log_coef, index)
+            self._pair_cache = (table, counts, log_coef)
         return self._pair_cache
 
     def pair_block_at(self, rest_actions):
-        """The (m, m) block u(r; c, rest) for one fixed opponent rest: served
-        from the cached pair table when it fits ``PAIR_TABLE_ENTRIES``, else
-        read with one lookup."""
+        """The (m, m) blocks u(r; c, rest) for opponent rests fixed: one rest
+        of n - 2 actions gives one block, an (S, n - 2) array an (S, m, m)
+        stack. Served from the cached pair table when it fits
+        ``PAIR_TABLE_ENTRIES``, else read with one lookup."""
         m = self.actions
+        rests = np.asarray(rest_actions, dtype=np.int64)
+        single = rests.ndim == 1
+        rests = np.sort(np.atleast_2d(rests), axis=1)
+        if rests.shape[1] != self.players - 2:
+            raise ValueError(f"rest of {rests.shape[1]} actions, want {self.players - 2}")
+        if rests.size and (rests[:, 0].min() < 0 or rests[:, -1].max() >= m):
+            raise ValueError(f"actions outside [0, {m})")
         # m^2 entries per multiset of the n - 2 other opponents
         size = m * m * math.comb(m + self.players - 3, self.players - 2)
         if self._pair_cache is None and size > PAIR_TABLE_ENTRIES:
             actions = np.arange(m)
-            rest = np.asarray(rest_actions, dtype=np.int64)
-            opponents = np.column_stack([np.tile(rest, (m * m, 1)), np.tile(actions, m)])
-            return self.lookup(np.repeat(actions, m), opponents).reshape(m, m)
-        table, _, _, index = self._pair_table()
-        key = tuple(sorted(int(a) for a in rest_actions))
-        return np.array(table[:, :, index[key]])
+            count = rests.shape[0]
+            opponents = np.column_stack(
+                [np.repeat(rests, m * m, axis=0), np.tile(actions, count * m)]
+            )
+            own = np.tile(np.repeat(actions, m), count)
+            blocks = self.lookup(own, opponents).reshape(count, m, m)
+        else:
+            blocks = self._pair_table()[0][multiset_rank_array(rests, m)]
+        return blocks[0] if single else blocks
 
     def expand_to_tensor(self):
         """Dense GameTensor; desk-scale games only."""

@@ -3,10 +3,8 @@
 Every scalar payoff an oracle hands out increments its query counter by one;
 that counter is the efficiency metric all solver comparisons report. Stochastic
 oracles derive each draw from (seed, query index) on a counter-based Philox
-stream, so concurrent queries stay reproducible.
+stream, so a run's draws depend only on the order of its queries.
 """
-
-import threading
 
 import numpy as np
 
@@ -14,7 +12,12 @@ from .normalform import GameTensor, SymmetricGame, validate_joint_action
 
 
 class PayoffOracle:
-    """Base class: query(player, joint_action) -> one payoff sample."""
+    """Base class: query(player, joint_action) -> one payoff sample.
+
+    An oracle is single-threaded: neither its query counter nor its game's
+    lazily built tables are guarded against concurrent use. Parallel runs
+    each hold their own oracle.
+    """
 
     deterministic = True
 
@@ -22,16 +25,15 @@ class PayoffOracle:
         self.players = players
         self.action_counts = tuple(action_counts)
         self._queries = 0
-        self._lock = threading.Lock()
 
     @property
     def queries(self):
         return self._queries
 
     def _count(self, k):
-        with self._lock:
-            start = self._queries
-            self._queries += int(k)
+        """Advance the counter by `k` queries; returns the index of the first."""
+        start = self._queries
+        self._queries += int(k)
         return start
 
     def query(self, player, joint_action):
@@ -109,7 +111,9 @@ class SymmetricOracle(PayoffOracle):
         return self.symmetric_pair_payoffs(rest)
 
     def symmetric_pair_payoffs(self, rest_actions):
-        """Focal-vs-designated-opponent block with the rest fixed; m^2 queries.
+        """Focal-vs-designated-opponent blocks with the rest fixed; m^2 queries
+        per block. One rest of n - 2 actions gives one (m, m) block, an
+        (S, n - 2) array of rests an (S, m, m) stack.
 
         The partner's view of the same draw is the transpose, by exchangeability.
         """
@@ -138,10 +142,17 @@ class BernoulliOracle(SymmetricOracle):
         return self.game
 
     def _read(self, probs):
-        """One Bernoulli(p) draw per winrate, from the Philox stream at the query count."""
+        """One Bernoulli(p) draw per winrate. Each (m, m) block draws from its
+        own Philox stream at the query count where the block starts, so a
+        stack of blocks draws what the same blocks read one by one would."""
         start = self._count(probs.size)
-        stream = np.random.Generator(np.random.Philox(key=self.seed, counter=start))
-        return (stream.random(probs.shape) < probs).astype(float)
+        blocks = probs.reshape(-1, *probs.shape[-2:])
+        size = blocks[0].size
+        draws = np.empty(blocks.shape)
+        for b, block in enumerate(blocks):
+            stream = np.random.Philox(key=self.seed, counter=start + b * size)
+            np.random.Generator(stream).random(block.shape, out=draws[b])
+        return (draws < blocks).astype(float).reshape(probs.shape)
 
     # its own entry, not the base's: bench/tracer.py patches each class's
     # method, and delegating would count every block twice

@@ -27,15 +27,17 @@ def new_rng(seed):
 
 
 def sample_actions(strategy, rng, count=1):
-    """`count` independent draws from one strategy, by inverse CDF."""
+    """`count` independent draws from one strategy, by inverse CDF, as an
+    int array; one vector draw of `count` uniforms, the doubles of `count`
+    single calls."""
     cum = np.cumsum(strategy)
-    draws = np.searchsorted(cum, [rng.random() for _ in range(count)], side="right")
-    return np.minimum(draws, cum.size - 1).tolist()
+    draws = np.searchsorted(cum, rng.random(count), side="right")
+    return np.minimum(draws, cum.size - 1)
 
 
 def sample_joint_action(x, rng):
     """One independent categorical draw per player."""
-    return tuple(sample_actions(strategy, rng)[0] for strategy in as_profile(x))
+    return tuple(int(sample_actions(strategy, rng)[0]) for strategy in as_profile(x))
 
 
 def estimate_pairwise_matrices(oracle, joint_action, repeats=1):
@@ -82,15 +84,6 @@ def mean_pairwise_matrices(block_sets):
         },
         first.action_counts,
     )
-
-
-def payoff_gradient_from_estimates(matrices, x, player):
-    """Average of H[i][j] @ x_j over the partners j."""
-    profile = as_profile(x)
-    try:
-        return matrices.payoff_gradient(profile, player)
-    except KeyError as err:
-        raise ValueError(f"missing pairwise block for player {player}") from err
 
 
 def update_aux(state, grad_estimates, aux_learning_rate):

@@ -7,6 +7,7 @@ whenever the amortized estimate drops under the threshold. Payoff-gradient
 estimates are amortized across iterations through the auxiliary variables y.
 """
 
+import dataclasses
 import functools
 import time
 
@@ -333,7 +334,7 @@ class _GeneralView:
         )
 
     def payoff_gradients(self, matrices, x):
-        return [matrices.payoff_gradient(x, i) for i in range(self.players)]
+        return matrices.payoff_gradients(x)
 
     def amortized(self, x, y, kind):
         """The amortized ADI report under `kind`, and its unregularized total."""
@@ -379,23 +380,29 @@ class _SymmetricView(_GeneralView):
         return self.desk.pair_payoff_matrix(x[0])
 
     def sampled_blocks(self, x, rng):
-        reps = self.bernoulli_repeats
-        total = None
-        for _ in range(self.samples):
-            rest = sample_actions(x[0], rng, self.players - 2)
-            block = sum(
-                self.oracle.symmetric_pair_payoffs(rest) for _ in range(reps)
-            ) / reps
-            total = block if total is None else total + block
-        return total / self.samples
+        """The focal block averaged over `samples` rests drawn from x: one
+        draw of every rest, one batched read (each rest read
+        `bernoulli_repeats` times in a row), and the blocks added in sample
+        order."""
+        samples, reps, m = self.samples, self.bernoulli_repeats, self.counts[0]
+        rests = sample_actions(x[0], rng, samples * (self.players - 2))
+        rests = rests.reshape(samples, self.players - 2)
+        blocks = self.oracle.symmetric_pair_payoffs(np.repeat(rests, reps, axis=0))
+        if reps > 1:
+            blocks = blocks.reshape(samples, reps, m, m).sum(axis=1) / reps
+        # a total started at 0.0, like the per-sample loop it replaces: -0.0 sums to 0.0
+        return np.add.reduce(blocks, axis=0, initial=0.0) / samples
 
     def payoff_gradients(self, own, x):
         return [own @ x[0]]
 
     def amortized(self, x, y, kind):
+        """Every player shares the strategy and the tracker, so one player's
+        gain is every player's: computed once, reported n times."""
         (strategy,), (tracker,) = x, y
         n = self.players
-        report = adi_amortized(StrategyProfile([strategy] * n), [tracker] * n, kind)
+        report = adi_amortized([strategy], [tracker], kind)
+        report = dataclasses.replace(report, per_player=np.full(n, report.per_player[0]))
         return report, n * float(tracker.max() - np.dot(tracker, strategy))
 
     def gradients(self, own, y, x, kind):
@@ -435,8 +442,7 @@ def sample_pairwise_matrices(oracle, x, rng, samples, repeats=1):
 def blocks_gradient(matrices, x, kind):
     """The `kind` deviation-incentive gradient with the payoff gradients that
     feed the responses rebuilt from the same blocks."""
-    nabla = [matrices.payoff_gradient(x, i) for i in range(len(x))]
-    return adi_gradient(matrices, nabla, x, kind)
+    return adi_gradient(matrices, matrices.payoff_gradients(x), x, kind)
 
 
 def adidas(oracle, **params):

@@ -54,7 +54,7 @@ def _gradients(source, profile):
     gradient for a strategy shared by every player of a SymmetricGame."""
     n = len(profile)
     if isinstance(source, PairwiseMatrices):
-        return [source.payoff_gradient(profile, i) for i in range(n)]
+        return source.payoff_gradients(profile)
     if n < source.players:
         return [source.deviation_payoffs(profile[0])]
     return [payoff_gradient(source, profile, i, validate=False) for i in range(n)]

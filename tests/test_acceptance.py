@@ -11,8 +11,7 @@ from scipy import optimize
 from adinash.adi import (
     adi_amortized,
     adi_exact,
-    adi_gradient_shannon,
-    adi_gradient_tsallis,
+    adi_gradient,
     consensus_loss_check,
 )
 from adinash.entropy import Entropy, best_response, entropy_value
@@ -109,8 +108,8 @@ def test_criterion_02_gradient_correctness():
         blocks = exact_pairwise_matrices(game, profile)
         grads = [payoff_gradient(game, profile, i) for i in range(players)]
         for temperature in (1.0, 0.1, 0.01):
-            shannon = adi_gradient_shannon(blocks, grads, profile, temperature)
-            tsallis = adi_gradient_tsallis(blocks, grads, profile, temperature)
+            shannon = adi_gradient(blocks, grads, profile, Entropy.shannon(temperature))
+            tsallis = adi_gradient(blocks, grads, profile, Entropy.tsallis(temperature))
             h = 1e-6 if temperature <= 0.05 else 1e-5
             for analytic, kind in (
                 (shannon, Entropy.shannon(temperature)),

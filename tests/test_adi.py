@@ -6,8 +6,7 @@ from hypothesis import strategies as st
 from adinash.adi import (
     adi_amortized,
     adi_exact,
-    adi_gradient_shannon,
-    adi_gradient_tsallis,
+    adi_gradient,
     consensus_loss_check,
 )
 from adinash.entropy import Entropy
@@ -120,7 +119,7 @@ class TestGradients:
             x = random_profile(rng, g)
             blocks = exact_pairwise_matrices(g, x)
             grads = [payoff_gradient(g, x, i) for i in range(players)]
-            analytic = adi_gradient_shannon(blocks, grads, x, temperature)
+            analytic = adi_gradient(blocks, grads, x, Entropy.shannon(temperature))
             h = 1e-6 if temperature <= 0.05 else 1e-5
             kind = Entropy.shannon(temperature)
             for i in range(players):
@@ -137,7 +136,7 @@ class TestGradients:
             x = random_profile(rng, g)
             blocks = exact_pairwise_matrices(g, x)
             grads = [payoff_gradient(g, x, i) for i in range(players)]
-            analytic = adi_gradient_tsallis(blocks, grads, x, power)
+            analytic = adi_gradient(blocks, grads, x, Entropy.tsallis(power))
             h = 1e-6 if power <= 0.05 else 1e-5
             kind = Entropy.tsallis(power)
             for i in range(players):
@@ -151,7 +150,7 @@ class TestGradients:
         x = random_profile(rng, g)
         blocks = exact_pairwise_matrices(g, x)
         grads = [payoff_gradient(g, x, i) for i in range(3)]
-        got = adi_gradient_shannon(blocks, grads, x, 0.0)
+        got = adi_gradient(blocks, grads, x, Entropy.shannon(0.0))
         from adinash.entropy import _hard_argmax
 
         for i in range(3):
@@ -168,7 +167,7 @@ class TestGradients:
         x = random_profile(rng, g)
         blocks = exact_pairwise_matrices(g, x)
         grads = [payoff_gradient(g, x, i) for i in range(2)]
-        got = adi_gradient_tsallis(blocks, grads, x, 0.0)
+        got = adi_gradient(blocks, grads, x, Entropy.tsallis(0.0))
         from adinash.entropy import _hard_argmax
         from adinash.simplex import tangent_project
 
@@ -194,7 +193,7 @@ class TestGradients:
         profile = StrategyProfile([x] * 3)
         blocks = exact_pairwise_matrices(dense, profile)
         grads = [payoff_gradient(dense, profile, i) for i in range(3)]
-        out = adi_gradient_tsallis(blocks, grads, profile, 0.5)
+        out = adi_gradient(blocks, grads, profile, Entropy.tsallis(0.5))
         assert np.allclose(out[0], out[1], atol=1e-9)
         assert np.allclose(out[1], out[2], atol=1e-9)
 
@@ -208,7 +207,7 @@ class TestGradients:
         for _ in range(4000):
             blocks = exact_pairwise_matrices(matching_pennies, x)
             grads = [payoff_gradient(matching_pennies, x, i) for i in range(2)]
-            step = adi_gradient_shannon(blocks, grads, x, temperature)
+            step = adi_gradient(blocks, grads, x, Entropy.shannon(temperature))
             x = StrategyProfile(
                 [
                     simplex_project_euclidean(x[i] - 0.05 * tangent_project(step[i]))
@@ -217,7 +216,7 @@ class TestGradients:
             )
         blocks = exact_pairwise_matrices(matching_pennies, x)
         grads = [payoff_gradient(matching_pennies, x, i) for i in range(2)]
-        final = adi_gradient_shannon(blocks, grads, x, temperature)
+        final = adi_gradient(blocks, grads, x, Entropy.shannon(temperature))
         norm = max(np.abs(tangent_project(g)).max() for g in final)
         assert norm <= 1e-5
 

@@ -244,6 +244,45 @@ class TestMultisetLookupProperties:
             assert np.array_equal(read, want)
             assert np.array_equal(served, want)
 
+    @settings(max_examples=50, deadline=None)
+    @given(symmetric_games(), st.integers(1, 6), st.integers(0, 2**32 - 1))
+    def test_batched_pair_blocks_stack_single_reads(self, game, count, seed):
+        rng = np.random.default_rng(seed)
+        # unsorted rests: a read sorts each one into its multiset
+        rests = rng.integers(0, game.actions, size=(count, game.players - 2))
+        with mock.patch.object(normalform, "PAIR_TABLE_ENTRIES", 0):
+            fallback = game.pair_block_at(rests)
+        assert game._pair_cache is None
+        cached = game.pair_block_at(rests)
+        singles = np.stack([game.pair_block_at(rest) for rest in rests])
+        assert cached.shape == (count, game.actions, game.actions)
+        assert np.array_equal(cached, singles)
+        assert np.array_equal(fallback, singles)
+
+    @settings(max_examples=50, deadline=None)
+    @given(symmetric_games(), st.integers(0, 2**32 - 1))
+    def test_pair_matrix_matches_dense_block(self, game, seed):
+        x = np.random.default_rng(seed).dirichlet(np.ones(game.actions))
+        profile = StrategyProfile([x] * game.players)
+        block = pairwise_jacobian_exact(game.expand_to_tensor(), profile, 0, 1)
+        assert np.allclose(game.pair_payoff_matrix(x), block, rtol=0.0, atol=1e-12)
+
+    def test_pair_table_is_one_contiguous_block_per_rest(self):
+        game = _random_symmetric(np.random.default_rng(5), 4, 3)
+        dense = game.expand_to_tensor().payoffs
+        table = game._pair_table()[0]
+        assert table.shape == (multiset_count(3, 2), 3, 3)
+        assert table.flags.c_contiguous
+        # row k holds the rest multiset of colex rank k
+        for rest in enumerate_multisets(3, 2):
+            assert np.array_equal(table[multiset_rank(rest, 3)], dense[(0, ..., *rest)])
+
+    def test_pair_block_rejects_bad_rests(self):
+        game = _random_symmetric(np.random.default_rng(6), 4, 3)
+        for bad in ([0, 3], [-1, 0], [0, 1, 2]):
+            with pytest.raises(ValueError):
+                game.pair_block_at(bad)
+
     @given(st.integers(1, 6), st.integers(1, 5))
     def test_multiset_rank_is_bijection(self, actions, size):
         ranks = [multiset_rank(ms, actions) for ms in enumerate_multisets(actions, size)]

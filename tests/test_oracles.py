@@ -1,5 +1,3 @@
-import threading
-
 import numpy as np
 import pytest
 
@@ -30,22 +28,6 @@ class TestTensorOracle:
             for c in range(g.action_counts[0]):
                 assert block[r, c] == g.payoff(2, (c, base[1], r))
 
-    def test_counter_thread_safety(self):
-        rng = np.random.default_rng(2)
-        g = random_game(rng, players=2)
-        oracle = TensorOracle(g)
-
-        def worker():
-            for _ in range(500):
-                oracle.query(0, (0, 0))
-
-        threads = [threading.Thread(target=worker) for _ in range(8)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert oracle.queries == 4000
-
 
 class TestSymmetricOracle:
     def test_block_transpose_is_partner_view(self):
@@ -67,6 +49,19 @@ class TestSymmetricOracle:
         oracle = SymmetricOracle(game)
         oracle.symmetric_pair_payoffs([0] * 8)
         assert oracle.queries == 4
+
+    def test_batched_read_stacks_single_reads(self):
+        game = make_el_farol()
+        rests = np.random.default_rng(0).integers(0, 2, size=(7, 8))
+        batched = SymmetricOracle(game)
+        single = SymmetricOracle(game)
+        blocks = batched.symmetric_pair_payoffs(rests)
+        assert blocks.shape == (7, 2, 2)
+        assert batched.queries == 7 * 4
+        assert np.array_equal(
+            blocks, np.stack([single.symmetric_pair_payoffs(rest) for rest in rests])
+        )
+        assert single.queries == batched.queries
 
 
 class TestBernoulliOracle:
@@ -105,6 +100,26 @@ class TestBernoulliOracle:
         # block draws consume the same counter stream deterministically
         assert np.array_equal(
             a.symmetric_pair_payoffs([1]), b.symmetric_pair_payoffs([1])
+        )
+
+    @pytest.mark.parametrize("repeats", [1, 2])
+    def test_batched_draws_match_block_reads(self, repeats):
+        # a batch of rests read `repeats` times each, sample by sample, draws
+        # what the same blocks read one at a time draw on a fresh oracle
+        table = planted_winrates(4, 3, seed=4)
+        rests = np.random.default_rng(1).integers(0, 3, size=(6, 2))
+        batched = BernoulliOracle(table, seed=11)
+        single = BernoulliOracle(table, seed=11)
+        draws = batched.symmetric_pair_payoffs(np.repeat(rests, repeats, axis=0))
+        one_by_one = np.stack(
+            [single.symmetric_pair_payoffs(rest) for rest in rests for _ in range(repeats)]
+        )
+        assert draws.shape == (6 * repeats, 3, 3)
+        assert np.array_equal(draws, one_by_one)
+        assert batched.queries == single.queries == 6 * repeats * 9
+        # and both oracles go on to draw the same stream
+        assert np.array_equal(
+            batched.symmetric_pair_payoffs(rests), single.symmetric_pair_payoffs(rests)
         )
 
 

@@ -9,7 +9,6 @@ from adinash.sampling import (
     AuxiliaryState,
     estimate_pairwise_matrices,
     new_rng,
-    payoff_gradient_from_estimates,
     sample_actions,
     sample_joint_action,
     update_aux,
@@ -51,6 +50,17 @@ class TestJointActionSampling:
         freq = joint_counts / joint_counts.sum()
         assert np.abs(freq - 0.25).max() <= 0.01
 
+
+    @pytest.mark.parametrize("count", [0, 1, 2, 7, 40])
+    def test_vector_draw_matches_single_draws(self, count):
+        s = np.array([0.1, 0.2, 0.3, 0.4])
+        rng = new_rng(3)
+        single_rng = new_rng(3)
+        draws = sample_actions(s, rng, count)
+        assert draws.shape == (count,)
+        assert draws.tolist() == [int(sample_actions(s, single_rng)[0]) for _ in range(count)]
+        # both generators end at the same point of the stream
+        assert rng.random() == single_rng.random()
 
     @pytest.mark.parametrize("players", [3, 4, 6])
     @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -145,7 +155,7 @@ class TestGradientFromEstimates:
         oracle = TensorOracle(biased_game)
         x = StrategyProfile([[0.2, 0.5, 0.3], [0.4, 0.6]])
         blocks = estimate_pairwise_matrices(oracle, (0, 0))
-        grad = payoff_gradient_from_estimates(blocks, x, 0)
+        grad = blocks.payoff_gradients(x)[0]
         assert np.allclose(grad, payoff_gradient(biased_game, x, 0), atol=1e-12)
 
     def test_average_over_partners(self):
@@ -153,12 +163,12 @@ class TestGradientFromEstimates:
         g = random_game(rng, players=3)
         x = random_profile(rng, g)
         blocks = exact_pairwise_matrices(g, x)
+        grads = blocks.payoff_gradients(x)
+        assert len(grads) == 3
         for i in range(3):
             partners = [j for j in range(3) if j != i]
             manual = sum(blocks.matrix(i, j) @ x[j] for j in partners) / 2.0
-            assert np.allclose(
-                payoff_gradient_from_estimates(blocks, x, i), manual, atol=1e-12
-            )
+            assert np.allclose(grads[i], manual, atol=1e-12)
 
     def test_unbiased_against_exact_gradient(self):
         rng = np.random.default_rng(6)
@@ -171,7 +181,7 @@ class TestGradientFromEstimates:
         for _ in range(draws):
             joint = sample_joint_action(x, sample_rng)
             blocks = estimate_pairwise_matrices(oracle, joint)
-            acc += payoff_gradient_from_estimates(blocks, x, 0)
+            acc += blocks.payoff_gradients(x)[0]
         mean = acc / draws
         exact = payoff_gradient(g, x, 0)
         assert np.abs(mean - exact).max() <= 3.0 * 2.0 / np.sqrt(draws)
@@ -180,8 +190,8 @@ class TestGradientFromEstimates:
         from adinash.exact import PairwiseMatrices
 
         blocks = PairwiseMatrices({(0, 1): np.zeros((2, 2))}, (2, 2))
-        with pytest.raises(ValueError):
-            payoff_gradient_from_estimates(blocks, StrategyProfile.uniform([2, 2]), 1)
+        with pytest.raises(ValueError, match=r"\(1, 0\)"):
+            blocks.payoff_gradients(StrategyProfile.uniform([2, 2]))
 
 
 class TestAuxiliaryUpdates:
