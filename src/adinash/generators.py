@@ -46,10 +46,12 @@ def make_blotto(spec=BlottoSpec(), dense=False, size_budget=10_000_000):
     Returns the multiset-compressed symmetric game, or the dense tensor when
     `dense` (desk scale only).
     """
+    m = spec.action_count
+    # the stored table: one row per allocation, one column per opponent multiset
+    entries = m * multiset_count(m, spec.players - 1)
+    if entries > 400_000_000:
+        raise ValueError(f"{spec} needs {entries} table entries, over the 400000000 budget")
     actions = blotto_allocations(spec.coins, spec.fields)
-    m = actions.shape[0]
-    if multiset_count(m, spec.players) * spec.players > 400_000_000:
-        raise ValueError("blotto spec exceeds the size budget")
 
     def batch_payoff(own, opponents):
         own_alloc = actions[own]  # (N, fields)
@@ -95,13 +97,12 @@ def make_el_farol(spec=ElFarolSpec()):
     """The 2-action bar-attendance stage game: going pays off iff the bar
     (including you) stays within capacity; staying home is the safe payoff."""
 
-    def payoff(own_action, opponents):
-        if own_action == STAY:
-            return spec.stay_payoff
-        attendance = 1 + sum(1 for a in opponents if a == GO)
-        return spec.good_night if attendance <= spec.capacity else spec.bad_night
+    def payoff(own, opponents):
+        attendance = 1 + (opponents == GO).sum(axis=1)
+        going = np.where(attendance <= spec.capacity, spec.good_night, spec.bad_night)
+        return np.where(own == STAY, spec.stay_payoff, going)
 
-    return SymmetricGame.from_function(spec.players, 2, payoff)
+    return SymmetricGame.from_batch_function(spec.players, 2, payoff)
 
 
 def make_modified_shapley(beta=0.5, offset=False):
@@ -158,12 +159,12 @@ def planted_winrates(players, actions, sharpness=2.0, seed=0):
     rng = np.random.Generator(np.random.Philox(key=int(seed)))
     quality = np.sort(rng.random(actions)) * sharpness
 
-    def winrate(own_action, opponents):
-        qs = np.array([quality[own_action]] + [quality[a] for a in opponents])
-        shares = np.exp(qs - qs.max())
-        return float(shares[0] / shares.sum())
+    def winrate(own, opponents):
+        qs = quality[np.column_stack([own, opponents])]
+        shares = np.exp(qs - qs.max(axis=1, keepdims=True))
+        return shares[:, 0] / shares.sum(axis=1)
 
-    return SymmetricGame.from_function(players, actions, winrate)
+    return SymmetricGame.from_batch_function(players, actions, winrate)
 
 
 def chebyshev_samples(epsilon, failure_probability, variance=0.25):

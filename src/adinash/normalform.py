@@ -1,7 +1,8 @@
 """Normal-form game representations.
 
-Three views of the same object: a dense payoff tensor, a multiset-compressed
-symmetric game, and (in :mod:`adinash.oracles`) query-by-joint-action access.
+Three views of the same object: a dense payoff tensor, a symmetric game
+stored as its deviation table (own action x opponent multiset), and (in
+:mod:`adinash.oracles`) query-by-joint-action access.
 """
 
 import itertools
@@ -187,55 +188,49 @@ class GameTensor:
 
 
 class SymmetricGame:
-    """Permutation-invariant game stored one entry per action multiset.
+    """Permutation-invariant game stored as its deviation table.
 
-    ``table[rank(multiset)]`` holds the per-position payoffs aligned with the
-    ascending-sorted multiset, so positions playing equal actions carry equal
-    payoffs and the focal-player lookup is (own action, opponent multiset).
+    ``table[a, j]`` is the payoff u(a; O_j) of playing own action ``a``
+    against opponent multiset O_j: shape (m, C(m+n-2, n-1)), one row per own
+    action, one column per multiset of the n - 1 opponents' actions, columns
+    in the lexicographic order of ``enumerate_multisets(m, n - 1)``. This is
+    the only payoff storage; tied players cannot disagree. ``from_batch_function``
+    is the one function constructor (there is no scalar ``from_function``);
+    ``from_tensor`` compresses a dense tensor.
     """
 
     def __init__(self, players, actions, table):
         self.players = int(players)
         self.actions = int(actions)
-        table = np.asarray(table, dtype=float)
-        expected = multiset_count(self.actions, self.players)
-        if table.shape != (expected, self.players):
+        if self.players < 2:
+            raise ValueError(f"symmetric game needs at least two players, got {self.players}")
+        table = np.array(table, dtype=float, order="C")
+        expected = (self.actions, multiset_count(self.actions, self.players - 1))
+        if table.shape != expected:
             raise ValueError(
-                f"table shape {table.shape} != ({expected}, {self.players}) "
-                f"for {self.actions} actions, {self.players} players"
+                f"table shape {table.shape} != {expected}: one row per own action, one "
+                f"column per multiset of {self.players - 1} opponent actions over "
+                f"{self.actions} actions"
             )
         if not np.all(np.isfinite(table)):
             raise ValueError("payoff table has non-finite entries")
-        table = table.copy()
         table.flags.writeable = False
         self.table = table
-        self._dev_table = None
+        self._column = None
+        self._weights = None
         self._pair_cache = None
 
     # -- construction -----------------------------------------------------
 
     @classmethod
-    def from_function(cls, players, actions, payoff_fn):
-        """Build from ``payoff_fn(own_action, opponent_multiset) -> float``."""
-        count = multiset_count(actions, players)
-        table = np.zeros((count, players))
-        for ms in enumerate_multisets(actions, players):
-            r = multiset_rank(ms, actions)
-            for pos in range(players):
-                opponents = ms[:pos] + ms[pos + 1:]
-                table[r, pos] = payoff_fn(ms[pos], opponents)
-        return cls(players, actions, table)
-
-    @classmethod
     def from_batch_function(cls, players, actions, batch_fn):
-        """Build from a vectorized ``batch_fn(own (N,), opponents (N, n-1)) -> (N,)``."""
-        keys = _multiset_rows(actions, players)
-        ranks = multiset_rank_array(keys, actions)
-        table = np.zeros((keys.shape[0], players))
-        cols = np.arange(players)
-        for pos in range(players):
-            opponents = keys[:, cols != pos]
-            table[ranks, pos] = batch_fn(keys[:, pos], opponents)
+        """Build from a vectorized ``batch_fn(own (K',), opponents (K', n-1)) -> (K',)``,
+        called once per own action over every opponent multiset (rows sorted
+        ascending, in table column order)."""
+        opponents = _multiset_rows(actions, players - 1)
+        table = np.empty((actions, opponents.shape[0]))
+        for a in range(actions):
+            table[a] = batch_fn(np.full(opponents.shape[0], a), opponents)
         return cls(players, actions, table)
 
     @classmethod
@@ -246,10 +241,9 @@ class SymmetricGame:
         if len(set(game.action_counts)) != 1:
             raise ValueError("symmetric game needs identical action counts")
         m = game.action_counts[0]
-        keys = _multiset_rows(m, n)
-        table = np.zeros((keys.shape[0], n))
-        # position p of a sorted key is the payoff of player p in that joint
-        table[multiset_rank_array(keys, m)] = game.payoffs[(np.arange(n), *keys.T[:, :, None])]
+        opponents = _multiset_rows(m, n - 1)
+        # player 0 plays the own action, players 1.. the sorted opponent multiset
+        table = game.payoffs[0][(np.arange(m)[:, None], *opponents.T[:, None, :])]
         symmetric = cls(n, m, table)
         mismatch = np.abs(symmetric.expand_to_tensor().payoffs - game.payoffs) > tol
         if mismatch.any():
@@ -261,19 +255,24 @@ class SymmetricGame:
 
     # -- lookups -----------------------------------------------------------
 
-    def lookup(self, own, opponents):
-        """Payoffs of own actions (N,) against opponent actions (N, n-1).
+    def _columns(self):
+        """Table column of each opponent multiset, indexed by colex rank; cached."""
+        if self._column is None:
+            opponents = _multiset_rows(self.actions, self.players - 1)
+            column = np.empty(opponents.shape[0], dtype=np.int64)
+            column[multiset_rank_array(opponents, self.actions)] = np.arange(opponents.shape[0])
+            self._column = column
+        return self._column
 
-        The one reader of the table layout: row = rank of the sorted joint
-        action, column = first position of the own action inside it.
-        """
+    def lookup(self, own, opponents):
+        """Payoffs of own actions (N,) against opponent actions (N, n-1):
+        ``table[own, column of the sorted opponents]``."""
         own = np.asarray(own, dtype=np.int64)
-        joint = np.concatenate([opponents, own[:, None]], axis=1)
-        joint.sort(axis=1)
-        if np.any(joint[:, 0] < 0) or np.any(joint[:, -1] >= self.actions):
-            raise ValueError(f"actions outside [0, {self.actions})")
-        pos = np.argmax(joint == own[:, None], axis=1)
-        return self.table[multiset_rank_array(joint, self.actions), pos]
+        opponents = np.sort(opponents, axis=1)
+        m = self.actions
+        if np.any((own < 0) | (own >= m)) or np.any((opponents < 0) | (opponents >= m)):
+            raise ValueError(f"actions outside [0, {m})")
+        return self.table[own, self._columns()[multiset_rank_array(opponents, m)]]
 
     def payoff(self, own_action, opponents):
         """Payoff to a player choosing own_action against an opponent multiset."""
@@ -282,7 +281,7 @@ class SymmetricGame:
 
     @property
     def entry_count(self):
-        return self.table.shape[0]
+        return self.table.size
 
     @property
     def action_counts(self):
@@ -294,10 +293,6 @@ class SymmetricGame:
 
     def is_desk_scale(self, budget=DESK_SCALE_ENTRIES):
         return self.dense_entry_count <= budget
-
-    def shared_strategy_eval_cost(self):
-        """Work for one exact deviation-payoff evaluation at a shared strategy."""
-        return self.actions * multiset_count(self.actions, self.players - 1)
 
     def offset(self, constant):
         return SymmetricGame(self.players, self.actions, self.table + float(constant))
@@ -318,29 +313,24 @@ class SymmetricGame:
         log_coef = math.lgamma(size + 1) - gammaln(counts + 1.0).sum(axis=1)
         return counts, log_coef
 
-    def _deviation_table(self):
-        """Payoff of (own action, opponent multiset), shape (m, #opp-multisets),
-        opponent multisets in lexicographic order."""
-        if self._dev_table is None:
-            opp = _multiset_rows(self.actions, self.players - 1)
-            dev = np.stack(
-                [self.lookup(np.full(opp.shape[0], a), opp) for a in range(self.actions)]
-            )
-            counts, log_coef = self._multiset_weights(opp, self.actions)
-            self._dev_table = (dev, counts, log_coef)
-        return self._dev_table
+    def _opponent_weights(self):
+        """Action counts and log multinomial coefficients of the opponent
+        multisets, in table column order; cached."""
+        if self._weights is None:
+            opponents = _multiset_rows(self.actions, self.players - 1)
+            self._weights = self._multiset_weights(opponents, self.actions)
+        return self._weights
 
     def opponent_profile_weights(self, strategy):
         """Probability of each opponent multiset under iid play of `strategy`."""
         x = as_distribution(strategy, self.actions)
-        _, counts, log_coef = self._deviation_table()
+        counts, log_coef = self._opponent_weights()
         logs = counts @ np.log(np.clip(x, 1e-300, None))
         return np.exp(log_coef + logs)
 
     def deviation_payoffs(self, strategy):
         """Exact expected payoff of each own action when opponents play `strategy`."""
-        dev, _, _ = self._deviation_table()
-        return dev @ self.opponent_profile_weights(strategy)
+        return self.table @ self.opponent_profile_weights(strategy)
 
     def pair_payoff_matrix(self, strategy):
         """Exact m x m matrix G[r, c] = E[u(r; c, rest)] with rest ~ strategy iid.
@@ -358,15 +348,12 @@ class SymmetricGame:
         """u(r; c, rest) as a (K, m, m) table, one contiguous m x m block per
         rest multiset in colex rank order, plus the rest-multiset weights; cached.
 
-        Indexes the deviation table: u(r; c, rest) = dev[r, column of the
-        opponent multiset c + rest], with no payoff lookups of its own.
+        Indexes the table: u(r; c, rest) = table[r, column of the opponent
+        multiset c + rest], with no payoff lookups of its own.
         """
         if self._pair_cache is None:
             m, n = self.actions, self.players
-            dev, _, _ = self._deviation_table()
-            opp = _multiset_rows(m, n - 1)
-            column = np.empty(opp.shape[0], dtype=np.int64)
-            column[multiset_rank_array(opp, m)] = np.arange(opp.shape[0])
+            column = self._columns()
             rows = _multiset_rows(m, n - 2)
             # rests in colex rank order: a rest's rank is its table row
             rest = np.empty_like(rows)
@@ -374,12 +361,12 @@ class SymmetricGame:
             k = rest.shape[0]
             opponents = np.column_stack([np.repeat(np.arange(m), k), np.tile(rest, (m, 1))])
             opponents.sort(axis=1)
-            # columns[k, c]: dev column of the opponent multiset c + rest_k
+            # columns[k, c]: table column of the opponent multiset c + rest_k
             columns = column[multiset_rank_array(opponents, m)].reshape(m, k).T
             table = np.empty((k, m, m))
             # one own action at a time: no temporary the size of the table
             for r in range(m):
-                table[:, r, :] = dev[r, columns]
+                table[:, r, :] = self.table[r, columns]
             counts, log_coef = self._multiset_weights(rest, m)
             self._pair_cache = (table, counts, log_coef)
         return self._pair_cache

@@ -374,7 +374,7 @@ class _SymmetricView(_GeneralView):
         return list(strategies)
 
     def exact_is_cheap(self):
-        return self.desk.shared_strategy_eval_cost() <= 10_000_000
+        return self.desk.entry_count <= 10_000_000
 
     def exact_blocks(self, x):
         return self.desk.pair_payoff_matrix(x[0])

@@ -1,7 +1,17 @@
+import os
+
 import numpy as np
 import pytest
+from hypothesis import settings
+from hypothesis import strategies as st
 
-from adinash.normalform import GameTensor, StrategyProfile
+from adinash.normalform import GameTensor, StrategyProfile, SymmetricGame, multiset_count
+
+# CI draws the same examples on every run, so a property failure there
+# replays locally with CI=1
+settings.register_profile("ci", derandomize=True)
+if os.environ.get("CI"):
+    settings.load_profile("ci")
 
 
 @pytest.fixture
@@ -46,3 +56,14 @@ def finite_difference_adi_gradient(game, profile, kind, player, h):
             values.append(adi_exact(game, pert, kind, validate=False).total)
         out[a] = (values[0] - values[1]) / (2.0 * h)
     return out
+
+
+@st.composite
+def symmetric_games(draw):
+    """Small random games, 2-4 players and 1-4 actions, with one independent
+    payoff in [-1, 1] per (own action, opponent multiset)."""
+    players = draw(st.integers(2, 4))
+    actions = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = (actions, multiset_count(actions, players - 1))
+    return SymmetricGame(players, actions, rng.uniform(-1, 1, size=shape))

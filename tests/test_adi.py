@@ -185,9 +185,9 @@ class TestGradients:
         from adinash.normalform import SymmetricGame
 
         def payoff(own, opponents):
-            return float(own + 0.3 * sum(opponents) + 0.1 * own * min(opponents))
+            return own + 0.3 * opponents.sum(axis=1) + 0.1 * own * opponents.min(axis=1)
 
-        sg = SymmetricGame.from_function(3, 3, payoff).offset(0.0)
+        sg = SymmetricGame.from_batch_function(3, 3, payoff).offset(0.0)
         dense = sg.expand_to_tensor()
         x = rng.dirichlet(np.ones(3))
         profile = StrategyProfile([x] * 3)

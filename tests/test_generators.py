@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -17,7 +19,7 @@ from adinash.generators import (
     make_modified_shapley,
     planted_winrates,
 )
-from adinash.normalform import StrategyProfile
+from adinash.normalform import StrategyProfile, SymmetricGame
 
 
 class TestBlotto:
@@ -57,6 +59,16 @@ class TestBlotto:
     def test_size_budget(self):
         with pytest.raises(ValueError):
             make_blotto(BlottoSpec(10, 3, 4), dense=True)
+
+    def test_table_budget_counts_the_stored_table(self):
+        # 221 allocations x C(223, 3) opponent multisets = 402,987,091 entries,
+        # just over the 400,000,000 budget; rejected before anything is built
+        # (a build would need 3 GB, so a broken check fails here instead)
+        spec = BlottoSpec(coins=220, fields=2, players=4)
+        never = AssertionError("table built despite the budget")
+        with mock.patch.object(SymmetricGame, "from_batch_function", side_effect=never):
+            with pytest.raises(ValueError, match=r"BlottoSpec\(coins=220.*402987091"):
+                make_blotto(spec)
 
 
 class TestElFarol:
@@ -169,4 +181,5 @@ class TestBernoulliMetagame:
         table = planted_winrates(7, 5, seed=5)
         assert table.table.min() >= 0.0
         assert table.table.max() <= 1.0
-        assert table.entry_count == 330
+        # 5 own actions x 210 multisets of the 6 opponents' actions
+        assert table.entry_count == 1050

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adinash.generators import make_modified_shapley
 from adinash.nfg import NfgParseError, dumps, loads, nfg_roundtrip, read_nfg, write_nfg
@@ -57,7 +59,25 @@ class TestParsing:
             loads('NFG 1 R "x" { "a" "b" } { 2 } 1 1')
 
 
+@st.composite
+def small_tensors(draw):
+    """2-3 players, 1-3 actions each, any finite payoffs."""
+    counts = draw(st.lists(st.integers(1, 3), min_size=2, max_size=3))
+    size = len(counts) * int(np.prod(counts))
+    values = draw(
+        st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=size, max_size=size)
+    )
+    return GameTensor(np.reshape(values, (len(counts), *counts)))
+
+
 class TestRoundTrip:
+    @settings(max_examples=100, deadline=None)
+    @given(small_tensors())
+    def test_dumps_loads_returns_the_same_game(self, game):
+        back, title, names = loads(dumps(game, "random"))
+        assert back == game
+        assert title == "random"
+
     def test_tensor_roundtrip_exact(self):
         rng = np.random.default_rng(0)
         payoffs = rng.standard_normal((3, 2, 3, 2))

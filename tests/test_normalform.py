@@ -19,6 +19,7 @@ from adinash.normalform import (
     multiset_rank_array,
     validate_joint_action,
 )
+from conftest import symmetric_games
 
 
 class TestMultisetCounting:
@@ -108,17 +109,46 @@ class TestGameTensor:
 
 def _random_symmetric(rng, players, actions):
     def payoff(own, opponents):
-        key = (own, *sorted(opponents))
-        local = np.random.default_rng(hash(key) % (2**32))
-        return float(local.uniform(-1, 1))
+        values = []
+        for a, opp in zip(own.tolist(), opponents.tolist()):
+            key = (a, *sorted(opp))
+            values.append(np.random.default_rng(hash(key) % (2**32)).uniform(-1, 1))
+        return np.array(values)
 
-    return SymmetricGame.from_function(players, actions, payoff)
+    return SymmetricGame.from_batch_function(players, actions, payoff)
 
 
 class TestSymmetricGame:
     def test_entry_count_invariant(self):
         g = _random_symmetric(np.random.default_rng(0), 4, 3)
-        assert g.entry_count == multiset_count(3, 4)
+        # one entry per (own action, multiset of the 3 opponents' actions)
+        assert g.entry_count == 3 * multiset_count(3, 3) == g.table.size
+        assert g.table.shape == (3, multiset_count(3, 3))
+
+    def test_constructor_rejects_wrong_shape_naming_the_expected_one(self):
+        with pytest.raises(ValueError, match=r"\(3, 10\)"):
+            SymmetricGame(4, 3, np.zeros((multiset_count(3, 4), 4)))
+        with pytest.raises(ValueError, match=r"\(3, 10\)"):
+            SymmetricGame(4, 3, np.zeros((10, 3)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_constructor_rejects_non_finite(self, bad):
+        table = np.zeros((3, multiset_count(3, 2)))
+        table[1, 2] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            SymmetricGame(3, 3, table)
+
+    def test_constructor_rejects_one_player(self):
+        with pytest.raises(ValueError, match="two players"):
+            SymmetricGame(1, 3, np.zeros((3, 1)))
+
+    def test_table_is_a_read_only_copy(self):
+        source = np.zeros((2, multiset_count(2, 2)))
+        game = SymmetricGame(3, 2, source)
+        source[0, 0] = 1.0
+        assert game.table[0, 0] == 0.0
+        with pytest.raises(ValueError):
+            game.table[0, 0] = 1.0
 
     def test_lookup_permutation_invariant(self):
         g = _random_symmetric(np.random.default_rng(0), 3, 4)
@@ -178,9 +208,10 @@ class TestSymmetricGame:
         def batch(own, opponents):
             return own.astype(float) - 0.25 * opponents.sum(axis=1)
 
-        a = SymmetricGame.from_function(3, 4, scalar)
         b = SymmetricGame.from_batch_function(3, 4, batch)
-        assert np.allclose(a.table, b.table)
+        # row = own action, column = opponent multiset in lexicographic order
+        want = [[scalar(a, opp) for opp in enumerate_multisets(4, 2)] for a in range(4)]
+        assert np.allclose(b.table, want)
 
     def test_mixed_opponent_deviation_payoffs(self):
         # heterogeneous (non-shared) opponent strategies, sparse support
@@ -195,22 +226,9 @@ class TestSymmetricGame:
         assert np.allclose(got, want, atol=1e-12)
 
 
-@st.composite
-def symmetric_games(draw):
-    """Small random games, 2-4 players and 1-4 actions, with one independent
-    payoff per table cell: tied positions of a multiset may disagree, so only
-    the first position of an action is ever read."""
-    players = draw(st.integers(2, 4))
-    actions = draw(st.integers(1, 4))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    return SymmetricGame.from_function(
-        players, actions, lambda own, opponents: float(rng.uniform(-1, 1))
-    )
-
-
 def _scalar_lookup(game, own, opponents):
-    joint = tuple(sorted((own, *opponents)))
-    return game.table[multiset_rank(joint, game.actions), joint.index(own)]
+    column = list(enumerate_multisets(game.actions, game.players - 1))
+    return game.table[own, column.index(tuple(sorted(opponents)))]
 
 
 class TestMultisetLookupProperties:

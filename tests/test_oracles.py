@@ -73,14 +73,14 @@ class TestBernoulliOracle:
             assert oracle.query(0, (0, 1, 1)) == 1.0
 
     def test_mean_matches_winrate(self):
-        half = SymmetricGame(2, 2, np.full((3, 2), 0.5))
+        half = SymmetricGame(2, 2, np.full((2, 2), 0.5))
         oracle = BernoulliOracle(half, seed=2)
         draws = 10_000
         mean = np.mean([oracle.query(0, (0, 1)) for _ in range(draws)])
         assert abs(mean - 0.5) <= 0.02
 
     def test_rejects_out_of_range(self):
-        bad = SymmetricGame(2, 2, np.full((3, 2), 1.5))
+        bad = SymmetricGame(2, 2, np.full((2, 2), 1.5))
         with pytest.raises(ValueError):
             BernoulliOracle(bad, seed=0)
 

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adinash.simplex import (
     as_distribution,
@@ -100,6 +102,30 @@ class TestMirrorStep:
             x = mirror_step_entropic(x, rng.normal(scale=5.0, size=3), 0.3)
             assert np.all(x > 0.0)
             assert abs(x.sum() - 1.0) < 1e-12
+
+
+class TestSimplexProperties:
+    # the threshold has the input's magnitude, so the rounding error of the
+    # projected mass grows with it; 1e4 keeps it far inside is_distribution's 1e-9
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.floats(-1e4, 1e4), min_size=1, max_size=8))
+    def test_euclidean_projection_lands_on_simplex(self, v):
+        assert is_distribution(simplex_project_euclidean(v))
+
+    # gradients and steps small enough that no coordinate underflows (that
+    # case raises FloatingPointError, see TestMirrorStep)
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.floats(1e-3, 1.0), min_size=1, max_size=8),
+        st.data(),
+        st.floats(0.0, 1.0),
+    )
+    def test_mirror_step_lands_on_simplex(self, mass, data, step):
+        x = np.array(mass) / np.sum(mass)
+        g = data.draw(st.lists(st.floats(-100.0, 100.0), min_size=x.size, max_size=x.size))
+        out = mirror_step_entropic(x, g, step)
+        assert is_distribution(out)
+        assert np.all(out > 0.0)
 
 
 class TestValidation:

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adinash.adi import adi_exact
 from adinash.entropy import Entropy
@@ -23,6 +25,7 @@ from adinash.solvers import (
     tsallis_offset,
     warmup_anneal_descend,
 )
+from conftest import symmetric_games
 
 
 class TestAnnealDecision:
@@ -239,12 +242,11 @@ class TestAdidasSolver:
 class TestSymmetricAdidas:
     def test_rps_uniform(self):
         def rps(own, opp):
-            wins = {(0, 2), (1, 0), (2, 1)}
-            if own == opp[0]:
-                return 0.0
-            return 1.0 if (own, opp[0]) in wins else -1.0
+            # 0 beats 2, 1 beats 0, 2 beats 1
+            beats = (own - opp[:, 0]) % 3 == 1
+            return np.where(own == opp[:, 0], 0.0, np.where(beats, 1.0, -1.0))
 
-        game = SymmetricGame.from_function(2, 3, rps)
+        game = SymmetricGame.from_batch_function(2, 3, rps)
         solver = SymmetricAdidasSolver(
             entropy="shannon",
             learning_rate=0.1,
@@ -316,47 +318,57 @@ class TestSymmetricAdidas:
         assert len(log) == 100
 
 
+AGREEMENT_ENTROPIES = [
+    ("shannon", 0.3),
+    ("shannon", 0.0),
+    ("none", 0.0),
+    ("tsallis", 0.4),
+    ("tsallis", 0.0),
+    ("tsallis", 1.0),
+]
+
+
 class TestSymmetricGeneralAgreement:
     def _game(self):
         def payoff(own, opponents):
-            return float(own * 0.7 - 0.2 * sum(opponents) + 0.05 * own * max(opponents))
+            return own * 0.7 - 0.2 * opponents.sum(axis=1) + 0.05 * own * opponents.max(axis=1)
 
-        return SymmetricGame.from_function(4, 3, payoff)
+        return SymmetricGame.from_batch_function(4, 3, payoff)
 
-    @pytest.mark.parametrize(
-        "entropy,temp",
-        [
-            ("shannon", 0.3),
-            ("shannon", 0.0),
-            ("none", 0.0),
-            ("tsallis", 0.4),
-            ("tsallis", 0.0),
-            ("tsallis", 1.0),
-        ],
-    )
-    def test_shared_gradient_matches_general_pipeline(self, entropy, temp):
+    @staticmethod
+    def _check_shared_gradient(game, entropy, temp, rng, draws):
         # from a shared strategy, the single-strategy gradient must equal any
         # player's gradient under the full pairwise assembly
         from adinash.adi import adi_gradient
         from adinash.exact import exact_pairwise_matrices
         from adinash.solvers.adidas import _symmetric_gradient, tsallis_offset
 
-        game = self._game()
         if entropy == "tsallis":
             game = game.offset(tsallis_offset(game))
         dense = game.expand_to_tensor()
-        rng = np.random.default_rng(0)
+        n, m = game.players, game.actions
         kind = Entropy(entropy, temp)
-        for _ in range(5):
-            x = rng.dirichlet(np.ones(3) * 2.0)
-            profile = StrategyProfile([x] * 4)
+        for _ in range(draws):
+            x = rng.dirichlet(np.ones(m) * 2.0)
+            profile = StrategyProfile([x] * n)
             blocks = exact_pairwise_matrices(dense, profile)
-            grads = [blocks.payoff_gradient(profile, i) for i in range(4)]
+            grads = [blocks.payoff_gradient(profile, i) for i in range(n)]
             general = adi_gradient(blocks, grads, profile, kind)
             own = game.pair_payoff_matrix(x)
-            shared = _symmetric_gradient(own, x, grads[0], kind, 4)
+            shared = _symmetric_gradient(own, x, grads[0], kind, n)
             for g in general:
                 assert np.allclose(shared, g, atol=1e-9)
+
+    @pytest.mark.parametrize("entropy,temp", AGREEMENT_ENTROPIES)
+    def test_shared_gradient_matches_general_pipeline(self, entropy, temp):
+        self._check_shared_gradient(self._game(), entropy, temp, np.random.default_rng(0), 5)
+
+    @settings(max_examples=40, deadline=None)
+    @given(symmetric_games(), st.sampled_from(AGREEMENT_ENTROPIES), st.integers(0, 2**32 - 1))
+    def test_shared_gradient_matches_general_pipeline_on_random_games(
+        self, game, entropy_temp, seed
+    ):
+        self._check_shared_gradient(game, *entropy_temp, np.random.default_rng(seed), 2)
 
     def test_solver_trajectories_agree(self):
         game = self._game()
