@@ -53,8 +53,6 @@ from .solvers import (
     BaselineSolver,
     IterateLog,
     SymmetricAdidasSolver,
-    adidas,
-    adidas_symmetric,
     baseline_step,
     warmup_anneal_descend,
 )

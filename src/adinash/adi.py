@@ -2,10 +2,12 @@
 
 The loss sums, over players, the gain from unilaterally deviating to a
 (possibly entropy-regularized) best response; it is zero exactly at a Nash of
-the regularized game. Gradients take the pairwise blocks and per-player payoff
-gradients as inputs so the exact and sampled pipelines share one code path:
-pass exact quantities for the true gradient, or the auxiliary estimates y for
-the amortized one.
+the regularized game. Gradients take the pairwise blocks, the payoff
+gradients built from those blocks, and the gradients that feed the responses
+as inputs, so the exact and sampled pipelines share one code path: pass the
+blocks' own payoff gradients for the true gradient, or the auxiliary
+estimates y for the amortized one. Each step builds its payoff gradients once
+and hands them to both roles.
 """
 
 from dataclasses import dataclass
@@ -136,17 +138,18 @@ def response_terms(nabla, y, x, kind):
     return policy, effect
 
 
-def adi_gradient(matrices, grads, x, kind):
+def adi_gradient(matrices, nablas, grads, x, kind):
     """Gradient of the `kind`-regularized deviation incentive per player.
 
-    `grads` feeds the responses (exact gradients or auxiliary y); the policy
-    term is rebuilt from the pairwise blocks.
+    `nablas` are the payoff gradients of the pairwise blocks at x
+    (`matrices.payoff_gradients(x)`), which feed the policy terms; `grads`
+    feeds the responses (the same nablas, or the auxiliary y).
     """
     profile = as_profile(x)
     n = profile.players
     terms = [
         response_terms(nabla, grads[i], profile[i], kind)
-        for i, nabla in enumerate(matrices.payoff_gradients(profile))
+        for i, nabla in enumerate(nablas)
     ]
     out = []
     for i in range(n):

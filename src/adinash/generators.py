@@ -40,11 +40,11 @@ def blotto_allocations(coins, fields):
     return np.array(allocations, dtype=np.int64)
 
 
-def make_blotto(spec=BlottoSpec(), dense=False, size_budget=10_000_000):
+def make_blotto(spec=BlottoSpec()):
     """Colonel Blotto over coin allocations; net fields won, ties split evenly.
 
-    Returns the multiset-compressed symmetric game, or the dense tensor when
-    `dense` (desk scale only).
+    Returns the multiset-compressed symmetric game; `expand_to_tensor` gives
+    the dense tensor at desk scale.
     """
     m = spec.action_count
     # the stored table: one row per allocation, one column per opponent multiset
@@ -65,12 +65,7 @@ def make_blotto(spec=BlottoSpec(), dense=False, size_budget=10_000_000):
         )
         return (2.0 * share - 1.0).mean(axis=1)
 
-    game = SymmetricGame.from_batch_function(spec.players, m, batch_payoff)
-    if dense:
-        if game.dense_entry_count > size_budget:
-            raise ValueError("dense blotto tensor exceeds the size budget")
-        return game.expand_to_tensor()
-    return game
+    return SymmetricGame.from_batch_function(spec.players, m, batch_payoff)
 
 
 @dataclass(frozen=True)

@@ -8,12 +8,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .entropy import Entropy
-from .exact import exact_pairwise_matrices
-from .normalform import SymmetricGame, as_profile, multiset_count
-from .oracles import BernoulliOracle, as_oracle
+from .normalform import as_profile, multiset_count
 from .sampling import new_rng
 from .solvers import AdidasSolver, BaselineSolver, SymmetricAdidasSolver
-from .solvers.adidas import blocks_gradient, sample_pairwise_matrices
+from .solvers.adidas import _GeneralView, blocks_gradient
 
 SOLVER_FACTORIES = {
     "adidas": AdidasSolver,
@@ -267,16 +265,14 @@ def measure_gradient_bias(game, x, kinds, sample_counts, trials, seed=0):
     zero-temperature gradient, whose comparison trades estimator bias against
     target distortion and so has an interior optimum over the temperature
     grid. A sample count of 0 requests the exact-block path (zero bias).
-    Exact blocks come from the dense expansion of a symmetric game (the mean
-    game of a Bernoulli oracle); samples query the game's oracle.
+    Blocks come from the solver's general view of `game`, with no Tsallis
+    offset: exact blocks from the desk game (the mean game of a Bernoulli
+    oracle), samples from the game's oracle.
     """
-    profile = as_profile(x, game.action_counts)
-    oracle = as_oracle(game)
+    view = _GeneralView(game, Entropy.none())
+    profile = as_profile(x, view.counts)
     rng = new_rng(seed)
-    desk = game.mean_game() if isinstance(game, BernoulliOracle) else game
-    if isinstance(desk, SymmetricGame):
-        desk = desk.expand_to_tensor()
-    exact_blocks = exact_pairwise_matrices(desk, profile)
+    exact_blocks = view.exact_blocks(profile)
     cold = np.concatenate(blocks_gradient(exact_blocks, profile, Entropy.none()))
     rows = []
     for kind in kinds:
@@ -287,7 +283,7 @@ def measure_gradient_bias(game, x, kinds, sample_counts, trials, seed=0):
             else:
                 acc = np.zeros_like(exact_full)
                 for _ in range(trials):
-                    blocks = sample_pairwise_matrices(oracle, profile, rng, count)
+                    blocks = view.sampled_blocks(profile, rng, count, 1)
                     acc += np.concatenate(blocks_gradient(blocks, profile, kind))
                 mean = acc / trials
             distance, angle = _compare(mean, exact_full)

@@ -169,8 +169,8 @@ class GameTensor:
     def entry_count(self):
         return self.payoffs.size
 
-    def is_desk_scale(self, budget=DESK_SCALE_ENTRIES):
-        return self.entry_count <= budget
+    def is_desk_scale(self):
+        return self.entry_count <= DESK_SCALE_ENTRIES
 
     def offset(self, constant):
         """New game with `constant` added to every payoff of every player."""
@@ -291,8 +291,8 @@ class SymmetricGame:
     def dense_entry_count(self):
         return self.players * self.actions**self.players
 
-    def is_desk_scale(self, budget=DESK_SCALE_ENTRIES):
-        return self.dense_entry_count <= budget
+    def is_desk_scale(self):
+        return self.dense_entry_count <= DESK_SCALE_ENTRIES
 
     def offset(self, constant):
         return SymmetricGame(self.players, self.actions, self.table + float(constant))

@@ -8,7 +8,7 @@ RENORMALIZE_TOL = 1e-6
 SIMPLEX_TOL = 1e-9
 
 
-def as_distribution(v, size=None, renormalize=True):
+def as_distribution(v, size=None):
     """Validate (and lightly repair) a vector as a mixed strategy.
 
     Nonnegative entries summing to 1 within ``RENORMALIZE_TOL`` are accepted
@@ -26,10 +26,8 @@ def as_distribution(v, size=None, renormalize=True):
     total = x.sum()
     if abs(total - 1.0) > RENORMALIZE_TOL:
         raise ValueError(f"mixed strategy mass {total} is not 1 within {RENORMALIZE_TOL}")
-    if renormalize:
-        x = np.clip(x, 0.0, None)
-        x = x / x.sum()
-    return x
+    x = np.clip(x, 0.0, None)
+    return x / x.sum()
 
 
 def is_distribution(v, tol=SIMPLEX_TOL):
@@ -46,16 +44,30 @@ def simplex_project_euclidean(v):
     """Euclidean projection onto the probability simplex.
 
     Standard sort-and-threshold procedure: exact, O(m log m), deterministic.
+    On large entries the cumulative sum can round the threshold away (no
+    support index, or a result off unit mass by more than SIMPLEX_TOL); the
+    projection is then taken of the shift x - max(x), which has the same
+    projection and puts 0 at the top of the sort.
     """
     x = np.asarray(v, dtype=float)
     if x.ndim != 1:
         raise ValueError("expected a 1-d vector")
     if not np.all(np.isfinite(x)):
         raise ValueError("cannot project non-finite vector")
+    out = _threshold(x)
+    if out is None or not abs(out.sum() - 1.0) <= SIMPLEX_TOL:
+        out = _threshold(x - x.max())
+    return out
+
+
+def _threshold(x):
+    """Sort-and-threshold projection of x, or None when no index qualifies."""
     u = np.sort(x)[::-1]
     css = np.cumsum(u) - 1.0
     ks = np.arange(1, x.size + 1)
     cond = u - css / ks > 0
+    if not cond.any():
+        return None
     rho = ks[cond][-1]
     theta = css[cond][-1] / rho
     return np.clip(x - theta, 0.0, None)

@@ -2,8 +2,6 @@ from .adidas import (
     anneal_decision,
     AdidasSolver,
     SymmetricAdidasSolver,
-    adidas,
-    adidas_symmetric,
     tsallis_offset,
     warmup_anneal_descend,
 )

@@ -23,7 +23,7 @@ from ..adi import (
 # best_response has no caller here; bench/tracer.py patches this binding
 from ..entropy import Entropy, best_response  # noqa: F401
 from ..exact import exact_pairwise_matrices
-from ..normalform import GameTensor, StrategyProfile, SymmetricGame
+from ..normalform import DESK_SCALE_ENTRIES, GameTensor, StrategyProfile, SymmetricGame
 from ..oracles import BernoulliOracle, PayoffOracle, as_oracle
 from ..sampling import (
     AuxiliaryState,
@@ -148,11 +148,6 @@ class AdidasSolver(BaseSolver):
     def fit(self, game_or_oracle):
         return self._descend(_GeneralView, game_or_oracle)
 
-    def solve(self, game_or_oracle):
-        """Functional form: returns (profile, log)."""
-        self.fit(game_or_oracle)
-        return self.profile_, self.log_
-
     def _validate(self):
         """Reject bad hyperparameters, NaN and inf included, naming each."""
         for name in ("learning_rate", "aux_learning_rate", "adi_threshold"):
@@ -177,9 +172,13 @@ class AdidasSolver(BaseSolver):
         everything that depends on the kind of game."""
         self._validate()
         kind = _resolve_entropy(self.entropy, self.initial_temperature)
-        view = view_type(game_or_oracle, kind, self)
+        view = view_type(game_or_oracle, kind)
         oracle, desk = view.oracle, view.desk
-        iterations = int(self.iterations)
+        if self.exact_gradients and desk is None:
+            raise ValueError(view.needs_desk)
+        iterations, samples, repeats = (
+            int(self.iterations), int(self.samples), int(self.bernoulli_repeats)
+        )
         rng = new_rng(self.seed)
         x = view.wrap([np.full(m, 1.0 / m) for m in view.counts])
         aux = AuxiliaryState.zeros(view.counts)
@@ -194,10 +193,11 @@ class AdidasSolver(BaseSolver):
             if self.exact_gradients:
                 blocks = view.exact_blocks(x)
             else:
-                blocks = view.sampled_blocks(x, rng)
-            aux = update_aux(aux, view.payoff_gradients(blocks, x), self.aux_learning_rate)
+                blocks = view.sampled_blocks(x, rng, samples, repeats)
+            nablas = view.payoff_gradients(blocks, x)
+            aux = update_aux(aux, nablas, self.aux_learning_rate)
             estimate, estimate_unreg = view.amortized(x, aux.y, kind)
-            gradients = view.gradients(blocks, aux.y, x, kind)
+            gradients = view.gradients(blocks, nablas, aux.y, x, kind)
             x = view.wrap(
                 descent_step(
                     x, gradients, self.learning_rate, self.projection, self.tangent_projection
@@ -263,23 +263,19 @@ class SymmetricAdidasSolver(AdidasSolver):
     def fit(self, game_or_oracle):
         return self._descend(_SymmetricView, game_or_oracle)
 
-    def solve(self, game_or_oracle):
-        """Functional form: returns (strategy, log)."""
-        self.fit(game_or_oracle)
-        return self.strategy_, self.log_
-
 
 class _GeneralView:
-    """A general game or oracle as the descent loop sees it: one strategy per
-    player and every ordered pair's block."""
+    """A general game or oracle as the descent loop, the warm-up and the bias
+    table see it: one strategy per player and every ordered pair's block. It
+    is the one place that turns a game or oracle into blocks."""
 
     run_prefix = "adidas"
     games = (GameTensor, SymmetricGame)
     needs_desk = "exact gradients need a desk-scale game, not a bare oracle"
 
-    def __init__(self, game_or_oracle, kind, solver):
+    def __init__(self, game_or_oracle, kind):
         """Accepts the input or raises; builds the oracle and, when the
-        payoffs are known, the desk game, offset for Tsallis."""
+        payoffs are known, the desk game, offset for a Tsallis `kind`."""
         self.desk = None
         self.offset = 0.0
         if isinstance(game_or_oracle, self.games):
@@ -295,11 +291,7 @@ class _GeneralView:
                 self.desk = self.oracle.mean_game()
         else:
             raise self.rejection(game_or_oracle)
-        if solver.exact_gradients and self.desk is None:
-            raise ValueError(self.needs_desk)
         self.players = self.oracle.players
-        self.samples = int(solver.samples)
-        self.bernoulli_repeats = int(solver.bernoulli_repeats)
 
     def accepts_oracle(self, source):
         return isinstance(source, PayoffOracle)
@@ -328,9 +320,14 @@ class _GeneralView:
     def exact_blocks(self, x):
         return exact_pairwise_matrices(self.tensor, x)
 
-    def sampled_blocks(self, x, rng):
-        return sample_pairwise_matrices(
-            self.oracle, x, rng, self.samples, self.bernoulli_repeats
+    def sampled_blocks(self, x, rng, samples, repeats):
+        """Blocks averaged over `samples` joint actions drawn from x, each
+        filled `repeats` times."""
+        return mean_pairwise_matrices(
+            [
+                estimate_pairwise_matrices(self.oracle, sample_joint_action(x, rng), repeats)
+                for _ in range(samples)
+            ]
         )
 
     def payoff_gradients(self, matrices, x):
@@ -340,8 +337,8 @@ class _GeneralView:
         """The amortized ADI report under `kind`, and its unregularized total."""
         return adi_amortized(x, y, kind), adi_amortized(x, y, Entropy.none()).total
 
-    def gradients(self, matrices, y, x, kind):
-        return adi_gradient(matrices, y, x, kind)
+    def gradients(self, matrices, nablas, y, x, kind):
+        return adi_gradient(matrices, nablas, y, x, kind)
 
     def exact_adi(self, profile):
         return adi_exact(self.desk, profile, Entropy.none()).total
@@ -374,17 +371,16 @@ class _SymmetricView(_GeneralView):
         return list(strategies)
 
     def exact_is_cheap(self):
-        return self.desk.entry_count <= 10_000_000
+        return self.desk.entry_count <= DESK_SCALE_ENTRIES
 
     def exact_blocks(self, x):
         return self.desk.pair_payoff_matrix(x[0])
 
-    def sampled_blocks(self, x, rng):
+    def sampled_blocks(self, x, rng, samples, reps):
         """The focal block averaged over `samples` rests drawn from x: one
-        draw of every rest, one batched read (each rest read
-        `bernoulli_repeats` times in a row), and the blocks added in sample
-        order."""
-        samples, reps, m = self.samples, self.bernoulli_repeats, self.counts[0]
+        draw of every rest, one batched read (each rest read `reps` times in
+        a row), and the blocks added in sample order."""
+        m = self.counts[0]
         rests = sample_actions(x[0], rng, samples * (self.players - 2))
         rests = rests.reshape(samples, self.players - 2)
         blocks = self.oracle.symmetric_pair_payoffs(np.repeat(rests, reps, axis=0))
@@ -405,8 +401,8 @@ class _SymmetricView(_GeneralView):
         report = dataclasses.replace(report, per_player=np.full(n, report.per_player[0]))
         return report, n * float(tracker.max() - np.dot(tracker, strategy))
 
-    def gradients(self, own, y, x, kind):
-        return [_symmetric_gradient(own, x[0], y[0], kind, self.players)]
+    def gradients(self, own, nablas, y, x, kind):
+        return [_symmetric_gradient(own, nablas[0], y[0], x[0], kind, self.players)]
 
     def exact_adi(self, strategies):
         return symmetric_adi_exact(self.desk, strategies[0])
@@ -417,42 +413,22 @@ class _SymmetricView(_GeneralView):
         solver.profile_ = StrategyProfile([solver.strategy_] * self.players)
 
 
-def _symmetric_gradient(own, x, y, kind, players):
+def _symmetric_gradient(own, nabla, y, x, kind, players):
     """Deviation-incentive gradient for one shared strategy.
 
-    `own` is the focal player's block (rows: own actions); the partner view is
-    its transpose, and the cross term is multiplied by the (n - 1) identical
-    opponents.
+    `own` is the focal player's block (rows: own actions) and `nabla` its
+    payoff gradient `own @ x`; the partner view is the block's transpose, and
+    the cross term is multiplied by the (n - 1) identical opponents.
     """
-    policy, effect = response_terms(own @ x, y, x, kind)
+    policy, effect = response_terms(nabla, y, x, kind)
     return -policy + (players - 1) * (own.T @ effect)
 
 
-def sample_pairwise_matrices(oracle, x, rng, samples, repeats=1):
-    """Blocks averaged over `samples` joint actions drawn from `x`, each
-    filled `repeats` times."""
-    return mean_pairwise_matrices(
-        [
-            estimate_pairwise_matrices(oracle, sample_joint_action(x, rng), repeats)
-            for _ in range(samples)
-        ]
-    )
-
-
 def blocks_gradient(matrices, x, kind):
-    """The `kind` deviation-incentive gradient with the payoff gradients that
-    feed the responses rebuilt from the same blocks."""
-    return adi_gradient(matrices, matrices.payoff_gradients(x), x, kind)
-
-
-def adidas(oracle, **params):
-    """Functional surface: run the general solver, return (profile, log)."""
-    return AdidasSolver(**params).solve(oracle)
-
-
-def adidas_symmetric(oracle, **params):
-    """Functional surface: run the symmetric solver, return (strategy, log)."""
-    return SymmetricAdidasSolver(**params).solve(oracle)
+    """The `kind` deviation-incentive gradient with the blocks' payoff
+    gradients, built once, feeding both the policy terms and the responses."""
+    nablas = matrices.payoff_gradients(x)
+    return adi_gradient(matrices, nablas, nablas, x, kind)
 
 
 def warmup_anneal_descend(
@@ -472,12 +448,17 @@ def warmup_anneal_descend(
     steps on the deviation incentive at temperature 1/lam. The per-round step
     size is learning_rate * min(1, temperature): the loss curvature grows as
     1/temperature, so a fixed step leaves the stability region as the path
-    cools. Dense desk-scale games only.
+    cools. Desk-scale games only; no Tsallis offset is applied.
+
+    Steps through the general view, even for a SymmetricGame: the symmetric
+    view's gradients differ in the last bits, and at large step sizes the
+    warm-up amplifies such differences into a different path.
     """
-    if isinstance(game, SymmetricGame):
-        game = game.expand_to_tensor()
+    view = _GeneralView(game, Entropy.none())
+    if view.desk is None:
+        raise ValueError(view.needs_desk)
     lam = 0.0
-    x = StrategyProfile.uniform(game.action_counts)
+    x = view.wrap([np.full(m, 1.0 / m) for m in view.counts])
     for _ in range(int(anneal_rounds)):
         lam += float(anneal_increment)
         temperature = 1.0 / lam
@@ -486,8 +467,8 @@ def warmup_anneal_descend(
         kind = Entropy(entropy_family, temperature)
         step_size = learning_rate * min(1.0, temperature)
         for _ in range(int(descent_steps)):
-            grads = blocks_gradient(exact_pairwise_matrices(game, x), x, kind)
-            x = StrategyProfile(
-                descent_step(x, grads, step_size, projection, tangent_projection)
-            )
+            blocks = view.exact_blocks(x)
+            nablas = view.payoff_gradients(blocks, x)
+            grads = view.gradients(blocks, nablas, nablas, x, kind)
+            x = view.wrap(descent_step(x, grads, step_size, projection, tangent_projection))
     return x

@@ -246,7 +246,3 @@ class BaselineSolver(BaseSolver):
             self.profile_ = StrategyProfile(final)
         self.log_ = log
         return self
-
-    def solve(self, game):
-        self.fit(game)
-        return self.profile_, self.log_

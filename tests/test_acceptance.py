@@ -107,9 +107,10 @@ def test_criterion_02_gradient_correctness():
         profile = random_profile(rng, game)
         blocks = exact_pairwise_matrices(game, profile)
         grads = [payoff_gradient(game, profile, i) for i in range(players)]
+        nablas = blocks.payoff_gradients(profile)
         for temperature in (1.0, 0.1, 0.01):
-            shannon = adi_gradient(blocks, grads, profile, Entropy.shannon(temperature))
-            tsallis = adi_gradient(blocks, grads, profile, Entropy.tsallis(temperature))
+            shannon = adi_gradient(blocks, nablas, grads, profile, Entropy.shannon(temperature))
+            tsallis = adi_gradient(blocks, nablas, grads, profile, Entropy.tsallis(temperature))
             h = 1e-6 if temperature <= 0.05 else 1e-5
             for analytic, kind in (
                 (shannon, Entropy.shannon(temperature)),

@@ -119,7 +119,8 @@ class TestGradients:
             x = random_profile(rng, g)
             blocks = exact_pairwise_matrices(g, x)
             grads = [payoff_gradient(g, x, i) for i in range(players)]
-            analytic = adi_gradient(blocks, grads, x, Entropy.shannon(temperature))
+            nablas = blocks.payoff_gradients(x)
+            analytic = adi_gradient(blocks, nablas, grads, x, Entropy.shannon(temperature))
             h = 1e-6 if temperature <= 0.05 else 1e-5
             kind = Entropy.shannon(temperature)
             for i in range(players):
@@ -136,7 +137,8 @@ class TestGradients:
             x = random_profile(rng, g)
             blocks = exact_pairwise_matrices(g, x)
             grads = [payoff_gradient(g, x, i) for i in range(players)]
-            analytic = adi_gradient(blocks, grads, x, Entropy.tsallis(power))
+            nablas = blocks.payoff_gradients(x)
+            analytic = adi_gradient(blocks, nablas, grads, x, Entropy.tsallis(power))
             h = 1e-6 if power <= 0.05 else 1e-5
             kind = Entropy.tsallis(power)
             for i in range(players):
@@ -150,7 +152,8 @@ class TestGradients:
         x = random_profile(rng, g)
         blocks = exact_pairwise_matrices(g, x)
         grads = [payoff_gradient(g, x, i) for i in range(3)]
-        got = adi_gradient(blocks, grads, x, Entropy.shannon(0.0))
+        nablas = blocks.payoff_gradients(x)
+        got = adi_gradient(blocks, nablas, grads, x, Entropy.shannon(0.0))
         from adinash.entropy import _hard_argmax
 
         for i in range(3):
@@ -167,7 +170,8 @@ class TestGradients:
         x = random_profile(rng, g)
         blocks = exact_pairwise_matrices(g, x)
         grads = [payoff_gradient(g, x, i) for i in range(2)]
-        got = adi_gradient(blocks, grads, x, Entropy.tsallis(0.0))
+        nablas = blocks.payoff_gradients(x)
+        got = adi_gradient(blocks, nablas, grads, x, Entropy.tsallis(0.0))
         from adinash.entropy import _hard_argmax
         from adinash.simplex import tangent_project
 
@@ -193,7 +197,8 @@ class TestGradients:
         profile = StrategyProfile([x] * 3)
         blocks = exact_pairwise_matrices(dense, profile)
         grads = [payoff_gradient(dense, profile, i) for i in range(3)]
-        out = adi_gradient(blocks, grads, profile, Entropy.tsallis(0.5))
+        nablas = blocks.payoff_gradients(profile)
+        out = adi_gradient(blocks, nablas, grads, profile, Entropy.tsallis(0.5))
         assert np.allclose(out[0], out[1], atol=1e-9)
         assert np.allclose(out[1], out[2], atol=1e-9)
 
@@ -207,7 +212,8 @@ class TestGradients:
         for _ in range(4000):
             blocks = exact_pairwise_matrices(matching_pennies, x)
             grads = [payoff_gradient(matching_pennies, x, i) for i in range(2)]
-            step = adi_gradient(blocks, grads, x, Entropy.shannon(temperature))
+            nablas = blocks.payoff_gradients(x)
+            step = adi_gradient(blocks, nablas, grads, x, Entropy.shannon(temperature))
             x = StrategyProfile(
                 [
                     simplex_project_euclidean(x[i] - 0.05 * tangent_project(step[i]))
@@ -216,7 +222,8 @@ class TestGradients:
             )
         blocks = exact_pairwise_matrices(matching_pennies, x)
         grads = [payoff_gradient(matching_pennies, x, i) for i in range(2)]
-        final = adi_gradient(blocks, grads, x, Entropy.shannon(temperature))
+        nablas = blocks.payoff_gradients(x)
+        final = adi_gradient(blocks, nablas, grads, x, Entropy.shannon(temperature))
         norm = max(np.abs(tangent_project(g)).max() for g in final)
         assert norm <= 1e-5
 

@@ -37,7 +37,7 @@ class TestBlotto:
         assert np.all(alloc >= 0)
 
     def test_two_player_zero_sum(self):
-        game = make_blotto(BlottoSpec(4, 2, 2), dense=True)
+        game = make_blotto(BlottoSpec(4, 2, 2)).expand_to_tensor()
         assert np.allclose(game.payoffs[0] + game.payoffs[1], 0.0, atol=1e-12)
 
     def test_symmetric_pure_win(self):
@@ -58,7 +58,7 @@ class TestBlotto:
 
     def test_size_budget(self):
         with pytest.raises(ValueError):
-            make_blotto(BlottoSpec(10, 3, 4), dense=True)
+            make_blotto(BlottoSpec(10, 3, 4)).expand_to_tensor()
 
     def test_table_budget_counts_the_stored_table(self):
         # 221 allocations x C(223, 3) opponent multisets = 402,987,091 entries,

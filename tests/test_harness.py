@@ -216,7 +216,7 @@ class TestGradientBias:
         # middle temperature aligns best with the expected gradient
         from adinash.generators import BlottoSpec, make_blotto
 
-        game = make_blotto(BlottoSpec(5, 3, 3), dense=True)
+        game = make_blotto(BlottoSpec(5, 3, 3)).expand_to_tensor()
         m = game.action_counts[0]
         rng = np.random.default_rng(9)
         x = StrategyProfile([rng.dirichlet(np.ones(m))] * 3)

@@ -24,6 +24,20 @@ class TestEuclideanProjection:
     def test_known_points(self, v, expected):
         assert np.allclose(simplex_project_euclidean(v), expected, atol=1e-12)
 
+    @pytest.mark.parametrize(
+        "v,expected",
+        [
+            # the cumulative sum rounds the 1 away, so no support index qualifies
+            ([1e17, 0.0, 1.0], [1.0, 0.0, 0.0]),
+            # the threshold loses its low bits, so the direct mass is 0.99999998
+            ([1e8, 1e8 + 1e-7, 3.0], [0.5, 0.5, 0.0]),
+        ],
+    )
+    def test_large_entries(self, v, expected):
+        p = simplex_project_euclidean(v)
+        assert is_distribution(p)
+        assert np.allclose(p, expected, atol=1e-6)
+
     def test_idempotent_and_feasible(self):
         rng = np.random.default_rng(0)
         for _ in range(200):
@@ -106,9 +120,10 @@ class TestMirrorStep:
 
 class TestSimplexProperties:
     # the threshold has the input's magnitude, so the rounding error of the
-    # projected mass grows with it; 1e4 keeps it far inside is_distribution's 1e-9
+    # projected mass grows with it; past SIMPLEX_TOL the projection is retaken
+    # from the shift x - max(x), whose threshold lies in [-1, 0]
     @settings(max_examples=200, deadline=None)
-    @given(st.lists(st.floats(-1e4, 1e4), min_size=1, max_size=8))
+    @given(st.lists(st.floats(-1e300, 1e300), min_size=1, max_size=8))
     def test_euclidean_projection_lands_on_simplex(self, v):
         assert is_distribution(simplex_project_euclidean(v))
 

@@ -19,8 +19,6 @@ from adinash.solvers import (
     AdidasSolver,
     BaselineSolver,
     SymmetricAdidasSolver,
-    adidas,
-    adidas_symmetric,
     anneal_decision,
     tsallis_offset,
     warmup_anneal_descend,
@@ -216,16 +214,15 @@ class TestAdidasSolver:
             clone.set_params(nonsense=1)
 
     def test_functional_surface(self, matching_pennies):
-        profile, log = adidas(
-            matching_pennies,
+        solver = AdidasSolver(
             entropy="shannon",
             learning_rate=0.1,
             iterations=500,
             exact_gradients=True,
             seed=0,
-        )
-        assert isinstance(profile, StrategyProfile)
-        assert len(log) == 500
+        ).fit(matching_pennies)
+        assert isinstance(solver.profile_, StrategyProfile)
+        assert len(solver.log_) == 500
 
     def test_average_iterates_logging(self, matching_pennies):
         solver = AdidasSolver(
@@ -311,11 +308,11 @@ class TestSymmetricAdidas:
 
     def test_functional_surface(self):
         game = make_el_farol(ElFarolSpec())
-        strategy, log = adidas_symmetric(
-            game, entropy="shannon", learning_rate=0.01, iterations=100, seed=0
-        )
-        assert strategy.shape == (2,)
-        assert len(log) == 100
+        solver = SymmetricAdidasSolver(
+            entropy="shannon", learning_rate=0.01, iterations=100, seed=0
+        ).fit(game)
+        assert solver.strategy_.shape == (2,)
+        assert len(solver.log_) == 100
 
 
 AGREEMENT_ENTROPIES = [
@@ -353,9 +350,9 @@ class TestSymmetricGeneralAgreement:
             profile = StrategyProfile([x] * n)
             blocks = exact_pairwise_matrices(dense, profile)
             grads = [blocks.payoff_gradient(profile, i) for i in range(n)]
-            general = adi_gradient(blocks, grads, profile, kind)
+            general = adi_gradient(blocks, grads, grads, profile, kind)
             own = game.pair_payoff_matrix(x)
-            shared = _symmetric_gradient(own, x, grads[0], kind, n)
+            shared = _symmetric_gradient(own, own @ x, grads[0], x, kind, n)
             for g in general:
                 assert np.allclose(shared, g, atol=1e-9)
 
@@ -441,6 +438,31 @@ class TestWarmup:
         for s in profile:
             assert np.abs(s - 1 / 3).max() <= 1e-6
 
+    def test_symmetric_game_follows_its_expansion(self):
+        # both step through the general view of the dense tensor, bit for bit
+        game = make_el_farol(ElFarolSpec(players=5))
+        schedule = dict(
+            anneal_rounds=2, descent_steps=20, anneal_increment=10.0, learning_rate=1.0
+        )
+        compressed = warmup_anneal_descend(game, **schedule)
+        expanded = warmup_anneal_descend(game.expand_to_tensor(), **schedule)
+        for got, want in zip(compressed, expanded):
+            assert np.array_equal(got, want)
+
+    def test_tsallis_applies_no_offset(self):
+        # shifted down, every Shapley payoff gradient is negative (uniform is
+        # its fixed point, so unshifted ones stay at 1/6); the solver offsets
+        # the game, the warm-up descends it as given and the response fails
+        game = make_modified_shapley(0.5).offset(-1.0)
+        solver = AdidasSolver(entropy="tsallis", iterations=1, exact_gradients=True)
+        assert solver.fit(game).payoff_offset_ > 0.0
+        with pytest.raises(ValueError, match="nonnegative"):
+            warmup_anneal_descend(game, 1, 1, 1.0, entropy_family="tsallis")
+
+    def test_rejects_a_bare_oracle(self, matching_pennies):
+        with pytest.raises(ValueError, match="desk-scale"):
+            warmup_anneal_descend(TensorOracle(matching_pennies), 1, 1, 1.0)
+
     def test_zero_rounds_returns_uniform(self, matching_pennies):
         profile = warmup_anneal_descend(
             matching_pennies, anneal_rounds=0, descent_steps=10, anneal_increment=1.0
@@ -525,7 +547,7 @@ def test_monotone_descent_between_anneals():
         blocks = exact_pairwise_matrices(dense, x)
         grads = [blocks.payoff_gradient(x, i) for i in range(dense.players)]
         values.append(adi_exact(dense, x, kind).total)
-        step = adi_gradient(blocks, grads, x, kind)
+        step = adi_gradient(blocks, grads, grads, x, kind)
         x = StrategyProfile(
             [
                 simplex_project_euclidean(x[i] - 1e-3 * tangent_project(step[i]))
@@ -534,3 +556,28 @@ def test_monotone_descent_between_anneals():
         )
     diffs = np.diff(values)
     assert np.all(diffs <= 1e-6)
+
+
+@pytest.mark.parametrize(
+    "step",
+    [
+        lambda g: AdidasSolver(iterations=1, samples=3, exact_adi_every=0).fit(g),
+        lambda g: AdidasSolver(iterations=1, exact_gradients=True, exact_adi_every=0).fit(g),
+        lambda g: warmup_anneal_descend(g, 1, 1, 1.0),
+    ],
+    ids=["sampled", "exact", "warmup"],
+)
+def test_one_step_builds_each_payoff_gradient_once(step, monkeypatch):
+    # the aux update and the ADI gradient share one set of payoff gradients
+    from adinash.exact import PairwiseMatrices
+
+    calls = []
+    original = PairwiseMatrices.payoff_gradient
+
+    def counted(self, x, player):
+        calls.append(player)
+        return original(self, x, player)
+
+    monkeypatch.setattr(PairwiseMatrices, "payoff_gradient", counted)
+    step(make_el_farol(ElFarolSpec(players=4)).expand_to_tensor())
+    assert sorted(calls) == [0, 1, 2, 3]
