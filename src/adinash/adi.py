@@ -23,7 +23,7 @@ from .entropy import (
     entropy_value,
     _hard_argmax,
 )
-from .exact import expected_utility, payoff_gradient
+from .exact import expected_utility, payoff_gradient, payoff_gradients
 from .normalform import as_profile
 
 
@@ -54,8 +54,7 @@ def adi_exact(game, x, kind=Entropy.none(), validate=True):
     Desk-scale games only (full enumeration).
     """
     profile = as_profile(x, game.action_counts) if validate else x
-    grads = [payoff_gradient(game, profile, k, validate=False) for k in range(len(profile))]
-    return _gains(profile, grads, kind)
+    return _gains(profile, payoff_gradients(game, profile, validate=False), kind)
 
 
 def adi_amortized(x, aux, kind=Entropy.none()):

@@ -1,32 +1,148 @@
 """Exact payoff evaluation by full enumeration: utilities, gradients, and the
-pairwise bimatrix blocks shared by every solver. Desk-scale tensors only."""
+pairwise bimatrix blocks shared by every solver. Desk-scale tensors only.
 
+On a GameTensor each of these is a chain: one player's payoff tensor
+contracted with the strategies of the players it marginalizes out, in player
+order (all but the kept players: two for a block, the player for a payoff
+gradient, none for a utility). `_contract_chains` is the one kernel. It runs
+every chain of a call as one batched contraction per step, so all n(n-1)
+blocks of a profile cost one pass, and it reproduces the bytes of a
+per-chain np.tensordot chain exactly: the annealed warm-up amplifies
+last-bit differences into a different path. Stacks are split by owner to
+stay within DESK_SCALE_ENTRIES entries.
+"""
+
+import collections
+import functools
 import itertools
+import math
 
 import numpy as np
 
-from .normalform import SymmetricGame, as_profile
+from .normalform import DESK_SCALE_ENTRIES, SymmetricGame, as_profile
 
 
-def _contract(tensor, profile, keep):
-    """Contract every axis of an n-axis tensor except those in `keep`."""
-    out = tensor
-    removed = 0
-    for j in range(len(profile)):
-        if j in keep:
-            continue
-        out = np.tensordot(out, profile[j], axes=([j - removed], [0]))
-        removed += 1
-    return out
+def _player_index(name, value, players):
+    """A player index in [0, players), or ValueError naming the parameter."""
+    if isinstance(value, (bool, np.bool_)) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer player index, got {value!r}")
+    if not 0 <= value < players:
+        raise ValueError(f"{name} must be in [0, {players}), got {value}")
+    return int(value)
+
+
+def _chain(owner, keep, players):
+    """Owner's payoff tensor contracted over every player outside `keep`, in
+    player order: (owner, contracted players)."""
+    return owner, tuple(p for p in range(players) if p not in keep)
+
+
+def _owner_chunks(counts, chains, budget):
+    """Consecutive owner ranges [lo, hi) whose chains together never feed more
+    than `budget` entries to one contraction step (at least one owner each).
+    No step feeds a chain more than its owner's whole tensor."""
+    per_owner = collections.Counter(owner for owner, _ in chains)
+    chunks, total = [], 0
+    for owner in sorted(per_owner):
+        cost = per_owner[owner] * math.prod(counts)
+        if chunks and total + cost <= budget:
+            chunks[-1][1] = owner + 1
+            total += cost
+        else:
+            chunks.append([owner, owner + 1])
+            total = cost
+    return [tuple(c) for c in chunks]
+
+
+def _chunk_plan(counts, chains, lo, hi):
+    """Steps that contract the chains owned by players in [lo, hi).
+
+    A state is an owner's tensor after its first t contractions; chains of
+    one owner that contract the same players first share it. Level t holds
+    its states in blocks, one (rows, *shape) array per remaining shape; level
+    0 is the owners' payoff tensors. Step t makes level t+1: states whose
+    parents sit in the same block and whose next axis has the same position
+    there form one group, contracted by one batched matmul into a row range
+    of an output block.
+    """
+    mine = [(owner, order) for owner, order in chains if lo <= owner < hi]
+    where = {(owner, ()): (0, owner - lo) for owner, _ in mine}
+    shapes, steps = [tuple(counts)], []
+    for t in range(len(mine[0][1])):
+        groups = {}
+        for owner, order in mine:
+            done, who = order[:t], order[t]
+            block, row = where[(owner, done)]
+            remaining = [p for p in range(len(counts)) if p not in done]
+            members = groups.setdefault((block, remaining.index(who)), {})
+            members[(owner, order[: t + 1])] = (row, who)
+        out_shapes, fill, step, where = [], [], [], {}
+        for (block, pos), members in sorted(groups.items()):
+            shape = shapes[block][:pos] + shapes[block][pos + 1 :]
+            if shape not in out_shapes:
+                out_shapes.append(shape)
+                fill.append(0)
+            dst = out_shapes.index(shape)
+            start = fill[dst]
+            fill[dst] += len(members)
+            ordered = sorted(members.items(), key=lambda item: item[1])
+            rows = np.array([row for _, (row, _) in ordered])
+            axes = len(shapes[block])
+            perm = (0, *(1 + a for a in range(axes) if a != pos), 1 + pos)
+            players = np.array([p for _, (_, p) in ordered])
+            step.append((block, rows, perm, players, dst, start, start + len(members)))
+            for k, (state, _) in enumerate(ordered):
+                where[state] = (dst, start + k)
+        steps.append((tuple(zip(fill, out_shapes)), tuple(step)))
+        shapes = out_shapes
+    return lo, hi, mine, steps, [where[chain] for chain in mine]
+
+
+@functools.cache
+def _chain_plan(counts, chains, budget):
+    return [_chunk_plan(counts, chains, lo, hi) for lo, hi in _owner_chunks(counts, chains, budget)]
+
+
+def _contract_chains(game, profile, chains):
+    """Every chain (owner, contracted players) of a GameTensor at once: the
+    owner's payoff tensor contracted with x_p for each contracted p, the
+    other axes left in player order. One array per chain, in chain order.
+
+    Each contraction is the one np.tensordot makes on a single chain: the
+    contracted axis moved last, the tensor reshaped C-ordered to (rows, m),
+    and one gemv with x_p. A batched matmul runs that same gemv on every
+    chain of a group, so the results equal per-chain tensordot chains bit for
+    bit; chains that share their first contractions share those results.
+    """
+    counts = tuple(game.action_counts)
+    vectors = np.zeros((len(counts), max(counts)))
+    for p, strategy in enumerate(profile):
+        vectors[p, : len(strategy)] = strategy
+    out = {}
+    for lo, hi, mine, steps, finals in _chain_plan(counts, chains, DESK_SCALE_ENTRIES):
+        blocks = [game.payoffs[lo:hi]]
+        for out_shapes, step in steps:
+            outs = [np.empty((rows, *shape)) for rows, shape in out_shapes]
+            for block, rows, perm, players, dst, start, stop in step:
+                stack = blocks[block][rows]
+                width = stack.shape[perm[-1]]
+                moved = stack.transpose(perm).reshape(stop - start, -1, width)
+                target = outs[dst][start:stop].reshape(stop - start, -1, 1)
+                np.matmul(moved, vectors[players, :width, None], out=target)
+            blocks = outs
+        for chain, (block, row) in zip(mine, finals):
+            out[chain] = blocks[block][row]
+    return [out[chain] for chain in chains]
 
 
 def expected_utility(game, x, player, validate=True):
     """Exact expected utility u_i(x) by full enumeration over outcomes."""
+    player = _player_index("player", player, game.players)
     profile = as_profile(x, game.action_counts) if validate else x
     if isinstance(game, SymmetricGame):
         grad = _symmetric_deviation_payoffs(game, profile, player)
         return float(np.dot(profile[player], grad))
-    value = _contract(game.player_tensor(player), list(profile), keep=())
+    (value,) = _contract_chains(game, profile, (_chain(player, (), game.players),))
     return float(value)
 
 
@@ -35,11 +151,35 @@ def payoff_gradient(game, x, player, validate=True):
 
     Component a equals E_{x_-i}[u_i(a, x_-i)], so u_i(x) = x_i . gradient.
     """
-    if isinstance(game, SymmetricGame):
-        profile = as_profile(x, game.action_counts) if validate else x
-        return _symmetric_deviation_payoffs(game, profile, player)
+    player = _player_index("player", player, game.players)
     profile = as_profile(x, game.action_counts) if validate else x
-    return _contract(game.player_tensor(player), list(profile), keep=(player,))
+    if isinstance(game, SymmetricGame):
+        return _symmetric_deviation_payoffs(game, profile, player)
+    (grad,) = _contract_chains(game, profile, (_chain(player, (player,), game.players),))
+    return grad
+
+
+def payoff_gradients(game, x, validate=True):
+    """Every player's payoff_gradient, in player order; on a GameTensor in
+    one batched contraction."""
+    profile = as_profile(x, game.action_counts) if validate else x
+    if isinstance(game, SymmetricGame):
+        return [_symmetric_deviation_payoffs(game, profile, i) for i in range(game.players)]
+    chains = tuple(_chain(i, (i,), game.players) for i in range(game.players))
+    return _contract_chains(game, profile, chains)
+
+
+def _require_tensor(game):
+    if isinstance(game, SymmetricGame):
+        raise TypeError(
+            "pairwise blocks on compressed symmetric games come from "
+            "SymmetricGame.pair_payoff_matrix; expand_to_tensor for the general op"
+        )
+
+
+def _oriented(block, owner, partner):
+    """Owner's actions on the rows: a transposed view when partner < owner."""
+    return block.T if partner < owner else block
 
 
 def pairwise_jacobian_exact(game, x, owner, partner, validate=True):
@@ -48,18 +188,15 @@ def pairwise_jacobian_exact(game, x, owner, partner, validate=True):
     Rows index the owner's actions, columns the partner's. For any partner j,
     H @ x_j reproduces the owner's payoff gradient.
     """
+    owner = _player_index("owner", owner, game.players)
+    partner = _player_index("partner", partner, game.players)
     if owner == partner:
         raise ValueError("pairwise block needs two distinct players")
-    if isinstance(game, SymmetricGame):
-        raise TypeError(
-            "pairwise blocks on compressed symmetric games come from "
-            "SymmetricGame.pair_payoff_matrix; expand_to_tensor for the general op"
-        )
+    _require_tensor(game)
     profile = as_profile(x, game.action_counts) if validate else x
-    block = _contract(game.player_tensor(owner), list(profile), keep=(owner, partner))
-    if partner < owner:  # keep owner's actions on the rows
-        block = block.T
-    return block
+    chain = _chain(owner, (owner, partner), game.players)
+    (block,) = _contract_chains(game, profile, (chain,))
+    return _oriented(block, owner, partner)
 
 
 class PairwiseMatrices:
@@ -100,17 +237,23 @@ class PairwiseMatrices:
         return [self.payoff_gradient(x, i) for i in range(self.players)]
 
 
+@functools.cache
+def _pair_chains(players):
+    """Every ordered pair (i, j) and the chain of its block."""
+    pairs = tuple((i, j) for i in range(players) for j in range(players) if i != j)
+    return pairs, tuple(_chain(i, (i, j), players) for i, j in pairs)
+
+
 def exact_pairwise_matrices(game, x, validate=True):
-    """All pairwise blocks computed by exact marginalization."""
+    """All pairwise blocks computed by exact marginalization, in one batched
+    contraction."""
+    _require_tensor(game)
     profile = as_profile(x, game.action_counts) if validate else x
-    blocks = {}
-    for i in range(game.players):
-        for j in range(game.players):
-            if i != j:
-                blocks[(i, j)] = pairwise_jacobian_exact(
-                    game, profile, i, j, validate=False
-                )
-    return PairwiseMatrices(blocks, game.action_counts)
+    pairs, chains = _pair_chains(game.players)
+    blocks = _contract_chains(game, profile, chains)
+    return PairwiseMatrices(
+        {(i, j): _oriented(b, i, j) for (i, j), b in zip(pairs, blocks)}, game.action_counts
+    )
 
 
 def _symmetric_deviation_payoffs(game, profile, player):

@@ -10,7 +10,7 @@ import numpy as np
 
 from ..adi import adi_exact, symmetric_adi_exact
 from ..entropy import Entropy, _hard_argmax
-from ..exact import PairwiseMatrices, exact_pairwise_matrices, payoff_gradient
+from ..exact import PairwiseMatrices, exact_pairwise_matrices, payoff_gradients
 from ..normalform import GameTensor, StrategyProfile, SymmetricGame
 from .adidas import blocks_gradient, descent_step
 from .base import BaseSolver, IterateLog, profile_hash
@@ -57,7 +57,7 @@ def _gradients(source, profile):
         return source.payoff_gradients(profile)
     if n < source.players:
         return [source.deviation_payoffs(profile[0])]
-    return [payoff_gradient(source, profile, i, validate=False) for i in range(n)]
+    return payoff_gradients(source, profile, validate=False)
 
 
 def baseline_step(method, state, source, learning_rate):

@@ -2,16 +2,60 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from adinash import exact
 from adinash.exact import (
     exact_pairwise_matrices,
     expected_utility,
     pairwise_jacobian_exact,
     payoff_gradient,
+    payoff_gradients,
 )
+from adinash.generators import ElFarolSpec, make_covariant_random, make_el_farol
 from adinash.normalform import GameTensor, StrategyProfile
+from adinash.simplex import simplex_project_euclidean
 
 from conftest import random_game, random_profile
+
+
+def tensordot_chain(tensor, profile, keep):
+    """Reference: contract every axis outside `keep` with one np.tensordot
+    each, in player order."""
+    out = tensor
+    removed = 0
+    for j in range(len(profile)):
+        if j in keep:
+            continue
+        out = np.tensordot(out, profile[j], axes=([j - removed], [0]))
+        removed += 1
+    return out
+
+
+def reference_block(game, x, owner, partner):
+    block = tensordot_chain(game.player_tensor(owner), x, keep=(owner, partner))
+    return block.T if partner < owner else block
+
+
+def same_layout(got, want):
+    return (
+        np.array_equal(got, want)
+        and got.flags.c_contiguous == want.flags.c_contiguous
+        and got.flags.f_contiguous == want.flags.f_contiguous
+    )
+
+
+@st.composite
+def ragged_games_and_profiles(draw):
+    """2-5 players with 1-4 actions each, and a profile of Euclidean
+    projections of random points, so many entries are exactly zero."""
+    players = draw(st.integers(2, 5))
+    counts = draw(st.lists(st.integers(1, 4), min_size=players, max_size=players))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    game = GameTensor(rng.uniform(-1, 1, size=(players, *counts)))
+    x = [simplex_project_euclidean(rng.normal(size=m)) for m in counts]
+    return game, x
 
 
 class TestExpectedUtility:
@@ -76,6 +120,12 @@ class TestPayoffGradient:
                 dot = float(np.dot(x[i], payoff_gradient(g, x, i)))
                 assert dot == pytest.approx(expected_utility(g, x, i), abs=1e-9)
 
+    def test_symmetric_payoff_gradients_per_player(self):
+        game = make_el_farol(ElFarolSpec(players=3))
+        x = random_profile(np.random.default_rng(10), game)
+        for i, grad in enumerate(payoff_gradients(game, x)):
+            assert np.array_equal(grad, payoff_gradient(game, x, i))
+
 
 class TestPairwiseJacobian:
     def test_two_player_block_is_payoff_table(self, biased_game):
@@ -133,3 +183,89 @@ class TestPairwiseJacobian:
             assert np.allclose(
                 blocks.payoff_gradient(x, i), payoff_gradient(g, x, i), atol=1e-12
             )
+
+
+class TestBatchedContraction:
+    """The batched kernel reproduces per-chain np.tensordot bytes."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(ragged_games_and_profiles())
+    def test_matches_tensordot_chains_bitwise(self, case):
+        game, x = case
+        blocks = exact_pairwise_matrices(game, x, validate=False)
+        for i, j in blocks.pairs():
+            assert same_layout(blocks.matrix(i, j), reference_block(game, x, i, j))
+            assert same_layout(
+                pairwise_jacobian_exact(game, x, i, j, validate=False),
+                reference_block(game, x, i, j),
+            )
+        batched = payoff_gradients(game, x, validate=False)
+        for i in range(game.players):
+            want = tensordot_chain(game.player_tensor(i), x, keep=(i,))
+            assert payoff_gradient(game, x, i, validate=False).tobytes() == want.tobytes()
+            assert batched[i].tobytes() == want.tobytes()
+            value = expected_utility(game, x, i, validate=False)
+            want = float(tensordot_chain(game.player_tensor(i), x, keep=()))
+            assert np.float64(value).tobytes() == np.float64(want).tobytes()
+
+    @pytest.mark.parametrize(
+        "game",
+        [make_el_farol().expand_to_tensor(), make_covariant_random(4, 6, 0.0, seed=0)],
+        ids=["el_farol_10", "covariant_4x6"],
+    )
+    def test_benchmark_games_bitwise(self, game):
+        rng = np.random.default_rng(8)
+        x = random_profile(rng, game)
+        blocks = exact_pairwise_matrices(game, x)
+        for i, j in blocks.pairs():
+            assert same_layout(blocks.matrix(i, j), reference_block(game, x, i, j))
+
+    def test_owner_chunks_give_the_same_bytes(self, monkeypatch):
+        game = make_el_farol(ElFarolSpec(players=6)).expand_to_tensor()
+        x = random_profile(np.random.default_rng(9), game)
+        whole = exact_pairwise_matrices(game, x)
+        split = exact._owner_chunks
+        used = []
+        monkeypatch.setattr(exact, "_owner_chunks", lambda *a: used.append(split(*a)) or used[-1])
+        monkeypatch.setattr(exact, "DESK_SCALE_ENTRIES", 300)
+        exact._chain_plan.cache_clear()
+        chunked = exact_pairwise_matrices(game, x)
+        assert len(used) == 1 and len(used[0]) >= 3
+        for key in whole.pairs():
+            got, want = chunked.matrix(*key), whole.matrix(*key)
+            assert got.tobytes() == want.tobytes()
+            assert got.strides == want.strides
+
+
+class TestPlayerIndices:
+    @pytest.fixture
+    def case(self):
+        game = make_covariant_random(3, 2, 0.0, seed=0)
+        return game, StrategyProfile.uniform(game.action_counts)
+
+    @pytest.mark.parametrize(
+        "owner,partner,name", [(0, 5, "partner"), (-1, 0, "owner"), (3, 0, "owner"), (0, 1.0, "partner")]
+    )
+    def test_pairwise_rejects_bad_indices(self, case, owner, partner, name):
+        game, x = case
+        with pytest.raises(ValueError, match=name):
+            pairwise_jacobian_exact(game, x, owner, partner)
+
+    @pytest.mark.parametrize("player", [-1, 3, True])
+    def test_gradient_and_utility_reject_bad_indices(self, case, player):
+        game, x = case
+        with pytest.raises(ValueError, match="player"):
+            payoff_gradient(game, x, player)
+        with pytest.raises(ValueError, match="player"):
+            expected_utility(game, x, player)
+
+    def test_symmetric_game_rejects_bad_indices(self):
+        game = make_el_farol(ElFarolSpec(players=3))
+        x = StrategyProfile.uniform(game.action_counts)
+        with pytest.raises(ValueError, match="player"):
+            payoff_gradient(game, x, -1)
+
+    def test_numpy_integers_accepted(self, case):
+        game, x = case
+        want = payoff_gradient(game, x, 1)
+        assert np.array_equal(payoff_gradient(game, x, np.int64(1)), want)
