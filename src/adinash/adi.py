@@ -17,13 +17,12 @@ from scipy import special
 
 from .entropy import (
     LOGIT_FLOOR,
-    SHANNON_TEMP_MIN,
     Entropy,
     best_response,
     entropy_value,
     _hard_argmax,
 )
-from .exact import expected_utility, payoff_gradient, payoff_gradients
+from .exact import expected_utility, payoff_gradients
 from .normalform import as_profile
 
 
@@ -78,11 +77,7 @@ def _gains(profile, grads, kind):
         gain += entropy_value(br.dist, kind, br.scale)
         gain -= entropy_value(profile[k], kind, br.scale)
         per[k] = gain
-    return AdiReport(per, regularized=_is_regularized(kind))
-
-
-def _is_regularized(kind):
-    return kind.family != "none" and kind.temperature > 0.0
+    return AdiReport(per, regularized=kind.family != "none" and kind.temperature > 0.0)
 
 
 def symmetric_adi_exact(game, strategy):
@@ -121,7 +116,7 @@ def response_terms(nabla, y, x, kind):
             temperature + 1.0
         ) * br.dist ** (1.0 - temperature)
         return nabla - br.scale * x**temperature, effect
-    if temperature >= SHANNON_TEMP_MIN:
+    if not kind.is_hard:
         br = special.softmax(y / temperature)
         br_jac = (np.diag(br) - np.outer(br, br)) / temperature
         with np.errstate(divide="ignore"):
@@ -174,8 +169,7 @@ def consensus_loss_check(game, x, validate=True):
     kind = Entropy.tsallis(1.0)
     lhs = 0.0
     rhs = 0.0
-    for k in range(profile.players):
-        grad = payoff_gradient(game, profile, k, validate=False)
+    for k, grad in enumerate(payoff_gradients(game, profile, validate=False)):
         br = best_response(grad, kind)
         deviated = list(profile.strategies)
         deviated[k] = br.dist

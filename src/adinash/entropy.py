@@ -26,8 +26,10 @@ class Entropy:
     def __post_init__(self):
         if self.family not in ("shannon", "tsallis", "none"):
             raise ValueError(f"unknown entropy family {self.family!r}")
-        if self.family == "shannon" and self.temperature < 0.0:
-            raise ValueError("shannon temperature must be >= 0")
+        if self.family == "shannon" and not 0.0 <= self.temperature < np.inf:
+            raise ValueError(
+                f"shannon temperature must be finite and >= 0, got {self.temperature!r}"
+            )
         if self.family == "tsallis" and not 0.0 <= self.temperature <= 1.0:
             raise ValueError("tsallis power must lie in [0, 1]")
         if self.family == "none" and self.temperature != 0.0:

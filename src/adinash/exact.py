@@ -19,16 +19,7 @@ import math
 
 import numpy as np
 
-from .normalform import DESK_SCALE_ENTRIES, SymmetricGame, as_profile
-
-
-def _player_index(name, value, players):
-    """A player index in [0, players), or ValueError naming the parameter."""
-    if isinstance(value, (bool, np.bool_)) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{name} must be an integer player index, got {value!r}")
-    if not 0 <= value < players:
-        raise ValueError(f"{name} must be in [0, {players}), got {value}")
-    return int(value)
+from .normalform import DESK_SCALE_ENTRIES, SymmetricGame, as_profile, validate_integer
 
 
 def _chain(owner, keep, players):
@@ -137,7 +128,7 @@ def _contract_chains(game, profile, chains):
 
 def expected_utility(game, x, player, validate=True):
     """Exact expected utility u_i(x) by full enumeration over outcomes."""
-    player = _player_index("player", player, game.players)
+    player = validate_integer("player", player, 0, game.players)
     profile = as_profile(x, game.action_counts) if validate else x
     if isinstance(game, SymmetricGame):
         grad = _symmetric_deviation_payoffs(game, profile, player)
@@ -151,7 +142,7 @@ def payoff_gradient(game, x, player, validate=True):
 
     Component a equals E_{x_-i}[u_i(a, x_-i)], so u_i(x) = x_i . gradient.
     """
-    player = _player_index("player", player, game.players)
+    player = validate_integer("player", player, 0, game.players)
     profile = as_profile(x, game.action_counts) if validate else x
     if isinstance(game, SymmetricGame):
         return _symmetric_deviation_payoffs(game, profile, player)
@@ -188,8 +179,8 @@ def pairwise_jacobian_exact(game, x, owner, partner, validate=True):
     Rows index the owner's actions, columns the partner's. For any partner j,
     H @ x_j reproduces the owner's payoff gradient.
     """
-    owner = _player_index("owner", owner, game.players)
-    partner = _player_index("partner", partner, game.players)
+    owner = validate_integer("owner", owner, 0, game.players)
+    partner = validate_integer("partner", partner, 0, game.players)
     if owner == partner:
         raise ValueError("pairwise block needs two distinct players")
     _require_tensor(game)

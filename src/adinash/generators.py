@@ -8,6 +8,7 @@ import numpy as np
 
 from .normalform import GameTensor, SymmetricGame, multiset_count
 from .oracles import BernoulliOracle
+from .sampling import new_rng
 
 
 @dataclass(frozen=True)
@@ -130,7 +131,7 @@ def make_covariant_random(players, actions, correlation, seed=0):
     # eigendecomposition keeps the boundary cases (rho = 1, rho = -1/(n-1)) PSD
     eigvals, eigvecs = np.linalg.eigh(cov)
     root = eigvecs @ np.diag(np.sqrt(np.clip(eigvals, 0.0, None)))
-    rng = np.random.Generator(np.random.Philox(key=int(seed)))
+    rng = new_rng(seed)
     outcomes = int(np.prod([actions] * n))
     z = rng.standard_normal((outcomes, n))
     values = z @ root.T
@@ -151,7 +152,7 @@ def planted_winrates(players, actions, sharpness=2.0, seed=0):
     against the opponents', scaled into [0, 1]; entries sum to 1 per multiset
     like an empirical win probability.
     """
-    rng = np.random.Generator(np.random.Philox(key=int(seed)))
+    rng = new_rng(seed)
     quality = np.sort(rng.random(actions)) * sharpness
 
     def winrate(own, opponents):

@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .entropy import Entropy
-from .normalform import as_profile, multiset_count
+from .normalform import as_profile, multiset_count, validate_integer
 from .sampling import new_rng
 from .solvers import AdidasSolver, BaselineSolver, SymmetricAdidasSolver
 from .solvers.adidas import _GeneralView, blocks_gradient
@@ -269,6 +269,9 @@ def measure_gradient_bias(game, x, kinds, sample_counts, trials, seed=0):
     offset: exact blocks from the desk game (the mean game of a Bernoulli
     oracle), samples from the game's oracle.
     """
+    validate_integer("trials", trials, 1)
+    for count in sample_counts:
+        validate_integer("sample_counts", count, 0)
     view = _GeneralView(game, Entropy.none())
     profile = as_profile(x, view.counts)
     rng = new_rng(seed)

@@ -29,11 +29,8 @@ class _Tokenizer:
         while self.pos < len(self.text) and self.text[self.pos].isspace():
             self.pos += 1
 
-    def peek_offset(self):
-        self.skip_ws()
-        return self.pos
-
     def next(self, what="token"):
+        """The next token and the byte offset where it starts."""
         self.skip_ws()
         if self.pos >= len(self.text):
             raise NfgParseError(f"unexpected end of input, wanted {what}", self.pos)
@@ -45,35 +42,24 @@ class _Tokenizer:
             if self.pos >= len(self.text):
                 raise NfgParseError("unterminated string", start)
             self.pos += 1
-            return self.text[start:self.pos]
+            return self.text[start:self.pos], start
         while self.pos < len(self.text) and not self.text[self.pos].isspace():
             self.pos += 1
-        return self.text[start:self.pos]
+        return self.text[start:self.pos], start
 
     def expect(self, literal):
-        offset = self.peek_offset()
-        tok = self.next(repr(literal))
+        tok, offset = self.next(repr(literal))
         if tok != literal:
             raise NfgParseError(f"expected {literal!r}, found {tok!r}", offset)
 
     def string(self):
-        offset = self.peek_offset()
-        tok = self.next("quoted string")
+        tok, offset = self.next("quoted string")
         if not (tok.startswith('"') and tok.endswith('"')):
             raise NfgParseError(f"expected quoted string, found {tok!r}", offset)
         return tok[1:-1]
 
-    def integer(self):
-        offset = self.peek_offset()
-        tok = self.next("integer")
-        try:
-            return int(tok)
-        except ValueError:
-            raise NfgParseError(f"expected integer, found {tok!r}", offset) from None
-
     def number(self):
-        offset = self.peek_offset()
-        tok = self.next("number")
+        tok, offset = self.next("number")
         try:
             return float(tok)
         except ValueError:
@@ -88,18 +74,17 @@ def loads(text):
     """Parse .nfg text into (GameTensor, title, player names)."""
     tok = _Tokenizer(text)
     tok.expect("NFG")
-    offset = tok.peek_offset()
-    if tok.next("version") != "1":
+    version, offset = tok.next("version")
+    if version != "1":
         raise NfgParseError("only NFG version 1 is supported", offset)
-    offset = tok.peek_offset()
-    if tok.next("precision") != "R":
+    precision, offset = tok.next("precision")
+    if precision != "R":
         raise NfgParseError("only the rational/real payoff format 'R' is supported", offset)
     title = tok.string()
     tok.expect("{")
     names = []
     while True:
-        offset = tok.peek_offset()
-        t = tok.next("player name or }")
+        t, offset = tok.next("player name or }")
         if t == "}":
             break
         if not (t.startswith('"') and t.endswith('"')):
@@ -108,8 +93,7 @@ def loads(text):
     tok.expect("{")
     counts = []
     while True:
-        offset = tok.peek_offset()
-        t = tok.next("action count or }")
+        t, offset = tok.next("action count or }")
         if t == "}":
             break
         try:
@@ -128,20 +112,18 @@ def loads(text):
     expected = n * outcomes
     values = np.zeros(expected)
     for k in range(expected):
-        offset = tok.peek_offset()
         if tok.at_end():
             raise NfgParseError(
                 f"payoff list ended early: expected {expected} values "
                 f"(players x outcomes = {n} x {outcomes}), found {k}",
-                offset,
+                tok.pos,
             )
         values[k] = tok.number()
-    offset = tok.peek_offset()
     if not tok.at_end():
         raise NfgParseError(
             f"trailing data after {expected} payoffs "
             f"(players x outcomes = {n} x {outcomes})",
-            offset,
+            tok.pos,
         )
 
     # value layout: outcomes in first-action-fastest order, players innermost

@@ -5,6 +5,7 @@ stored as its deviation table (own action x opponent multiset), and (in
 :mod:`adinash.oracles`) query-by-joint-action access.
 """
 
+import functools
 import itertools
 import math
 
@@ -40,18 +41,13 @@ def multiset_rank(multiset, actions):
     return rank
 
 
-_COMB_TABLE_CACHE = {}
-
-
+@functools.cache
 def _comb_table(actions, k):
-    key = (actions, k)
-    if key not in _COMB_TABLE_CACHE:
-        table = np.zeros((actions + k, k + 1), dtype=np.int64)
-        for v in range(actions + k):
-            for j in range(1, k + 1):
-                table[v, j] = math.comb(v, j)
-        _COMB_TABLE_CACHE[key] = table
-    return _COMB_TABLE_CACHE[key]
+    table = np.zeros((actions + k, k + 1), dtype=np.int64)
+    for v in range(actions + k):
+        for j in range(1, k + 1):
+            table[v, j] = math.comb(v, j)
+    return table
 
 
 def multiset_rank_array(multisets, actions):
@@ -75,11 +71,29 @@ def _multiset_rows(actions, size):
     return np.array(list(enumerate_multisets(actions, size)), dtype=np.int64)
 
 
+def validate_integer(name, value, low, high=None):
+    """`value` as an int in [low, high), unbounded above when `high` is None;
+    bools, non-integers and values out of range raise ValueError naming the
+    parameter."""
+    if isinstance(value, (bool, np.bool_)) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < low or (high is not None and value >= high):
+        bounds = f">= {low}" if high is None else f"in [{low}, {high})"
+        raise ValueError(f"{name} must be {bounds}, got {value}")
+    return int(value)
+
+
 def validate_joint_action(joint, action_counts):
+    """The joint action as a tuple of ints; an action that int() would change
+    or that lies outside its player's range raises ValueError naming the
+    player."""
+    joint = tuple(joint)
     a = tuple(int(v) for v in joint)
     if len(a) != len(action_counts):
         raise ValueError(f"joint action length {len(a)} != players {len(action_counts)}")
-    for i, (ai, mi) in enumerate(zip(a, action_counts)):
+    for i, (v, ai, mi) in enumerate(zip(joint, a, action_counts)):
+        if ai != v:
+            raise ValueError(f"player {i} action {v!r} is not an integer")
         if not 0 <= ai < mi:
             raise ValueError(f"player {i} action {ai} outside [0, {mi})")
     return a
@@ -321,12 +335,15 @@ class SymmetricGame:
             self._weights = self._multiset_weights(opponents, self.actions)
         return self._weights
 
+    def _iid_weights(self, strategy, counts, log_coef):
+        """Probability of each multiset, given by its action counts and log
+        multinomial coefficient, under iid play of `strategy`."""
+        x = as_distribution(strategy, self.actions)
+        return np.exp(log_coef + counts @ np.log(np.clip(x, 1e-300, None)))
+
     def opponent_profile_weights(self, strategy):
         """Probability of each opponent multiset under iid play of `strategy`."""
-        x = as_distribution(strategy, self.actions)
-        counts, log_coef = self._opponent_weights()
-        logs = counts @ np.log(np.clip(x, 1e-300, None))
-        return np.exp(log_coef + logs)
+        return self._iid_weights(strategy, *self._opponent_weights())
 
     def deviation_payoffs(self, strategy):
         """Exact expected payoff of each own action when opponents play `strategy`."""
@@ -338,9 +355,8 @@ class SymmetricGame:
         G is the focal player's view of the bimatrix game against one designated
         opponent; by exchangeability the opponent's view is G.T.
         """
-        x = as_distribution(strategy, self.actions)
         table, counts, log_coef = self._pair_table()
-        weights = np.exp(log_coef + counts @ np.log(np.clip(x, 1e-300, None)))
+        weights = self._iid_weights(strategy, counts, log_coef)
         m = self.actions
         return (weights @ table.reshape(-1, m * m)).reshape(m, m)
 

@@ -23,7 +23,13 @@ from ..adi import (
 # best_response has no caller here; bench/tracer.py patches this binding
 from ..entropy import Entropy, best_response  # noqa: F401
 from ..exact import exact_pairwise_matrices
-from ..normalform import DESK_SCALE_ENTRIES, GameTensor, StrategyProfile, SymmetricGame
+from ..normalform import (
+    DESK_SCALE_ENTRIES,
+    GameTensor,
+    StrategyProfile,
+    SymmetricGame,
+    validate_integer,
+)
 from ..oracles import BernoulliOracle, PayoffOracle, as_oracle
 from ..sampling import (
     AuxiliaryState,
@@ -156,16 +162,13 @@ class AdidasSolver(BaseSolver):
                 raise ValueError(f"{name} must be positive and finite, got {value!r}")
         if not self.aux_learning_rate <= 1.0:
             raise ValueError(f"aux_learning_rate must be <= 1, got {self.aux_learning_rate!r}")
-        every = self.exact_adi_every
-        if not (every is None or every >= 0):
-            raise ValueError(f"exact_adi_every must be None or >= 0, got {every!r}")
+        if self.exact_adi_every is not None:
+            validate_integer("exact_adi_every", self.exact_adi_every, 0)
         temperature = self.initial_temperature
         if temperature is not None and not np.isfinite(float(temperature)):
             raise ValueError(f"initial_temperature must be finite, got {temperature!r}")
         for name in ("iterations", "samples", "bernoulli_repeats"):
-            value = getattr(self, name)
-            if not value >= 1:
-                raise ValueError(f"{name} must be >= 1, got {value!r}")
+            validate_integer(name, getattr(self, name), 1)
 
     def _descend(self, view_type, game_or_oracle):
         """The anneal-and-descend loop of both solvers; `view_type` supplies
@@ -467,8 +470,6 @@ def warmup_anneal_descend(
         kind = Entropy(entropy_family, temperature)
         step_size = learning_rate * min(1.0, temperature)
         for _ in range(int(descent_steps)):
-            blocks = view.exact_blocks(x)
-            nablas = view.payoff_gradients(blocks, x)
-            grads = view.gradients(blocks, nablas, nablas, x, kind)
+            grads = blocks_gradient(view.exact_blocks(x), x, kind)
             x = view.wrap(descent_step(x, grads, step_size, projection, tangent_projection))
     return x

@@ -11,7 +11,7 @@ import numpy as np
 from ..adi import adi_exact, symmetric_adi_exact
 from ..entropy import Entropy, _hard_argmax
 from ..exact import PairwiseMatrices, exact_pairwise_matrices, payoff_gradients
-from ..normalform import GameTensor, StrategyProfile, SymmetricGame
+from ..normalform import GameTensor, StrategyProfile, SymmetricGame, validate_integer
 from .adidas import blocks_gradient, descent_step
 from .base import BaseSolver, IterateLog, profile_hash
 
@@ -86,8 +86,18 @@ def baseline_step(method, state, source, learning_rate):
     if method in ("ed", "extragrad") and isinstance(source, PairwiseMatrices):
         raise ValueError(f"{method} needs the game itself, not estimates")
 
-    if method == "ftrl":
+    if method in ("ftrl", "ed", "extragrad"):
+        # ascent from x along the gradient at a midpoint: x itself (ftrl), the
+        # best response (ed; extragrad without a finite inner step), or one
+        # inner ascent step (extragrad)
         grads = _gradients(source, x)
+        if method != "ftrl":
+            inner = state.inner_step
+            if method == "ed" or inner is None or np.isinf(inner):
+                midpoint = [_hard_argmax(g) for g in grads]
+            else:
+                midpoint = descent_step(x, [-g for g in grads], inner, tangent=False)
+            grads = _gradients(source, StrategyProfile(midpoint))
         new = descent_step(x, [-g for g in grads], learning_rate, tangent=False)
     elif method == "rm":
         grads = _gradients(source, x)
@@ -112,22 +122,6 @@ def baseline_step(method, state, source, learning_rate):
         for i in range(n):
             state.counts[i][int(np.argmax(grads[i]))] += 1.0
         new = [state.counts[i] / state.counts[i].sum() for i in range(n)]
-    elif method == "ed":
-        grads_now = _gradients(source, x)
-        responses = StrategyProfile([_hard_argmax(g) for g in grads_now])
-        ascent = _gradients(source, responses)
-        new = descent_step(x, [-g for g in ascent], learning_rate, tangent=False)
-    elif method == "extragrad":
-        inner = state.inner_step
-        grads_now = _gradients(source, x)
-        if inner is None or np.isinf(inner):
-            midpoint = StrategyProfile([_hard_argmax(g) for g in grads_now])
-        else:
-            midpoint = StrategyProfile(
-                descent_step(x, [-g for g in grads_now], inner, tangent=False)
-            )
-        outer = _gradients(source, midpoint)
-        new = descent_step(x, [-g for g in outer], learning_rate, tangent=False)
     else:  # ped: descent on the zero-entropy deviation incentive
         if isinstance(source, PairwiseMatrices):
             matrices = source
@@ -181,17 +175,15 @@ class BaselineSolver(BaseSolver):
             raise ValueError(f"method must be one of {METHODS}, got {self.method!r}")
         if self.report not in (None, "average", "last"):
             raise ValueError(f"report must be None, 'average' or 'last', got {self.report!r}")
-        if not self.iterations >= 1:
-            raise ValueError(f"iterations must be >= 1, got {self.iterations!r}")
+        validate_integer("iterations", self.iterations, 1)
         rate = self.learning_rate
         if not (np.isfinite(rate) and rate > 0.0):
             raise ValueError(f"learning_rate must be positive and finite, got {rate!r}")
         inner = self.inner_step
         if not (inner is None or inner == np.inf or (np.isfinite(inner) and inner > 0.0)):
             raise ValueError(f"inner_step must be None, inf or positive and finite, got {inner!r}")
-        every = self.exact_adi_every
-        if not (every is None or every >= 1):
-            raise ValueError(f"exact_adi_every must be None or >= 1, got {every!r}")
+        if self.exact_adi_every is not None:
+            validate_integer("exact_adi_every", self.exact_adi_every, 1)
         if self.symmetric and self.method not in SHARED_METHODS:
             raise ValueError(
                 f"symmetric=True needs a method in {SHARED_METHODS}, got {self.method!r}"

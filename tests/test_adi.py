@@ -8,8 +8,9 @@ from adinash.adi import (
     adi_exact,
     adi_gradient,
     consensus_loss_check,
+    response_terms,
 )
-from adinash.entropy import Entropy
+from adinash.entropy import SHANNON_TEMP_MIN, Entropy
 from adinash.exact import exact_pairwise_matrices, payoff_gradient
 from adinash.generators import BlottoSpec, make_blotto, make_modified_shapley
 from adinash.normalform import GameTensor, StrategyProfile
@@ -127,6 +128,20 @@ class TestGradients:
                 fd = finite_difference_adi_gradient(g, x, kind, i, h)
                 rel = np.abs(analytic[i] - fd).max() / max(1.0, np.abs(analytic[i]).max())
                 assert rel <= 1e-4
+
+    def test_response_terms_switch_at_the_shannon_cutoff(self):
+        # the smooth branch starts exactly where Entropy.is_hard ends
+        nabla = np.array([0.3, 0.1, 0.2])
+        y = np.array([0.0, 1e-3, 2e-3])  # gaps of one cutoff: no one-hot softmax
+        x = np.array([0.2, 0.3, 0.5])
+        below = Entropy.shannon(np.nextafter(SHANNON_TEMP_MIN, 0.0))
+        at = Entropy.shannon(SHANNON_TEMP_MIN)
+        assert below.is_hard and not at.is_hard
+        policy, effect = response_terms(nabla, y, x, below)
+        assert np.array_equal(effect, np.array([0.0, 0.0, 1.0]) - x)
+        assert np.array_equal(policy, nabla - below.temperature * (np.log(x) + 1.0))
+        _, effect = response_terms(nabla, y, x, at)
+        assert np.abs(effect - (np.array([0.0, 0.0, 1.0]) - x)).max() > 0.1
 
     @pytest.mark.parametrize("power", TEMPERATURE_GRID)
     @pytest.mark.parametrize("players", (2, 3))

@@ -76,6 +76,23 @@ class TestExploitabilityDescent:
                 for a, b in zip(ed.profile, xg.profile):
                     assert np.abs(a - b).max() <= 1e-12
 
+    def test_ed_ignores_inner_step(self):
+        # ed's midpoint is the best response whatever inner_step holds: a
+        # state carrying a finite inner step steps like extragrad at inf
+        rng = np.random.default_rng(3)
+        g = random_game(rng, players=3)
+        ed = BaselineState.initial(g.action_counts)
+        ed.inner_step = 0.5
+        xg = BaselineState.initial(g.action_counts)
+        xg.inner_step = float("inf")
+        for _ in range(20):
+            ed = baseline_step("ed", ed, g, 0.1)
+            xg = baseline_step("extragrad", xg, g, 0.1)
+            for a, b in zip(ed.profile, xg.profile):
+                assert a.tobytes() == b.tobytes()
+        for a, b in zip(ed.average, xg.average):
+            assert a.tobytes() == b.tobytes()
+
     def test_finite_inner_step_differs(self):
         rng = np.random.default_rng(2)
         g = random_game(rng, players=2)
@@ -214,6 +231,10 @@ class TestValidation:
             (dict(method="extragrad", inner_step=-float("inf")), "inner_step"),
             (dict(method="ed", symmetric=True), "symmetric"),
             (dict(exact_adi_every=0), "exact_adi_every"),
+            # non-integer counts used to be truncated: 2.5 ran 2 iterations
+            (dict(iterations=2.5), "iterations"),
+            (dict(iterations=True), "iterations"),
+            (dict(exact_adi_every=1.5), "exact_adi_every"),
         ],
     )
     def test_solver_rejects_bad_parameter_by_name(self, params, name):

@@ -185,6 +185,13 @@ class TestReportAndBias:
         assert code == 0
         assert stdout.splitlines()[0].startswith("family,temperature")
 
+    def test_bias_rejects_zero_trials(self, capsys):
+        code, _, stderr = run_cli(
+            capsys, "bias", "--game", "shapley", "--sample-counts", "1", "--trials", "0"
+        )
+        assert code == 1
+        assert "trials" in stderr
+
     @pytest.mark.parametrize(
         "game",
         [

@@ -20,6 +20,14 @@ class TestEntropyKind:
         with pytest.raises(ValueError):
             Entropy("boltzmann", 1.0)
 
+    @pytest.mark.parametrize("family", ["shannon", "tsallis", "none"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_rejects_non_finite_temperature(self, family, value):
+        # a NaN Shannon temperature used to pass, and a run with it logged
+        # NaN estimates
+        with pytest.raises(ValueError, match="temperature|power"):
+            Entropy(family, value)
+
     def test_anneal_halves_and_clips(self):
         kind = Entropy.shannon(100.0)
         kind = kind.anneal()

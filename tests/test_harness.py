@@ -226,6 +226,22 @@ class TestGradientBias:
         assert dist[0.05] < dist[0.0]
         assert dist[0.05] < dist[2.0]
 
+    @pytest.mark.parametrize(
+        "trials, counts, name",
+        [
+            (0, [1], "trials"),
+            (2.5, [1], "trials"),
+            (2, [-1], "sample_counts"),
+            (2, [1.5], "sample_counts"),
+        ],
+    )
+    def test_rejects_bad_counts_by_name(self, trials, counts, name):
+        # trials=0 gave NaN rows, a negative count an IndexError
+        game = make_modified_shapley(0.5)
+        x = StrategyProfile.uniform([3, 3])
+        with pytest.raises(ValueError, match=name):
+            measure_gradient_bias(game, x, [Entropy.shannon(0.1)], counts, trials=trials)
+
     def test_rows_carry_kind_metadata(self):
         game = make_modified_shapley(0.5)
         x = StrategyProfile.uniform([3, 3])

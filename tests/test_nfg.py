@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -47,6 +49,35 @@ class TestParsing:
         with pytest.raises(NfgParseError) as err:
             loads(text)
         assert err.value.offset == text.index("oops")
+
+    @pytest.mark.parametrize(
+        "marked, message",
+        [
+            ("^", "unexpected end of input, wanted 'NFG'"),
+            ("  NFG\n^", "wanted version"),
+            ("NFG ^2 R", "only NFG version 1"),
+            ("NFG 1 ^D", "payoff format 'R'"),
+            ("NFG 1 R ^title", "expected quoted string"),
+            ('NFG 1 R ^"t', "unterminated string"),
+            ('NFG 1 R "t" ^[', "expected '{', found '['"),
+            ('NFG 1 R "t" { "a" ^b }', "expected quoted player name"),
+            ('NFG 1 R "t" { "a" "b" ^', "wanted player name or }"),
+            ('NFG 1 R "t" { "a" "b" } { 2 ^x }', "expected action count"),
+            ('NFG 1 R "t" { "a" "b" } { 1 1 ^', "wanted action count or }"),
+            ('NFG 1 R "t" { "a" } { 2 2 }^ 1 1', "1 players but 2 action counts"),
+            ('NFG 1 R "t" { } { }^', "no players declared"),
+            ('NFG 1 R "t" { "a" "b" } { 1 1 }\n1 \n^', "ended early"),
+            ('NFG 1 R "t" { "a" "b" } { 1 1 } 1 ^zz', "expected payoff number"),
+            ('NFG 1 R "t" { "a" "b" } { 1 1 } 1 2\n ^3', "trailing data"),
+        ],
+    )
+    def test_every_error_site_reports_its_byte_offset(self, marked, message):
+        # "^" marks where the error is; it is not part of the input
+        offset = marked.index("^")
+        with pytest.raises(NfgParseError, match=re.escape(message)) as err:
+            loads(marked.replace("^", ""))
+        assert err.value.offset == offset
+        assert str(err.value).endswith(f"(byte offset {offset})")
 
     def test_bad_header(self):
         with pytest.raises(NfgParseError):

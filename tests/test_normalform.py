@@ -17,8 +17,11 @@ from adinash.normalform import (
     multiset_count,
     multiset_rank,
     multiset_rank_array,
+    validate_integer,
     validate_joint_action,
 )
+from adinash.generators import make_modified_shapley
+from adinash.oracles import TensorOracle
 from conftest import symmetric_games
 
 
@@ -85,6 +88,32 @@ class TestJointAction:
             validate_joint_action((2, 0), (2, 3))
         with pytest.raises(ValueError):
             validate_joint_action((0,), (2, 3))
+
+    def test_rejects_actions_that_int_would_change(self):
+        # 0.9 used to be truncated to action 0
+        with pytest.raises(ValueError, match="player 0 action 0.9"):
+            TensorOracle(make_modified_shapley()).query(0, (0.9, 1))
+        with pytest.raises(ValueError, match="player 1 action 1.5"):
+            validate_joint_action([0, 1.5], (2, 3))
+
+    def test_accepts_integral_values(self):
+        joint = validate_joint_action((np.int64(1), 2.0), (2, 3))
+        assert joint == (1, 2) and all(type(a) is int for a in joint)
+
+
+class TestValidateInteger:
+    def test_range(self):
+        assert validate_integer("n", np.int32(3), 1) == 3
+        assert validate_integer("owner", 2, 0, 3) == 2
+        with pytest.raises(ValueError, match="owner must be in \\[0, 3\\), got 3"):
+            validate_integer("owner", 3, 0, 3)
+        with pytest.raises(ValueError, match="n must be >= 1, got 0"):
+            validate_integer("n", 0, 1)
+
+    @pytest.mark.parametrize("value", [2.5, 2.0, True, np.bool_(True), "2", None])
+    def test_rejects_non_integers_by_name(self, value):
+        with pytest.raises(ValueError, match="samples must be an integer"):
+            validate_integer("samples", value, 1)
 
 
 class TestGameTensor:

@@ -191,15 +191,22 @@ class TestAdidasSolver:
             )
             for value in (float("nan"), float("inf"))
         ]
-        + [("bernoulli_repeats", 0), ("aux_learning_rate", 2.0), ("exact_adi_every", -1)],
+        + [("bernoulli_repeats", 0), ("aux_learning_rate", 2.0), ("exact_adi_every", -1)]
+        + [
+            ("iterations", 2.5),
+            ("samples", 1.5),
+            ("bernoulli_repeats", True),
+            ("exact_adi_every", 2.5),
+        ],
     )
     def test_rejects_bad_hyperparameter_by_name(self, solver_type, name, value):
         # NaN slips through "<= 0" checks: it used to run without annealing
         # or fail deep inside the loop; aux_learning_rate=2 failed at the
-        # first aux update without naming it, and exact_adi_every=-1 ran an
-        # exact evaluation every iteration
+        # first aux update without naming it, exact_adi_every=-1 ran an
+        # exact evaluation every iteration, and non-integer counts were
+        # truncated (iterations=2.5 ran 2 iterations)
         game = make_el_farol(ElFarolSpec(players=3))
-        solver = solver_type(entropy="shannon", iterations=5, **{name: value})
+        solver = solver_type(**{"entropy": "shannon", "iterations": 5, name: value})
         with pytest.raises(ValueError, match=name):
             solver.fit(game)
 
