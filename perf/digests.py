@@ -1,0 +1,188 @@
+"""Fixed-seed digests of adinash runs, for proving a refactor byte for byte.
+
+Each run is a small, fully seeded solve (both ADIDAS solvers over every
+entropy, exact and sampled blocks and both projections; the six baselines on
+six games and the shared-strategy form; the exact warm-up; the gradient-bias
+table; block fills of a Bernoulli oracle). A run's digest is the sha256 of
+its metric-CSV bytes, final strategies and query count, or of the error it
+raised. Output is one ``<sha256>  <run>`` line per run and then
+``<sha256>  total`` over those lines, so two trees agree exactly when their
+outputs are equal:
+
+    python3 perf/digests.py > after.txt
+    python3 perf/digests.py --src /path/to/other/tree/src > before.txt
+    diff before.txt after.txt
+
+Only parameters every tree since the one-loop refactor accepts are used.
+Takes about 6 s on one CPU; errors are echoed to stderr.
+"""
+
+import argparse
+import hashlib
+import pathlib
+import sys
+
+import numpy as np
+
+REPO_SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
+
+
+def _games(gen):
+    """Name -> game or oracle builder; oracles are rebuilt per run so their
+    query counters and draws start fresh."""
+    return {
+        "shapley": lambda: gen.make_modified_shapley(0.5),
+        "covariant3x3": lambda: gen.make_covariant_random(3, 3, 0.0, seed=1),
+        "covariant2x4": lambda: gen.make_covariant_random(2, 4, -0.5, seed=2),
+        "elfarol4": lambda: gen.make_el_farol(gen.ElFarolSpec(players=4)),
+        "blotto": lambda: gen.make_blotto(gen.BlottoSpec(coins=4, fields=3, players=3)),
+        "bernoulli": lambda: gen.make_bernoulli_metagame(
+            gen.planted_winrates(3, 3, seed=0), seed=4
+        ),
+        "elfarol4_dense": lambda: gen.make_el_farol(gen.ElFarolSpec(players=4)).expand_to_tensor(),
+    }
+
+
+def _strategy_bytes(strategies):
+    return b"".join(np.ascontiguousarray(s, dtype=np.float64).tobytes() for s in strategies)
+
+
+def _fitted_bytes(solver):
+    return solver.log_.csv_bytes() + _strategy_bytes(solver.profile_) + repr(
+        getattr(solver, "queries_", None)
+    ).encode()
+
+
+def _temperature(entropy, projection):
+    """The default temperature, except a Shannon mirror run: at temperature
+    100 its first step leaves the simplex interior and the run proves little."""
+    return 1.0 if (entropy, projection) == ("shannon", "mirror") else None
+
+
+def runs():
+    """(name, thunk returning bytes) for every run, in a fixed order."""
+    from adinash import generators as gen
+    from adinash.entropy import Entropy
+    from adinash.harness import measure_gradient_bias
+    from adinash.sampling import estimate_pairwise_matrices, new_rng, sample_joint_action
+    from adinash.solvers import AdidasSolver, BaselineSolver, SymmetricAdidasSolver
+    from adinash.solvers.adidas import warmup_anneal_descend
+
+    games = _games(gen)
+    out = []
+
+    def solve(factory, game, **params):
+        return lambda: _fitted_bytes(factory(**params).fit(games[game]()))
+
+    for game in ("shapley", "covariant3x3", "elfarol4", "bernoulli"):
+        for entropy in ("shannon", "tsallis", "none"):
+            for exact in (False, True):
+                for projection in ("euclidean", "mirror"):
+                    name = f"adidas/{game}/{entropy}/{'exact' if exact else 'sampled'}/{projection}"
+                    out.append((name, solve(
+                        AdidasSolver, game, entropy=entropy, exact_gradients=exact,
+                        projection=projection, initial_temperature=_temperature(entropy, projection), iterations=40, samples=2,
+                        learning_rate=0.05, adi_threshold=0.05, exact_adi_every=10, seed=3,
+                    )))
+    for game in ("covariant3x3", "elfarol4"):
+        out.append((f"adidas/{game}/no-tangent", solve(
+            AdidasSolver, game, tangent_projection=False, iterations=30, seed=5,
+            initial_temperature=0.5, exact_adi_every=10,
+        )))
+        out.append((f"adidas/{game}/average", solve(
+            AdidasSolver, game, average_iterates=True, anneal=False, iterations=30, seed=6,
+            exact_adi_every=10,
+        )))
+
+    for game in ("elfarol4", "blotto", "bernoulli"):
+        for entropy in ("shannon", "tsallis", "none"):
+            for exact in (False, True):
+                for projection in ("euclidean", "mirror"):
+                    name = f"symmetric/{game}/{entropy}/{'exact' if exact else 'sampled'}/{projection}"
+                    out.append((name, solve(
+                        SymmetricAdidasSolver, game, entropy=entropy, exact_gradients=exact,
+                        projection=projection, initial_temperature=_temperature(entropy, projection), iterations=40, samples=5,
+                        learning_rate=0.05, adi_threshold=0.05, exact_adi_every=10, seed=7,
+                    )))
+
+    for game in ("shapley", "covariant3x3", "covariant2x4", "elfarol4", "blotto", "elfarol4_dense"):
+        for method in ("ftrl", "rm", "fp", "ed", "extragrad", "ped"):
+            out.append((f"baseline/{game}/{method}", solve(
+                BaselineSolver, game, method=method, iterations=40, learning_rate=0.1,
+                exact_adi_every=10, seed=0,
+            )))
+    out.append(("baseline/covariant3x3/extragrad-inner", solve(
+        BaselineSolver, "covariant3x3", method="extragrad", inner_step=0.2, iterations=40,
+        learning_rate=0.1,
+    )))
+    for game in ("elfarol4", "blotto"):
+        for method in ("ftrl", "rm", "fp"):
+            out.append((f"baseline/{game}/{method}-shared", solve(
+                BaselineSolver, game, method=method, symmetric=True, iterations=40,
+                learning_rate=0.1, exact_adi_every=10,
+            )))
+
+    def warmup(game, **schedule):
+        return lambda: _strategy_bytes(warmup_anneal_descend(games[game](), **schedule))
+
+    out.append(("warmup/elfarol4", warmup(
+        "elfarol4", anneal_rounds=3, descent_steps=20, anneal_increment=10.0, learning_rate=1.0
+    )))
+    out.append(("warmup/shapley", warmup(
+        "shapley", anneal_rounds=4, descent_steps=10, anneal_increment=0.5, learning_rate=0.05
+    )))
+    out.append(("warmup/covariant3x3", warmup(
+        "covariant3x3", anneal_rounds=3, descent_steps=10, anneal_increment=1.0
+    )))
+    out.append(("warmup/shapley-tsallis", lambda: _strategy_bytes(warmup_anneal_descend(
+        gen.make_modified_shapley(0.5, offset=True), 3, 10, 1.0, entropy_family="tsallis"
+    ))))
+
+    kinds = [Entropy.none(), Entropy("shannon", 0.1), Entropy("shannon", 1.0)]
+    for game in ("shapley", "covariant3x3", "elfarol4", "bernoulli"):
+        def bias(game=game):
+            built = games[game]()
+            counts = built.action_counts
+            x = [np.full(m, 1.0 / m) for m in counts]
+            rows = measure_gradient_bias(built, x, kinds, [0, 1, 3], trials=5, seed=8)
+            return repr(rows).encode()
+
+        out.append((f"bias/{game}", bias))
+
+    def fills():
+        oracle = games["bernoulli"]()
+        rng = new_rng(9)
+        x = [np.array([0.2, 0.3, 0.5])] * oracle.players
+        blocks = []
+        for _ in range(20):
+            matrices = estimate_pairwise_matrices(oracle, sample_joint_action(x, rng))
+            blocks += [matrices.matrix(*key) for key in matrices.pairs()]
+        return _strategy_bytes(blocks) + repr(oracle.queries).encode()
+
+    out.append(("fill/bernoulli", fills))
+    return out
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--src", default=str(REPO_SRC), help="the src/ directory to import adinash from")
+    args = parser.parse_args(argv)
+    sys.path.insert(0, str(pathlib.Path(args.src).resolve()))
+    import adinash
+
+    print(f"adinash from {pathlib.Path(adinash.__file__).parent}", file=sys.stderr)
+    total = hashlib.sha256()
+    for name, thunk in runs():
+        try:
+            payload = thunk()
+        except Exception as err:  # an error is an outcome too; it must match
+            payload = f"error {type(err).__name__}: {err}".encode()
+            print(f"{name}: {payload.decode()}", file=sys.stderr)
+        line = f"{hashlib.sha256(payload).hexdigest()}  {name}"
+        print(line)
+        total.update(line.encode() + b"\n")
+    print(f"{total.hexdigest()}  total")
+
+
+if __name__ == "__main__":
+    main()

@@ -46,14 +46,14 @@ class AdiReport:
         return float(self.per_player.max())
 
 
-def adi_exact(game, x, kind=Entropy.none(), validate=True):
+def adi_exact(game, x, kind=Entropy.none()):
     """Deviation incentive of every player against exact expected payoffs.
 
     With an unregularized kind this is NashConv: nonnegative, zero iff Nash.
     Desk-scale games only (full enumeration).
     """
-    profile = as_profile(x, game.action_counts) if validate else x
-    return _gains(profile, payoff_gradients(game, profile, validate=False), kind)
+    profile = as_profile(x, game.action_counts)
+    return _gains(profile, payoff_gradients(game, profile), kind)
 
 
 def adi_amortized(x, aux, kind=Entropy.none()):
@@ -156,7 +156,7 @@ def adi_gradient(matrices, nablas, grads, x, kind):
     return out
 
 
-def consensus_loss_check(game, x, validate=True):
+def consensus_loss_check(game, x):
     """Both sides of the squared-gradient-regularizer identity at power 1.
 
     lhs routes through the power-1 response operator and exact utility
@@ -165,16 +165,14 @@ def consensus_loss_check(game, x, validate=True):
     """
     if game.payoffs.min() <= 0.0:
         raise ValueError("identity needs strictly positive payoffs; offset the game")
-    profile = as_profile(x, game.action_counts) if validate else x
+    profile = as_profile(x, game.action_counts)
     kind = Entropy.tsallis(1.0)
     lhs = 0.0
     rhs = 0.0
-    for k, grad in enumerate(payoff_gradients(game, profile, validate=False)):
+    for k, grad in enumerate(payoff_gradients(game, profile)):
         br = best_response(grad, kind)
         deviated = list(profile.strategies)
         deviated[k] = br.dist
-        lhs += expected_utility(game, deviated, k) - expected_utility(
-            game, profile, k, validate=False
-        )
+        lhs += expected_utility(game, deviated, k) - expected_utility(game, profile, k)
         rhs += float(np.dot(grad, grad) / br.scale - np.dot(profile[k], grad))
     return lhs, rhs

@@ -126,10 +126,10 @@ def _contract_chains(game, profile, chains):
     return [out[chain] for chain in chains]
 
 
-def expected_utility(game, x, player, validate=True):
+def expected_utility(game, x, player):
     """Exact expected utility u_i(x) by full enumeration over outcomes."""
     player = validate_integer("player", player, 0, game.players)
-    profile = as_profile(x, game.action_counts) if validate else x
+    profile = as_profile(x, game.action_counts)
     if isinstance(game, SymmetricGame):
         grad = _symmetric_deviation_payoffs(game, profile, player)
         return float(np.dot(profile[player], grad))
@@ -137,23 +137,23 @@ def expected_utility(game, x, player, validate=True):
     return float(value)
 
 
-def payoff_gradient(game, x, player, validate=True):
+def payoff_gradient(game, x, player):
     """Expected payoff of each of `player`'s actions against x_{-i}.
 
     Component a equals E_{x_-i}[u_i(a, x_-i)], so u_i(x) = x_i . gradient.
     """
     player = validate_integer("player", player, 0, game.players)
-    profile = as_profile(x, game.action_counts) if validate else x
+    profile = as_profile(x, game.action_counts)
     if isinstance(game, SymmetricGame):
         return _symmetric_deviation_payoffs(game, profile, player)
     (grad,) = _contract_chains(game, profile, (_chain(player, (player,), game.players),))
     return grad
 
 
-def payoff_gradients(game, x, validate=True):
+def payoff_gradients(game, x):
     """Every player's payoff_gradient, in player order; on a GameTensor in
     one batched contraction."""
-    profile = as_profile(x, game.action_counts) if validate else x
+    profile = as_profile(x, game.action_counts)
     if isinstance(game, SymmetricGame):
         return [_symmetric_deviation_payoffs(game, profile, i) for i in range(game.players)]
     chains = tuple(_chain(i, (i,), game.players) for i in range(game.players))
@@ -173,7 +173,7 @@ def _oriented(block, owner, partner):
     return block.T if partner < owner else block
 
 
-def pairwise_jacobian_exact(game, x, owner, partner, validate=True):
+def pairwise_jacobian_exact(game, x, owner, partner):
     """The bimatrix block H[r, c] = E_{x_-ij}[u_owner(r, c, x_-ij)].
 
     Rows index the owner's actions, columns the partner's. For any partner j,
@@ -184,7 +184,7 @@ def pairwise_jacobian_exact(game, x, owner, partner, validate=True):
     if owner == partner:
         raise ValueError("pairwise block needs two distinct players")
     _require_tensor(game)
-    profile = as_profile(x, game.action_counts) if validate else x
+    profile = as_profile(x, game.action_counts)
     chain = _chain(owner, (owner, partner), game.players)
     (block,) = _contract_chains(game, profile, (chain,))
     return _oriented(block, owner, partner)
@@ -235,11 +235,11 @@ def _pair_chains(players):
     return pairs, tuple(_chain(i, (i, j), players) for i, j in pairs)
 
 
-def exact_pairwise_matrices(game, x, validate=True):
+def exact_pairwise_matrices(game, x):
     """All pairwise blocks computed by exact marginalization, in one batched
     contraction."""
     _require_tensor(game)
-    profile = as_profile(x, game.action_counts) if validate else x
+    profile = as_profile(x, game.action_counts)
     pairs, chains = _pair_chains(game.players)
     blocks = _contract_chains(game, profile, chains)
     return PairwiseMatrices(

@@ -145,15 +145,15 @@ def make_bernoulli_metagame(winrates, seed=0):
     return BernoulliOracle(winrates, seed=seed)
 
 
-def planted_winrates(players, actions, sharpness=2.0, seed=0):
+def planted_winrates(players, actions, seed=0):
     """A synthetic symmetric winrate table with a graded quality per action.
 
     Winrate of playing `a` in a multiset is the softmax share of its quality
-    against the opponents', scaled into [0, 1]; entries sum to 1 per multiset
-    like an empirical win probability.
+    (sorted uniform draws on [0, 2)) against the opponents', scaled into
+    [0, 1]; entries sum to 1 per multiset like an empirical win probability.
     """
     rng = new_rng(seed)
-    quality = np.sort(rng.random(actions)) * sharpness
+    quality = np.sort(rng.random(actions)) * 2.0
 
     def winrate(own, opponents):
         qs = quality[np.column_stack([own, opponents])]
@@ -162,9 +162,3 @@ def planted_winrates(players, actions, sharpness=2.0, seed=0):
 
     return SymmetricGame.from_batch_function(players, actions, winrate)
 
-
-def chebyshev_samples(epsilon, failure_probability, variance=0.25):
-    """Samples needed so the mean lands within epsilon of truth by Chebyshev."""
-    if epsilon <= 0 or not 0 < failure_probability < 1:
-        raise ValueError("need epsilon > 0 and failure probability in (0, 1)")
-    return math.ceil(variance / (failure_probability * epsilon**2))

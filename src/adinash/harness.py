@@ -98,21 +98,19 @@ def _resolve_cell_params(base_params, cell):
     return params
 
 
-def default_sweep_grids(include_temperature=True):
+def default_sweep_grids():
     """The standard sweep: strategy rates over five decades, auxiliary rate as
     a multiple of the strategy rate, anneal thresholds, both projections, and
-    (optionally) fixed temperatures alongside the annealed run."""
-    grids = {
+    fixed temperatures alongside the annealed run."""
+    return {
         "learning_rate": [1e-5, 1e-4, 1e-3, 1e-2, 1e-1],
         "aux_rate_ratio": [1.0, 10.0, 100.0],
         "adi_threshold": [0.01, 0.05],
         "projection": ["euclidean", "mirror"],
         "tangent_projection": [True, False],
+        "initial_temperature": [0.0, 0.01, 0.05, 0.1],
+        "anneal": [False],
     }
-    if include_temperature:
-        grids["initial_temperature"] = [0.0, 0.01, 0.05, 0.1]
-        grids["anneal"] = [False]
-    return grids
 
 
 def _run_cell(config, cell_index, cell, rep):
@@ -286,7 +284,7 @@ def measure_gradient_bias(game, x, kinds, sample_counts, trials, seed=0):
             else:
                 acc = np.zeros_like(exact_full)
                 for _ in range(trials):
-                    blocks = view.sampled_blocks(profile, rng, count, 1)
+                    blocks = view.sampled_blocks(profile, rng, count)
                     acc += np.concatenate(blocks_gradient(blocks, profile, kind))
                 mean = acc / trials
             distance, angle = _compare(mean, exact_full)

@@ -85,10 +85,17 @@ def validate_integer(name, value, low, high=None):
 
 def validate_joint_action(joint, action_counts):
     """The joint action as a tuple of ints; an action that int() would change
-    or that lies outside its player's range raises ValueError naming the
-    player."""
+    or reject (NaN, inf) or that lies outside its player's range raises
+    ValueError naming the player."""
     joint = tuple(joint)
-    a = tuple(int(v) for v in joint)
+    a = []
+    try:
+        for v in joint:
+            a.append(int(v))
+    except (ValueError, OverflowError):
+        # the failing action is the one after those converted
+        raise ValueError(f"player {len(a)} action {joint[len(a)]!r} is not an integer") from None
+    a = tuple(a)
     if len(a) != len(action_counts):
         raise ValueError(f"joint action length {len(a)} != players {len(action_counts)}")
     for i, (v, ai, mi) in enumerate(zip(joint, a, action_counts)):
@@ -248,9 +255,9 @@ class SymmetricGame:
         return cls(players, actions, table)
 
     @classmethod
-    def from_tensor(cls, game, tol=1e-12):
+    def from_tensor(cls, game):
         """Compress a dense tensor, verifying permutation invariance: the
-        expansion of the compressed game must reproduce every entry."""
+        expansion of the compressed game must reproduce every entry to 1e-12."""
         n = game.players
         if len(set(game.action_counts)) != 1:
             raise ValueError("symmetric game needs identical action counts")
@@ -259,7 +266,7 @@ class SymmetricGame:
         # player 0 plays the own action, players 1.. the sorted opponent multiset
         table = game.payoffs[0][(np.arange(m)[:, None], *opponents.T[:, None, :])]
         symmetric = cls(n, m, table)
-        mismatch = np.abs(symmetric.expand_to_tensor().payoffs - game.payoffs) > tol
+        mismatch = np.abs(symmetric.expand_to_tensor().payoffs - game.payoffs) > 1e-12
         if mismatch.any():
             player, *joint = np.argwhere(mismatch)[0].tolist()
             raise ValueError(
@@ -341,13 +348,9 @@ class SymmetricGame:
         x = as_distribution(strategy, self.actions)
         return np.exp(log_coef + counts @ np.log(np.clip(x, 1e-300, None)))
 
-    def opponent_profile_weights(self, strategy):
-        """Probability of each opponent multiset under iid play of `strategy`."""
-        return self._iid_weights(strategy, *self._opponent_weights())
-
     def deviation_payoffs(self, strategy):
         """Exact expected payoff of each own action when opponents play `strategy`."""
-        return self.table @ self.opponent_profile_weights(strategy)
+        return self.table @ self._iid_weights(strategy, *self._opponent_weights())
 
     def pair_payoff_matrix(self, strategy):
         """Exact m x m matrix G[r, c] = E[u(r; c, rest)] with rest ~ strategy iid.

@@ -40,20 +40,9 @@ class PayoffOracle:
         raise NotImplementedError
 
     def pair_payoffs(self, owner, partner, base_joint):
-        """Fill the (m_owner, m_partner) block by substituting (r, c) into base.
-
-        Counts m_owner * m_partner queries. Subclasses override with vector code.
-        """
-        m_i = self.action_counts[owner]
-        m_j = self.action_counts[partner]
-        block = np.zeros((m_i, m_j))
-        joint = list(base_joint)
-        for r in range(m_i):
-            for c in range(m_j):
-                joint[owner] = r
-                joint[partner] = c
-                block[r, c] = self.query(owner, joint)
-        return block
+        """The (m_owner, m_partner) block with (r, c) substituted into base;
+        counts m_owner * m_partner queries."""
+        raise NotImplementedError
 
     def is_symmetric(self):
         return False

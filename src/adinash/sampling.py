@@ -40,23 +40,13 @@ def sample_joint_action(x, rng):
     return tuple(int(sample_actions(strategy, rng)[0]) for strategy in as_profile(x))
 
 
-def estimate_pairwise_matrices(oracle, joint_action, repeats=1):
+def estimate_pairwise_matrices(oracle, joint_action):
     """Fill every ordered pair's block by substituting (r, c) into the sample.
 
-    All pairs reuse the same joint action. Averages `repeats` independent
-    fills (each a fresh draw for stochastic oracles); the query counter
-    advances by sum_{i != j} m_i * m_j per fill.
+    All pairs reuse the same joint action; the query counter advances by
+    sum_{i != j} m_i * m_j. Oracle failures surface with the offending pair
+    attached.
     """
-    if not repeats >= 1:
-        raise ValueError(f"repeats must be >= 1, got {repeats!r}")
-    return mean_pairwise_matrices(
-        [_fill(oracle, joint_action) for _ in range(int(repeats))]
-    )
-
-
-def _fill(oracle, joint_action):
-    """One fill of every ordered pair's block; oracle failures surface with
-    the offending pair attached."""
     n = oracle.players
     blocks = {}
     for i in range(n):

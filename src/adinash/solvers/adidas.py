@@ -124,7 +124,6 @@ class AdidasSolver(BaseSolver):
         adi_threshold=0.001,
         iterations=1000,
         samples=1,
-        bernoulli_repeats=1,
         exact_gradients=False,
         projection="euclidean",
         tangent_projection=True,
@@ -141,7 +140,6 @@ class AdidasSolver(BaseSolver):
         self.adi_threshold = adi_threshold
         self.iterations = iterations
         self.samples = samples
-        self.bernoulli_repeats = bernoulli_repeats
         self.exact_gradients = exact_gradients
         self.projection = projection
         self.tangent_projection = tangent_projection
@@ -167,7 +165,7 @@ class AdidasSolver(BaseSolver):
         temperature = self.initial_temperature
         if temperature is not None and not np.isfinite(float(temperature)):
             raise ValueError(f"initial_temperature must be finite, got {temperature!r}")
-        for name in ("iterations", "samples", "bernoulli_repeats"):
+        for name in ("iterations", "samples"):
             validate_integer(name, getattr(self, name), 1)
 
     def _descend(self, view_type, game_or_oracle):
@@ -179,9 +177,7 @@ class AdidasSolver(BaseSolver):
         oracle, desk = view.oracle, view.desk
         if self.exact_gradients and desk is None:
             raise ValueError(view.needs_desk)
-        iterations, samples, repeats = (
-            int(self.iterations), int(self.samples), int(self.bernoulli_repeats)
-        )
+        iterations, samples = int(self.iterations), int(self.samples)
         rng = new_rng(self.seed)
         x = view.wrap([np.full(m, 1.0 / m) for m in view.counts])
         aux = AuxiliaryState.zeros(view.counts)
@@ -196,7 +192,7 @@ class AdidasSolver(BaseSolver):
             if self.exact_gradients:
                 blocks = view.exact_blocks(x)
             else:
-                blocks = view.sampled_blocks(x, rng, samples, repeats)
+                blocks = view.sampled_blocks(x, rng, samples)
             nablas = view.payoff_gradients(blocks, x)
             aux = update_aux(aux, nablas, self.aux_learning_rate)
             estimate, estimate_unreg = view.amortized(x, aux.y, kind)
@@ -323,12 +319,11 @@ class _GeneralView:
     def exact_blocks(self, x):
         return exact_pairwise_matrices(self.tensor, x)
 
-    def sampled_blocks(self, x, rng, samples, repeats):
-        """Blocks averaged over `samples` joint actions drawn from x, each
-        filled `repeats` times."""
+    def sampled_blocks(self, x, rng, samples):
+        """Blocks averaged over `samples` joint actions drawn from x."""
         return mean_pairwise_matrices(
             [
-                estimate_pairwise_matrices(self.oracle, sample_joint_action(x, rng), repeats)
+                estimate_pairwise_matrices(self.oracle, sample_joint_action(x, rng))
                 for _ in range(samples)
             ]
         )
@@ -379,16 +374,12 @@ class _SymmetricView(_GeneralView):
     def exact_blocks(self, x):
         return self.desk.pair_payoff_matrix(x[0])
 
-    def sampled_blocks(self, x, rng, samples, reps):
+    def sampled_blocks(self, x, rng, samples):
         """The focal block averaged over `samples` rests drawn from x: one
-        draw of every rest, one batched read (each rest read `reps` times in
-        a row), and the blocks added in sample order."""
-        m = self.counts[0]
+        draw of every rest, one batched read, and the blocks added in sample
+        order."""
         rests = sample_actions(x[0], rng, samples * (self.players - 2))
-        rests = rests.reshape(samples, self.players - 2)
-        blocks = self.oracle.symmetric_pair_payoffs(np.repeat(rests, reps, axis=0))
-        if reps > 1:
-            blocks = blocks.reshape(samples, reps, m, m).sum(axis=1) / reps
+        blocks = self.oracle.symmetric_pair_payoffs(rests.reshape(samples, self.players - 2))
         # a total started at 0.0, like the per-sample loop it replaces: -0.0 sums to 0.0
         return np.add.reduce(blocks, axis=0, initial=0.0) / samples
 
@@ -441,8 +432,6 @@ def warmup_anneal_descend(
     anneal_increment,
     learning_rate=0.05,
     entropy_family="shannon",
-    projection="euclidean",
-    tangent_projection=True,
 ):
     """The exact-gradient warm-up: anneal the inverse temperature, re-descend.
 
@@ -451,25 +440,28 @@ def warmup_anneal_descend(
     steps on the deviation incentive at temperature 1/lam. The per-round step
     size is learning_rate * min(1, temperature): the loss curvature grows as
     1/temperature, so a fixed step leaves the stability region as the path
-    cools. Desk-scale games only; no Tsallis offset is applied.
+    cools. Steps are Euclidean and tangent-projected. Desk-scale games only;
+    no Tsallis offset is applied.
 
     Steps through the general view, even for a SymmetricGame: the symmetric
     view's gradients differ in the last bits, and at large step sizes the
     warm-up amplifies such differences into a different path.
     """
+    rounds = validate_integer("anneal_rounds", anneal_rounds, 0)
+    steps = validate_integer("descent_steps", descent_steps, 0)
     view = _GeneralView(game, Entropy.none())
     if view.desk is None:
         raise ValueError(view.needs_desk)
     lam = 0.0
     x = view.wrap([np.full(m, 1.0 / m) for m in view.counts])
-    for _ in range(int(anneal_rounds)):
+    for _ in range(rounds):
         lam += float(anneal_increment)
         temperature = 1.0 / lam
         if entropy_family == "tsallis":
             temperature = min(1.0, temperature)
         kind = Entropy(entropy_family, temperature)
         step_size = learning_rate * min(1.0, temperature)
-        for _ in range(int(descent_steps)):
+        for _ in range(steps):
             grads = blocks_gradient(view.exact_blocks(x), x, kind)
-            x = view.wrap(descent_step(x, grads, step_size, projection, tangent_projection))
+            x = view.wrap(descent_step(x, grads, step_size))
     return x

@@ -10,7 +10,7 @@ import numpy as np
 
 from ..adi import adi_exact, symmetric_adi_exact
 from ..entropy import Entropy, _hard_argmax
-from ..exact import PairwiseMatrices, exact_pairwise_matrices, payoff_gradients
+from ..exact import exact_pairwise_matrices, payoff_gradients
 from ..normalform import GameTensor, StrategyProfile, SymmetricGame, validate_integer
 from .adidas import blocks_gradient, descent_step
 from .base import BaseSolver, IterateLog, profile_hash
@@ -49,25 +49,18 @@ class BaselineState:
         )
 
 
-def _gradients(source, profile):
-    """Per-player payoff gradients from a game or from estimated blocks; one
-    gradient for a strategy shared by every player of a SymmetricGame."""
-    n = len(profile)
-    if isinstance(source, PairwiseMatrices):
-        return source.payoff_gradients(profile)
-    if n < source.players:
-        return [source.deviation_payoffs(profile[0])]
-    return payoff_gradients(source, profile, validate=False)
+def _gradients(game, profile):
+    """Per-player payoff gradients; one gradient for a strategy shared by
+    every player of a SymmetricGame."""
+    if len(profile) < game.players:
+        return [game.deviation_payoffs(profile[0])]
+    return payoff_gradients(game, profile)
 
 
-def baseline_step(method, state, source, learning_rate):
-    """One iteration of the named dynamic; returns the advanced state.
-
-    `source` is a desk-scale game for exact play or a PairwiseMatrices bundle
-    of estimates (ftrl / rm / fp / ped only; the best-response dynamics need
-    the game itself to re-evaluate gradients at modified profiles). A state
-    with fewer strategies than `source` has players is the shared-strategy
-    form: ftrl / rm / fp on a SymmetricGame.
+def baseline_step(method, state, game, learning_rate):
+    """One iteration of the named dynamic on a desk-scale game; returns the
+    advanced state. A state with fewer strategies than `game` has players is
+    the shared-strategy form: ftrl / rm / fp on a SymmetricGame.
     """
     if method not in METHODS:
         raise ValueError(f"unknown baseline {method!r}; choose from {METHODS}")
@@ -76,31 +69,28 @@ def baseline_step(method, state, source, learning_rate):
     t = state.t + 1
     # StrategyProfile renormalizes, which would change a shared strategy's bytes
     wrap = StrategyProfile
-    if n < source.players:
+    if n < game.players:
         if method not in SHARED_METHODS:
             raise ValueError(f"{method!r} has no shared-strategy form here")
-        if not isinstance(source, SymmetricGame):
+        if not isinstance(game, SymmetricGame):
             raise ValueError("the shared-strategy form needs a SymmetricGame")
         wrap = list
-
-    if method in ("ed", "extragrad") and isinstance(source, PairwiseMatrices):
-        raise ValueError(f"{method} needs the game itself, not estimates")
 
     if method in ("ftrl", "ed", "extragrad"):
         # ascent from x along the gradient at a midpoint: x itself (ftrl), the
         # best response (ed; extragrad without a finite inner step), or one
         # inner ascent step (extragrad)
-        grads = _gradients(source, x)
+        grads = _gradients(game, x)
         if method != "ftrl":
             inner = state.inner_step
             if method == "ed" or inner is None or np.isinf(inner):
                 midpoint = [_hard_argmax(g) for g in grads]
             else:
                 midpoint = descent_step(x, [-g for g in grads], inner, tangent=False)
-            grads = _gradients(source, StrategyProfile(midpoint))
+            grads = _gradients(game, StrategyProfile(midpoint))
         new = descent_step(x, [-g for g in grads], learning_rate, tangent=False)
     elif method == "rm":
-        grads = _gradients(source, x)
+        grads = _gradients(game, x)
         for i in range(n):
             state.cumulative_regret[i] += grads[i] - float(np.dot(x[i], grads[i]))
         new = []
@@ -118,15 +108,12 @@ def baseline_step(method, state, source, learning_rate):
             empirical.append(
                 c / c.sum() if c.sum() > 0 else np.full(c.size, 1.0 / c.size)
             )
-        grads = _gradients(source, wrap(empirical))
+        grads = _gradients(game, wrap(empirical))
         for i in range(n):
             state.counts[i][int(np.argmax(grads[i]))] += 1.0
         new = [state.counts[i] / state.counts[i].sum() for i in range(n)]
     else:  # ped: descent on the zero-entropy deviation incentive
-        if isinstance(source, PairwiseMatrices):
-            matrices = source
-        else:
-            matrices = exact_pairwise_matrices(source, x, validate=False)
+        matrices = exact_pairwise_matrices(game, x)
         new = descent_step(x, blocks_gradient(matrices, x, Entropy.none()), learning_rate)
 
     state.profile = wrap(new)

@@ -43,9 +43,13 @@ def random_profile(rng, game, concentration=3.0):
 
 
 def finite_difference_adi_gradient(game, profile, kind, player, h):
-    """Central differences of the exact deviation incentive, one player."""
-    from adinash.adi import adi_exact
+    """Central differences of the exact deviation incentive of a GameTensor,
+    one player. The perturbed profiles leave the simplex, where adi_exact
+    refuses them, so the multilinear extension is evaluated directly: the
+    library's payoff-gradient contractions and its gain loop."""
+    from adinash import adi, exact
 
+    chains = tuple(exact._chain(i, (i,), game.players) for i in range(game.players))
     m = profile[player].size
     out = np.zeros(m)
     for a in range(m):
@@ -53,7 +57,8 @@ def finite_difference_adi_gradient(game, profile, kind, player, h):
         for sign in (1.0, -1.0):
             pert = [np.array(s) for s in profile]
             pert[player][a] += sign * h
-            values.append(adi_exact(game, pert, kind, validate=False).total)
+            grads = exact._contract_chains(game, pert, chains)
+            values.append(adi._gains(pert, grads, kind).total)
         out[a] = (values[0] - values[1]) / (2.0 * h)
     return out
 

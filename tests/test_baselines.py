@@ -195,18 +195,6 @@ class TestValidation:
         with pytest.raises(ValueError):
             baseline_step("cfr", state, matching_pennies, 0.1)
 
-    def test_best_response_methods_refuse_estimates(self, matching_pennies):
-        state = BaselineState.initial((2, 2))
-        blocks = exact_pairwise_matrices(matching_pennies, state.profile)
-        with pytest.raises(ValueError):
-            baseline_step("ed", state, blocks, 0.1)
-
-    def test_ftrl_accepts_estimates(self, matching_pennies):
-        state = BaselineState.initial((2, 2))
-        blocks = exact_pairwise_matrices(matching_pennies, state.profile)
-        state = baseline_step("ftrl", state, blocks, 0.1)
-        assert all(is_distribution(s) for s in state.profile)
-
     def test_iterates_remain_distributions(self):
         rng = np.random.default_rng(4)
         g = random_game(rng, players=3)

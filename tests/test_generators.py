@@ -11,7 +11,6 @@ from adinash.generators import (
     BlottoSpec,
     ElFarolSpec,
     blotto_allocations,
-    chebyshev_samples,
     make_bernoulli_metagame,
     make_blotto,
     make_covariant_random,
@@ -172,10 +171,6 @@ class TestBernoulliMetagame:
         draws = 10_000
         mean = np.mean([oracle.query(0, joint) for _ in range(draws)])
         assert abs(mean - p) <= 0.02
-
-    def test_chebyshev_sample_count(self):
-        # winrate within 0.01 at 95%: far more than the 223-per-entry budget
-        assert chebyshev_samples(0.01, 0.05) > 223
 
     def test_planted_winrates_valid(self):
         table = planted_winrates(7, 5, seed=5)

@@ -96,6 +96,19 @@ class TestJointAction:
         with pytest.raises(ValueError, match="player 1 action 1.5"):
             validate_joint_action([0, 1.5], (2, 3))
 
+    @pytest.mark.parametrize(
+        "bad",
+        [float("nan"), float("inf"), -np.inf, np.float64("nan")],
+        ids=["nan", "inf", "-inf", "np-nan"],
+    )
+    def test_rejects_non_finite_actions_naming_the_player(self, bad):
+        # NaN raised "cannot convert float NaN to integer" with no player, and
+        # inf an OverflowError, which the CLI reports as a numeric failure
+        with pytest.raises(ValueError, match="player 1 action"):
+            validate_joint_action((0, bad), (3, 3))
+        with pytest.raises(ValueError, match="player 0 action"):
+            TensorOracle(make_modified_shapley()).pair_payoffs(0, 1, (bad, 1))
+
     def test_accepts_integral_values(self):
         joint = validate_joint_action((np.int64(1), 2.0), (2, 3))
         assert joint == (1, 2) and all(type(a) is int for a in joint)

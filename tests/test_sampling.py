@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 
 from adinash.exact import exact_pairwise_matrices, payoff_gradient
-from adinash.generators import planted_winrates
 from adinash.normalform import GameTensor, StrategyProfile
-from adinash.oracles import BernoulliOracle, TensorOracle
+from adinash.oracles import TensorOracle
 from adinash.sampling import (
     AuxiliaryState,
     estimate_pairwise_matrices,
@@ -91,29 +90,8 @@ class TestPairwiseEstimation:
         oracle = TensorOracle(g)
         estimate_pairwise_matrices(oracle, (0, 0, 0))
         assert oracle.queries == 6 * 16
-        estimate_pairwise_matrices(oracle, (0, 0, 0), repeats=3)
-        assert oracle.queries == 6 * 16 + 3 * 6 * 16
-
-    def test_repeats_average_independent_fills(self):
-        # repeats=3 is the entrywise mean of three single fills drawn from an
-        # oracle with the same seed, at the same query cost
-        table = planted_winrates(3, 3, seed=2)
-        joint = (0, 1, 2)
-        repeated = BernoulliOracle(table, seed=5)
-        got = estimate_pairwise_matrices(repeated, joint, repeats=3)
-        single = BernoulliOracle(table, seed=5)
-        fills = [estimate_pairwise_matrices(single, joint) for _ in range(3)]
-        assert repeated.queries == single.queries == 3 * 6 * 9
-        for key in got.pairs():
-            want = (fills[0].matrix(*key) + fills[1].matrix(*key) + fills[2].matrix(*key)) / 3
-            assert np.array_equal(got.matrix(*key), want)
-
-    @pytest.mark.parametrize("repeats", [0, -1, float("nan")])
-    def test_rejects_repeats_below_one(self, repeats):
-        oracle = TensorOracle(GameTensor(np.zeros((2, 2, 2))))
-        with pytest.raises(ValueError, match="repeats"):
-            estimate_pairwise_matrices(oracle, (0, 0), repeats=repeats)
-        assert oracle.queries == 0
+        estimate_pairwise_matrices(oracle, (1, 2, 3))
+        assert oracle.queries == 2 * 6 * 16
 
     def test_sampled_blocks_unbiased(self):
         rng = np.random.default_rng(3)

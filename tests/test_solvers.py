@@ -191,11 +191,11 @@ class TestAdidasSolver:
             )
             for value in (float("nan"), float("inf"))
         ]
-        + [("bernoulli_repeats", 0), ("aux_learning_rate", 2.0), ("exact_adi_every", -1)]
+        + [("samples", 0), ("aux_learning_rate", 2.0), ("exact_adi_every", -1)]
         + [
             ("iterations", 2.5),
             ("samples", 1.5),
-            ("bernoulli_repeats", True),
+            ("samples", True),
             ("exact_adi_every", 2.5),
         ],
     )
@@ -469,6 +469,16 @@ class TestWarmup:
     def test_rejects_a_bare_oracle(self, matching_pennies):
         with pytest.raises(ValueError, match="desk-scale"):
             warmup_anneal_descend(TensorOracle(matching_pennies), 1, 1, 1.0)
+
+    @pytest.mark.parametrize(
+        "rounds,steps,name",
+        [(2.5, 3, "anneal_rounds"), (2, 3.7, "descent_steps"), (-1, 3, "anneal_rounds"),
+         (True, 3, "anneal_rounds"), (2, float("nan"), "descent_steps")],
+    )
+    def test_rejects_non_integer_schedule_by_name(self, rounds, steps, name):
+        # (2.5, 3.7) used to run silently as (2, 3)
+        with pytest.raises(ValueError, match=name):
+            warmup_anneal_descend(make_modified_shapley(), rounds, steps, 1.0)
 
     def test_zero_rounds_returns_uniform(self, matching_pennies):
         profile = warmup_anneal_descend(
