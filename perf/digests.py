@@ -3,9 +3,10 @@
 Each run is a small, fully seeded solve (both ADIDAS solvers over every
 entropy, exact and sampled blocks and both projections; the six baselines on
 six games and the shared-strategy form; the exact warm-up; the gradient-bias
-table; block fills of a Bernoulli oracle). A run's digest is the sha256 of
-its metric-CSV bytes, final strategies and query count, or of the error it
-raised. Output is one ``<sha256>  <run>`` line per run and then
+table; block fills of a Bernoulli oracle, single and stacked; the
+Blotto(10,3,4) table). A run's digest is the sha256 of its metric-CSV bytes,
+final strategies and query count (the table's bytes, for the table), or of
+the error it raised. Output is one ``<sha256>  <run>`` line per run and then
 ``<sha256>  total`` over those lines, so two trees agree exactly when their
 outputs are equal:
 
@@ -14,7 +15,7 @@ outputs are equal:
     diff before.txt after.txt
 
 Only parameters every tree since the one-loop refactor accepts are used.
-Takes about 6 s on one CPU; errors are echoed to stderr.
+Takes about 6-8 s on one CPU; errors are echoed to stderr.
 """
 
 import argparse
@@ -160,6 +161,21 @@ def runs():
         return _strategy_bytes(blocks) + repr(oracle.queries).encode()
 
     out.append(("fill/bernoulli", fills))
+
+    def stacked_fills():
+        # 234 blocks in stacks of 1-7, each stack followed by a single query
+        oracle = gen.make_bernoulli_metagame(gen.planted_winrates(4, 5, seed=1), seed=12)
+        rng = new_rng(10)
+        parts = []
+        for stack in range(60):
+            rests = rng.integers(0, 5, size=(1 + stack % 7, 2))
+            parts.append(oracle.symmetric_pair_payoffs(rests))
+            joint = tuple(int(a) for a in rng.integers(0, 5, size=4))
+            parts.append(np.array([oracle.query(stack % 4, joint)]))
+        return _strategy_bytes(parts) + repr(oracle.queries).encode()
+
+    out.append(("fill/bernoulli-stacked", stacked_fills))
+    out.append(("table/blotto10", lambda: gen.make_blotto(gen.BlottoSpec(10, 3, 4)).table.tobytes()))
     return out
 
 

@@ -54,15 +54,26 @@ def make_blotto(spec=BlottoSpec()):
         raise ValueError(f"{spec} needs {entries} table entries, over the 400000000 budget")
     actions = blotto_allocations(spec.coins, spec.fields)
 
+    # the opponents' field maxima and tie shares depend only on the opponents;
+    # from_batch_function passes the same array for every own action, so the
+    # last one's statistics are kept, keyed by identity
+    memo = {"opponents": None}
+
+    def opponent_stats(opponents):
+        if memo["opponents"] is not opponents:
+            opp_alloc = actions[opponents]  # (N, n-1, fields)
+            opp_max = opp_alloc.max(axis=1)
+            ties = (opp_alloc == opp_max[:, None, :]).sum(axis=1)
+            memo.update(opponents=opponents, stats=(opp_max, 1.0 / (1.0 + ties)))
+        return memo["stats"]
+
     def batch_payoff(own, opponents):
         own_alloc = actions[own]  # (N, fields)
-        opp_alloc = actions[opponents]  # (N, n-1, fields)
-        opp_max = opp_alloc.max(axis=1)
-        ties = (opp_alloc == opp_max[:, None, :]).sum(axis=1)
+        opp_max, tie_share = opponent_stats(opponents)
         share = np.where(
             own_alloc > opp_max,
             1.0,
-            np.where(own_alloc == opp_max, 1.0 / (1.0 + ties), 0.0),
+            np.where(own_alloc == opp_max, tie_share, 0.0),
         )
         return (2.0 * share - 1.0).mean(axis=1)
 

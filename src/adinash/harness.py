@@ -113,14 +113,18 @@ def default_sweep_grids():
     }
 
 
+def _cell_solver(config, cell, **run):
+    """The cell's solver, built through `SOLVER_FACTORIES`; `run` adds the
+    run's own parameters (seed, run id)."""
+    params = _resolve_cell_params(config.base_params, cell)
+    params.update(run)
+    return SOLVER_FACTORIES[config.solver](**params)
+
+
 def _run_cell(config, cell_index, cell, rep):
     seed = config.base_seed + rep
     run_id = f"cell{cell_index:03d}-rep{rep:02d}"
-    params = _resolve_cell_params(config.base_params, cell)
-    params["seed"] = seed
-    params["run_id"] = run_id
-    factory = SOLVER_FACTORIES[config.solver]
-    solver = factory(**params)
+    solver = _cell_solver(config, cell, seed=seed, run_id=run_id)
     solver.fit(config.game)
     log = solver.log_
     path = os.path.join(config.output_dir, f"{run_id}.csv")
@@ -148,17 +152,22 @@ def _failed_run(config, index, cell, rep, err):
 def run_experiment(config, workers=1):
     """Execute every (cell x repetition), summarize, pick the best cell.
 
-    Cell failures are recorded and the sweep continues. The best cell has the
-    lowest mean final ADI; ties break on the earliest mean iteration at which
-    ADI fell below the selection threshold.
+    A parameter the solver does not take raises before any job runs, since
+    every cell would fail on it. Failures while a cell runs are recorded and
+    the sweep continues. The best cell has the lowest mean final ADI; ties
+    break on the earliest mean iteration at which ADI fell below the
+    selection threshold.
     Returns (results, summaries, best_summary).
     """
     if config.solver not in SOLVER_FACTORIES:
         raise ValueError(f"unknown solver {config.solver!r}")
+    cells = config.cells()
+    for cell in cells:
+        _cell_solver(config, cell)
     os.makedirs(config.output_dir, exist_ok=True)
     jobs = [
         (index, cell, rep)
-        for index, cell in enumerate(config.cells())
+        for index, cell in enumerate(cells)
         for rep in range(config.repetitions)
     ]
     results = []
@@ -184,7 +193,7 @@ def run_experiment(config, workers=1):
 
     results.sort(key=lambda r: r.run_id)
     summaries = []
-    for index, cell in enumerate(config.cells()):
+    for cell in cells:
         mine = [r for r in results if r.cell == cell and r.error is None]
         if not mine:
             continue

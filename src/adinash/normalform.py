@@ -67,8 +67,13 @@ def enumerate_multisets(actions, size):
 
 
 def _multiset_rows(actions, size):
-    """enumerate_multisets as an (entries, size) int array."""
-    return np.array(list(enumerate_multisets(actions, size)), dtype=np.int64)
+    """enumerate_multisets as an (entries, size) int array; one empty row for
+    size 0."""
+    if size == 0:
+        return np.empty((1, 0), dtype=np.int64)
+    count = multiset_count(actions, size)
+    flat = itertools.chain.from_iterable(enumerate_multisets(actions, size))
+    return np.fromiter(flat, np.int64, count=count * size).reshape(count, size)
 
 
 def validate_integer(name, value, low, high=None):
@@ -247,7 +252,9 @@ class SymmetricGame:
     def from_batch_function(cls, players, actions, batch_fn):
         """Build from a vectorized ``batch_fn(own (K',), opponents (K', n-1)) -> (K',)``,
         called once per own action over every opponent multiset (rows sorted
-        ascending, in table column order)."""
+        ascending, in table column order). Every call is passed the same
+        ``opponents`` array, so ``batch_fn`` may keep what it derives from it
+        (``make_blotto`` does); it must not write to it."""
         opponents = _multiset_rows(actions, players - 1)
         table = np.empty((actions, opponents.shape[0]))
         for a in range(actions):

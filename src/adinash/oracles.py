@@ -125,6 +125,7 @@ class BernoulliOracle(SymmetricOracle):
             raise ValueError("winrates must lie in [0, 1]")
         super().__init__(winrates)
         self.seed = int(seed)
+        self._generator = None
 
     def mean_game(self):
         """The expected-payoff game; exact ADI against it scores the true winrates."""
@@ -133,14 +134,24 @@ class BernoulliOracle(SymmetricOracle):
     def _read(self, probs):
         """One Bernoulli(p) draw per winrate. Each (m, m) block draws from its
         own Philox stream at the query count where the block starts, so a
-        stack of blocks draws what the same blocks read one by one would."""
+        stack of blocks draws what the same blocks read one by one would.
+
+        One Philox is kept and moved to each block's start: its state is what
+        ``Philox(key=seed, counter=start)`` holds when built, an empty buffer
+        at that counter."""
         start = self._count(probs.size)
         blocks = probs.reshape(-1, *probs.shape[-2:])
         size = blocks[0].size
         draws = np.empty(blocks.shape)
+        if self._generator is None:
+            self._generator = np.random.Generator(np.random.Philox(key=self.seed))
+        stream = self._generator.bit_generator
+        state = stream.state
+        state.update(buffer_pos=4, has_uint32=0, uinteger=0)
         for b, block in enumerate(blocks):
-            stream = np.random.Philox(key=self.seed, counter=start + b * size)
-            np.random.Generator(stream).random(block.shape, out=draws[b])
+            state["state"]["counter"] = np.array([start + b * size, 0, 0, 0], dtype=np.uint64)
+            stream.state = state
+            self._generator.random(block.shape, out=draws[b])
         return (draws < blocks).astype(float).reshape(probs.shape)
 
     # its own entry, not the base's: bench/tracer.py patches each class's

@@ -243,6 +243,29 @@ class TestSweep:
         assert "best cell" in stdout
         assert (tmp_path / "runs" / "summary.csv").exists()
 
+    def test_parameter_the_solver_does_not_take_is_a_config_error(self, capsys, tmp_path):
+        # every cell failed on it and the sweep exited 2, the numeric-failure code
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text("bernoulli_repeats = 2\niterations = 3\nrepetitions = 1\n")
+        out = tmp_path / "runs"
+        code, stdout, stderr = run_cli(
+            capsys, "sweep", "--game", "shapley", "--config", str(cfg), "--out", str(out)
+        )
+        assert code == 1
+        assert "configuration error" in stderr and "bernoulli_repeats" in stderr
+        assert not out.exists()  # raised before any cell ran
+
+    def test_failure_while_a_cell_runs_is_recorded_and_exits_2(self, capsys, tmp_path):
+        # learning_rate is checked when the solver fits, so only its cell fails
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text("grid.learning_rate = [-1.0, 0.1]\niterations = 3\nrepetitions = 1\n")
+        code, stdout, _ = run_cli(
+            capsys,
+            "sweep", "--game", "shapley", "--config", str(cfg), "--out", str(tmp_path / "runs"),
+        )
+        assert code == 2
+        assert "runs=2 failed=1 cells=1" in stdout
+
     def test_parse_config_file(self, tmp_path):
         cfg = tmp_path / "c.cfg"
         cfg.write_text("alpha = 0.5\nname = mirror\ngrid.eps = [0.01, 0.05]\n")

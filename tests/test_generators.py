@@ -2,6 +2,8 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adinash.adi import adi_exact
 from adinash.entropy import Entropy
@@ -18,7 +20,28 @@ from adinash.generators import (
     make_modified_shapley,
     planted_winrates,
 )
-from adinash.normalform import StrategyProfile, SymmetricGame
+from adinash.normalform import StrategyProfile, SymmetricGame, enumerate_multisets
+
+
+def blotto_table_per_own_action(spec):
+    """The Blotto table by the rule applied to each own action on its own:
+    opponents' maxima and ties recomputed in every call."""
+    actions = blotto_allocations(spec.coins, spec.fields)
+    m = actions.shape[0]
+    opponents = np.array(list(enumerate_multisets(m, spec.players - 1)), dtype=np.int64)
+    table = np.empty((m, opponents.shape[0]))
+    for a in range(m):
+        own_alloc = actions[np.full(opponents.shape[0], a)]
+        opp_alloc = actions[opponents]
+        opp_max = opp_alloc.max(axis=1)
+        ties = (opp_alloc == opp_max[:, None, :]).sum(axis=1)
+        share = np.where(
+            own_alloc > opp_max,
+            1.0,
+            np.where(own_alloc == opp_max, 1.0 / (1.0 + ties), 0.0),
+        )
+        table[a] = (2.0 * share - 1.0).mean(axis=1)
+    return table
 
 
 class TestBlotto:
@@ -54,6 +77,35 @@ class TestBlotto:
         game = make_blotto(BlottoSpec(3, 3, 3))
         assert game.table.min() >= -1.0
         assert game.table.max() <= 1.0
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(1, 6), st.integers(2, 4), st.integers(2, 4))
+    def test_table_equals_the_per_own_action_rule(self, coins, fields, players):
+        # opponent statistics are computed once per build, byte for byte;
+        # players = 2 has one opponent per row
+        spec = BlottoSpec(coins, fields, players)
+        assert make_blotto(spec).table.tobytes() == blotto_table_per_own_action(spec).tobytes()
+
+    def test_opponent_statistics_follow_the_array_passed(self):
+        # a batch function kept past its build still answers for new opponents
+        spec = BlottoSpec(3, 3, 3)
+        calls = []
+        with mock.patch.object(
+            SymmetricGame,
+            "from_batch_function",
+            side_effect=lambda n, m, fn: calls.append(fn) or None,
+        ):
+            make_blotto(spec)
+        (batch_payoff,) = calls
+        expected = blotto_table_per_own_action(spec)
+        opponents = np.array(list(enumerate_multisets(10, 2)), dtype=np.int64)
+        for a in (0, 4, 9):
+            own = np.full(opponents.shape[0], a)
+            assert batch_payoff(own, opponents).tobytes() == expected[a].tobytes()
+            # a different array with equal rows, then a reordered one
+            assert batch_payoff(own, opponents.copy()).tobytes() == expected[a].tobytes()
+            flipped = opponents[::-1].copy()
+            assert batch_payoff(own, flipped).tobytes() == expected[a][::-1].tobytes()
 
     def test_size_budget(self):
         with pytest.raises(ValueError):

@@ -61,6 +61,17 @@ class TestMultisetCounting:
         scalar = [multiset_rank(m, 4) for m in ms]
         assert multiset_rank_array(np.array(ms), 4).tolist() == scalar
 
+    @pytest.mark.parametrize(
+        "actions,size", [(1, 0), (4, 0), (1, 1), (1, 5), (3, 1), (4, 3), (2, 10), (66, 3)]
+    )
+    def test_rows_equal_the_listed_enumeration(self, actions, size):
+        # the rows are built without a Python list; size 0 is one empty row
+        rows = normalform._multiset_rows(actions, size)
+        listed = np.array(list(enumerate_multisets(actions, size)), dtype=np.int64)
+        assert rows.shape == listed.shape
+        assert rows.dtype == listed.dtype and rows.flags.c_contiguous
+        assert rows.tobytes() == listed.tobytes()
+
 
 class TestStrategyProfile:
     def test_uniform(self):

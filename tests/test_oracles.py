@@ -122,6 +122,37 @@ class TestBernoulliOracle:
             batched.symmetric_pair_payoffs(rests), single.symmetric_pair_payoffs(rests)
         )
 
+    def test_every_block_is_a_fresh_philox_read(self):
+        # queries, block stacks and a second oracle with another seed,
+        # interleaved: each block draws what a Philox built at the block's
+        # start draws, so no generator state leaks across calls or oracles
+        table = planted_winrates(4, 3, seed=5)
+        oracles = {9: BernoulliOracle(table, seed=9), 21: BernoulliOracle(table, seed=21)}
+        rng = np.random.default_rng(2)
+
+        def fresh(seed, start, probs):
+            stream = np.random.Philox(key=seed, counter=start)
+            return (np.random.Generator(stream).random(probs.shape) < probs).astype(float)
+
+        for step in range(30):
+            seed = (9, 21)[step % 2]
+            oracle = oracles[seed]
+            start = oracle.queries
+            if step % 3 == 0:
+                joint = tuple(int(a) for a in rng.integers(0, 3, size=4))
+                sample = oracle.query(1, joint)
+                p = table.payoff(joint[1], joint[:1] + joint[2:])
+                assert sample == fresh(seed, start, np.array([p]))[0]
+                assert oracle.queries == start + 1
+            else:
+                rests = rng.integers(0, 3, size=(int(rng.integers(1, 5)), 2))
+                blocks = oracle.symmetric_pair_payoffs(rests)
+                probs = table.pair_block_at(rests)
+                for b in range(rests.shape[0]):
+                    expected = fresh(seed, start + 9 * b, probs[b])
+                    assert blocks[b].tobytes() == expected.tobytes()
+                assert oracle.queries == start + 9 * rests.shape[0]
+
 
 def test_as_oracle_dispatch(biased_game):
     assert isinstance(as_oracle(biased_game), TensorOracle)
