@@ -4,18 +4,20 @@ Each run is a small, fully seeded solve (both ADIDAS solvers over every
 entropy, exact and sampled blocks and both projections; the six baselines on
 six games and the shared-strategy form; the exact warm-up; the gradient-bias
 table; block fills of a Bernoulli oracle, single and stacked; the
-Blotto(10,3,4) table). A run's digest is the sha256 of its metric-CSV bytes,
-final strategies and query count (the table's bytes, for the table), or of
-the error it raised. Output is one ``<sha256>  <run>`` line per run and then
-``<sha256>  total`` over those lines, so two trees agree exactly when their
-outputs are equal:
+Blotto(10,3,4) table; and, with ``normalform.PAIR_TABLE_ENTRIES`` at 0 so
+that no pair table is built and every block read takes the uncached branch,
+sampled symmetric solves and the stacked fill). A run's digest is the sha256
+of its metric-CSV bytes, final strategies and query count (the table's
+bytes, for the table), or of the error it raised. Output is one
+``<sha256>  <run>`` line per run and then ``<sha256>  total`` over those
+lines, so two trees agree exactly when their outputs are equal:
 
     python3 perf/digests.py > after.txt
     python3 perf/digests.py --src /path/to/other/tree/src > before.txt
     diff before.txt after.txt
 
 Only parameters every tree since the one-loop refactor accepts are used.
-Takes about 6-8 s on one CPU; errors are echoed to stderr.
+Takes about 5-8 s on one CPU; errors are echoed to stderr.
 """
 
 import argparse
@@ -74,6 +76,21 @@ def runs():
 
     def solve(factory, game, **params):
         return lambda: _fitted_bytes(factory(**params).fit(games[game]()))
+
+    def uncached(thunk):
+        """`thunk` run with no symmetric pair table cached, the threshold
+        restored afterwards."""
+        from adinash import normalform
+
+        def run():
+            saved = normalform.PAIR_TABLE_ENTRIES
+            normalform.PAIR_TABLE_ENTRIES = 0
+            try:
+                return thunk()
+            finally:
+                normalform.PAIR_TABLE_ENTRIES = saved
+
+        return run
 
     for game in ("shapley", "covariant3x3", "elfarol4", "bernoulli"):
         for entropy in ("shannon", "tsallis", "none"):
@@ -175,6 +192,12 @@ def runs():
         return _strategy_bytes(parts) + repr(oracle.queries).encode()
 
     out.append(("fill/bernoulli-stacked", stacked_fills))
+    for game in ("blotto", "bernoulli"):
+        out.append((f"uncached/symmetric/{game}/shannon/sampled/euclidean", uncached(solve(
+            SymmetricAdidasSolver, game, entropy="shannon", iterations=40, samples=5,
+            learning_rate=0.05, adi_threshold=0.05, exact_adi_every=10, seed=7,
+        ))))
+    out.append(("uncached/fill/bernoulli-stacked", uncached(stacked_fills)))
     out.append(("table/blotto10", lambda: gen.make_blotto(gen.BlottoSpec(10, 3, 4)).table.tobytes()))
     return out
 

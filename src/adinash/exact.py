@@ -160,17 +160,23 @@ def payoff_gradients(game, x):
     return _contract_chains(game, profile, chains)
 
 
-def _require_tensor(game):
+@functools.cache
+def _pair_chains(players, pairs):
+    """The chain of each ordered pair's block; one tuple per call shape."""
+    return tuple(_chain(i, (i, j), players) for i, j in pairs)
+
+
+def _pair_blocks(game, x, pairs):
+    """Exact blocks of the ordered pairs (i, j), in one batched contraction;
+    i's actions on the rows, a transposed view when j < i."""
     if isinstance(game, SymmetricGame):
         raise TypeError(
             "pairwise blocks on compressed symmetric games come from "
             "SymmetricGame.pair_payoff_matrix; expand_to_tensor for the general op"
         )
-
-
-def _oriented(block, owner, partner):
-    """Owner's actions on the rows: a transposed view when partner < owner."""
-    return block.T if partner < owner else block
+    profile = as_profile(x, game.action_counts)
+    blocks = _contract_chains(game, profile, _pair_chains(game.players, pairs))
+    return [b.T if j < i else b for (i, j), b in zip(pairs, blocks)]
 
 
 def pairwise_jacobian_exact(game, x, owner, partner):
@@ -183,11 +189,8 @@ def pairwise_jacobian_exact(game, x, owner, partner):
     partner = validate_integer("partner", partner, 0, game.players)
     if owner == partner:
         raise ValueError("pairwise block needs two distinct players")
-    _require_tensor(game)
-    profile = as_profile(x, game.action_counts)
-    chain = _chain(owner, (owner, partner), game.players)
-    (block,) = _contract_chains(game, profile, (chain,))
-    return _oriented(block, owner, partner)
+    (block,) = _pair_blocks(game, x, ((owner, partner),))
+    return block
 
 
 class PairwiseMatrices:
@@ -228,23 +231,11 @@ class PairwiseMatrices:
         return [self.payoff_gradient(x, i) for i in range(self.players)]
 
 
-@functools.cache
-def _pair_chains(players):
-    """Every ordered pair (i, j) and the chain of its block."""
-    pairs = tuple((i, j) for i in range(players) for j in range(players) if i != j)
-    return pairs, tuple(_chain(i, (i, j), players) for i, j in pairs)
-
-
 def exact_pairwise_matrices(game, x):
     """All pairwise blocks computed by exact marginalization, in one batched
     contraction."""
-    _require_tensor(game)
-    profile = as_profile(x, game.action_counts)
-    pairs, chains = _pair_chains(game.players)
-    blocks = _contract_chains(game, profile, chains)
-    return PairwiseMatrices(
-        {(i, j): _oriented(b, i, j) for (i, j), b in zip(pairs, blocks)}, game.action_counts
-    )
+    pairs = tuple(itertools.permutations(range(game.players), 2))
+    return PairwiseMatrices(dict(zip(pairs, _pair_blocks(game, x, pairs))), game.action_counts)
 
 
 def _symmetric_deviation_payoffs(game, profile, player):

@@ -23,6 +23,8 @@ SOLVER_FACTORIES = {
     "extragrad": lambda **kw: BaselineSolver(method="extragrad", **kw),
     "ped": lambda **kw: BaselineSolver(method="ped", **kw),
 }
+# a run's `first_below` is its first iteration with ADI under this
+SELECTION_THRESHOLD = 0.01
 
 
 @dataclass
@@ -40,7 +42,6 @@ class ExperimentConfig:
     repetitions: int = 10
     base_seed: int = 0
     output_dir: str = "runs"
-    selection_threshold: float = 0.01
 
     def cells(self):
         """Every combination of the grids, except where `aux_rate_ratio` times
@@ -133,7 +134,7 @@ def _run_cell(config, cell_index, cell, rep):
     if np.isnan(final):
         final = log.final["adi_estimate"]
     column = "adi_exact" if not np.isnan(log.final_exact_adi()) else "adi_estimate"
-    below = log.first_iteration_below(config.selection_threshold, column=column)
+    below = log.first_iteration_below(SELECTION_THRESHOLD, column=column)
     return RunResult(run_id, cell, seed, final, below, path)
 
 

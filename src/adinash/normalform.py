@@ -14,8 +14,8 @@ import numpy as np
 from .simplex import as_distribution
 
 DESK_SCALE_ENTRIES = 10_000_000
-# symmetric pair tables above this many entries are not cached; each block is
-# then read from the payoff table directly
+# symmetric pair tables above this many entries are not cached; each batch of
+# blocks is then gathered alone, by the code that builds the table
 PAIR_TABLE_ENTRIES = 20_000_000
 
 
@@ -372,36 +372,37 @@ class SymmetricGame:
 
     def _pair_table(self):
         """u(r; c, rest) as a (K, m, m) table, one contiguous m x m block per
-        rest multiset in colex rank order, plus the rest-multiset weights; cached.
-
-        Indexes the table: u(r; c, rest) = table[r, column of the opponent
-        multiset c + rest], with no payoff lookups of its own.
-        """
+        rest multiset in colex rank order, plus the rest-multiset weights; cached."""
         if self._pair_cache is None:
-            m, n = self.actions, self.players
-            column = self._columns()
-            rows = _multiset_rows(m, n - 2)
+            m = self.actions
+            rows = _multiset_rows(m, self.players - 2)
             # rests in colex rank order: a rest's rank is its table row
             rest = np.empty_like(rows)
             rest[multiset_rank_array(rows, m)] = rows
-            k = rest.shape[0]
-            opponents = np.column_stack([np.repeat(np.arange(m), k), np.tile(rest, (m, 1))])
-            opponents.sort(axis=1)
-            # columns[k, c]: table column of the opponent multiset c + rest_k
-            columns = column[multiset_rank_array(opponents, m)].reshape(m, k).T
-            table = np.empty((k, m, m))
-            # one own action at a time: no temporary the size of the table
-            for r in range(m):
-                table[:, r, :] = self.table[r, columns]
-            counts, log_coef = self._multiset_weights(rest, m)
-            self._pair_cache = (table, counts, log_coef)
+            self._pair_cache = (self._gather_blocks(rest), *self._multiset_weights(rest, m))
         return self._pair_cache
+
+    def _gather_blocks(self, rests):
+        """The (S, m, m) blocks u(r; c, rest) of sorted rests (S, n - 2),
+        indexed from the table: u(r; c, rest) = table[r, column of the
+        opponent multiset c + rest], with no payoff lookups of its own."""
+        m = self.actions
+        count = rests.shape[0]
+        opponents = np.column_stack([np.repeat(np.arange(m), count), np.tile(rests, (m, 1))])
+        opponents.sort(axis=1)
+        # columns[s, c]: table column of the opponent multiset c + rest_s
+        columns = self._columns()[multiset_rank_array(opponents, m)].reshape(m, count).T
+        blocks = np.empty((count, m, m))
+        # one own action at a time: no temporary the size of the table
+        for r in range(m):
+            blocks[:, r, :] = self.table[r, columns]
+        return blocks
 
     def pair_block_at(self, rest_actions):
         """The (m, m) blocks u(r; c, rest) for opponent rests fixed: one rest
         of n - 2 actions gives one block, an (S, n - 2) array an (S, m, m)
         stack. Served from the cached pair table when it fits
-        ``PAIR_TABLE_ENTRIES``, else read with one lookup."""
+        ``PAIR_TABLE_ENTRIES``, else gathered for this batch alone."""
         m = self.actions
         rests = np.asarray(rest_actions, dtype=np.int64)
         single = rests.ndim == 1
@@ -413,13 +414,7 @@ class SymmetricGame:
         # m^2 entries per multiset of the n - 2 other opponents
         size = m * m * math.comb(m + self.players - 3, self.players - 2)
         if self._pair_cache is None and size > PAIR_TABLE_ENTRIES:
-            actions = np.arange(m)
-            count = rests.shape[0]
-            opponents = np.column_stack(
-                [np.repeat(rests, m * m, axis=0), np.tile(actions, count * m)]
-            )
-            own = np.tile(np.repeat(actions, m), count)
-            blocks = self.lookup(own, opponents).reshape(count, m, m)
+            blocks = self._gather_blocks(rests)
         else:
             blocks = self._pair_table()[0][multiset_rank_array(rests, m)]
         return blocks[0] if single else blocks

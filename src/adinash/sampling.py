@@ -62,20 +62,6 @@ def estimate_pairwise_matrices(oracle, joint_action):
     return PairwiseMatrices(blocks, oracle.action_counts)
 
 
-def mean_pairwise_matrices(block_sets):
-    """Entrywise mean of block sets over the same pairs; one set passes through."""
-    if len(block_sets) == 1:
-        return block_sets[0]
-    first = block_sets[0]
-    return PairwiseMatrices(
-        {
-            key: sum(bs.matrix(*key) for bs in block_sets) / len(block_sets)
-            for key in first.pairs()
-        },
-        first.action_counts,
-    )
-
-
 def update_aux(state, grad_estimates, aux_learning_rate):
     """Track the payoff gradient: y <- y - alpha (y - grad), alpha = max(1/t, lr).
 

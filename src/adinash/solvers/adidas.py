@@ -22,7 +22,7 @@ from ..adi import (
 )
 # best_response has no caller here; bench/tracer.py patches this binding
 from ..entropy import Entropy, best_response  # noqa: F401
-from ..exact import exact_pairwise_matrices
+from ..exact import PairwiseMatrices, exact_pairwise_matrices
 from ..normalform import (
     DESK_SCALE_ENTRIES,
     GameTensor,
@@ -34,7 +34,6 @@ from ..oracles import BernoulliOracle, PayoffOracle, as_oracle
 from ..sampling import (
     AuxiliaryState,
     estimate_pairwise_matrices,
-    mean_pairwise_matrices,
     new_rng,
     sample_actions,
     sample_joint_action,
@@ -320,12 +319,17 @@ class _GeneralView:
         return exact_pairwise_matrices(self.tensor, x)
 
     def sampled_blocks(self, x, rng, samples):
-        """Blocks averaged over `samples` joint actions drawn from x."""
-        return mean_pairwise_matrices(
-            [
-                estimate_pairwise_matrices(self.oracle, sample_joint_action(x, rng))
-                for _ in range(samples)
-            ]
+        """Blocks averaged over `samples` joint actions drawn from x, entrywise
+        in sample order; one sample's blocks pass through."""
+        sets = [
+            estimate_pairwise_matrices(self.oracle, sample_joint_action(x, rng))
+            for _ in range(samples)
+        ]
+        if samples == 1:
+            return sets[0]
+        return PairwiseMatrices(
+            {key: sum(s.matrix(*key) for s in sets) / samples for key in sets[0].pairs()},
+            sets[0].action_counts,
         )
 
     def payoff_gradients(self, matrices, x):

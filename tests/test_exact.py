@@ -175,6 +175,17 @@ class TestPairwiseJacobian:
         with pytest.raises(ValueError):
             pairwise_jacobian_exact(biased_game, x, 1, 1)
 
+    def test_symmetric_game_is_refused_naming_pair_payoff_matrix(self):
+        game = make_el_farol(ElFarolSpec(players=3))
+        x = StrategyProfile.uniform(game.action_counts)
+        with pytest.raises(TypeError, match="pair_payoff_matrix"):
+            pairwise_jacobian_exact(game, x, 0, 1)
+        with pytest.raises(TypeError, match="pair_payoff_matrix"):
+            exact_pairwise_matrices(game, x)
+        # the player indices are checked first
+        with pytest.raises(ValueError, match="owner"):
+            pairwise_jacobian_exact(game, x, 3, 1)
+
     def test_container_gradient_average(self):
         rng = np.random.default_rng(7)
         g = random_game(rng, players=3)

@@ -338,6 +338,35 @@ class TestMultisetLookupProperties:
         block = pairwise_jacobian_exact(game.expand_to_tensor(), profile, 0, 1)
         assert np.allclose(game.pair_payoff_matrix(x), block, rtol=0.0, atol=1e-12)
 
+    @pytest.mark.parametrize(
+        "players,actions,rests",
+        [
+            (4, 3, np.empty((0, 2), dtype=np.int64)),
+            (2, 3, np.empty((0, 0), dtype=np.int64)),
+            (2, 3, np.empty((3, 0), dtype=np.int64)),
+            (2, 3, np.empty(0, dtype=np.int64)),
+            (4, 1, np.zeros((2, 2), dtype=np.int64)),
+            (3, 1, np.zeros(1, dtype=np.int64)),
+        ],
+        ids=["empty-batch", "two-players-empty-batch", "two-players", "two-players-single",
+             "one-action", "one-action-single"],
+    )
+    def test_edge_reads_agree_on_both_sides_of_the_threshold(self, players, actions, rests):
+        game = _random_symmetric(np.random.default_rng(7), players, actions)
+        with mock.patch.object(normalform, "PAIR_TABLE_ENTRIES", 0):
+            gathered = game.pair_block_at(rests)
+        assert game._pair_cache is None
+        cached = game.pair_block_at(rests)
+        dense = game.expand_to_tensor().payoffs
+        want = np.array(
+            [dense[(0, slice(None), slice(None), *rest)] for rest in np.atleast_2d(rests)]
+        ).reshape(-1, actions, actions)
+        if rests.ndim == 1:
+            want = want[0]
+        assert gathered.shape == cached.shape == want.shape
+        assert np.array_equal(gathered, want)
+        assert np.array_equal(cached, want)
+
     def test_pair_table_is_one_contiguous_block_per_rest(self):
         game = _random_symmetric(np.random.default_rng(5), 4, 3)
         dense = game.expand_to_tensor().payoffs
