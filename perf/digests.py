@@ -1,12 +1,14 @@
 """Fixed-seed digests of adinash runs, for proving a refactor byte for byte.
 
 Each run is a small, fully seeded solve (both ADIDAS solvers over every
-entropy, exact and sampled blocks and both projections; the six baselines on
-six games and the shared-strategy form; the exact warm-up; the gradient-bias
-table; block fills of a Bernoulli oracle, single and stacked; the
-Blotto(10,3,4) table; and, with ``normalform.PAIR_TABLE_ENTRIES`` at 0 so
-that no pair table is built and every block read takes the uncached branch,
-sampled symmetric solves and the stacked fill). A run's digest is the sha256
+entropy, exact and sampled blocks and both projections; the general solver
+also on a game with unequal action counts and on the benchmark's covariant
+4x6 game; the six baselines on six games, ``ped`` on five players, and the
+shared-strategy form; the exact warm-up; the gradient-bias table; block
+fills of a Bernoulli oracle, single and stacked; the Blotto(10,3,4) table;
+and, with ``normalform.PAIR_TABLE_ENTRIES`` at 0 so that no pair table is
+built and every block read takes the uncached branch, sampled symmetric
+solves and the stacked fill). A run's digest is the sha256
 of its metric-CSV bytes, final strategies and query count (the table's
 bytes, for the table), or of the error it raised. Output is one
 ``<sha256>  <run>`` line per run and then ``<sha256>  total`` over those
@@ -30,7 +32,7 @@ import numpy as np
 REPO_SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
 
-def _games(gen):
+def _games(gen, GameTensor, new_rng):
     """Name -> game or oracle builder; oracles are rebuilt per run so their
     query counters and draws start fresh."""
     return {
@@ -43,6 +45,12 @@ def _games(gen):
             gen.planted_winrates(3, 3, seed=0), seed=4
         ),
         "elfarol4_dense": lambda: gen.make_el_farol(gen.ElFarolSpec(players=4)).expand_to_tensor(),
+        # unequal action counts: the per-pair block path
+        "ragged234": lambda: GameTensor(new_rng(11).uniform(-1.0, 1.0, size=(3, 2, 3, 4))),
+        # the benchmark's general game
+        "covariant4x6": lambda: gen.make_covariant_random(4, 6, 0.0, seed=0),
+        # five players: both block orientations for every owner but the ends
+        "covariant5x3": lambda: gen.make_covariant_random(5, 3, 0.0, seed=13),
     }
 
 
@@ -66,12 +74,13 @@ def runs():
     """(name, thunk returning bytes) for every run, in a fixed order."""
     from adinash import generators as gen
     from adinash.entropy import Entropy
+    from adinash.normalform import GameTensor
     from adinash.harness import measure_gradient_bias
     from adinash.sampling import estimate_pairwise_matrices, new_rng, sample_joint_action
     from adinash.solvers import AdidasSolver, BaselineSolver, SymmetricAdidasSolver
     from adinash.solvers.adidas import warmup_anneal_descend
 
-    games = _games(gen)
+    games = _games(gen, GameTensor, new_rng)
     out = []
 
     def solve(factory, game, **params):
@@ -102,6 +111,22 @@ def runs():
                         projection=projection, initial_temperature=_temperature(entropy, projection), iterations=40, samples=2,
                         learning_rate=0.05, adi_threshold=0.05, exact_adi_every=10, seed=3,
                     )))
+    for entropy in ("shannon", "tsallis"):
+        for exact in (False, True):
+            for projection in ("euclidean", "mirror"):
+                name = f"adidas/ragged234/{entropy}/{'exact' if exact else 'sampled'}/{projection}"
+                out.append((name, solve(
+                    AdidasSolver, "ragged234", entropy=entropy, exact_gradients=exact,
+                    projection=projection, initial_temperature=_temperature(entropy, projection),
+                    iterations=40, samples=2, learning_rate=0.05, adi_threshold=0.05,
+                    exact_adi_every=10, seed=3,
+                )))
+    for seed in (0, 1):
+        # the covariant_general_sampled settings, fewer iterations
+        out.append((f"adidas/covariant4x6/bench/seed{seed}", solve(
+            AdidasSolver, "covariant4x6", entropy="shannon", initial_temperature=1.0,
+            iterations=60, samples=2, seed=seed,
+        )))
     for game in ("covariant3x3", "elfarol4"):
         out.append((f"adidas/{game}/no-tangent", solve(
             AdidasSolver, game, tangent_projection=False, iterations=30, seed=5,
@@ -129,6 +154,10 @@ def runs():
                 BaselineSolver, game, method=method, iterations=40, learning_rate=0.1,
                 exact_adi_every=10, seed=0,
             )))
+    out.append(("baseline/covariant5x3/ped", solve(
+        BaselineSolver, "covariant5x3", method="ped", iterations=40, learning_rate=0.1,
+        exact_adi_every=10, seed=0,
+    )))
     out.append(("baseline/covariant3x3/extragrad-inner", solve(
         BaselineSolver, "covariant3x3", method="extragrad", inner_step=0.2, iterations=40,
         learning_rate=0.1,
@@ -151,6 +180,9 @@ def runs():
     )))
     out.append(("warmup/covariant3x3", warmup(
         "covariant3x3", anneal_rounds=3, descent_steps=10, anneal_increment=1.0
+    )))
+    out.append(("warmup/covariant5x3", warmup(
+        "covariant5x3", anneal_rounds=3, descent_steps=10, anneal_increment=1.0
     )))
     out.append(("warmup/shapley-tsallis", lambda: _strategy_bytes(warmup_anneal_descend(
         gen.make_modified_shapley(0.5, offset=True), 3, 10, 1.0, entropy_family="tsallis"

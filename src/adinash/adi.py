@@ -13,7 +13,6 @@ and hands them to both roles.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from .entropy import (
     LOGIT_FLOOR,
@@ -21,9 +20,11 @@ from .entropy import (
     best_response,
     entropy_value,
     _hard_argmax,
+    _softmax,
 )
 from .exact import expected_utility, payoff_gradients
 from .normalform import as_profile
+from .simplex import map_rows, row_dot, stack_rows
 
 
 @dataclass(frozen=True)
@@ -60,23 +61,27 @@ def adi_amortized(x, aux, kind=Entropy.none()):
     """Deviation incentive with the auxiliary estimates y in place of the
     exact payoff gradients, including inside the best response."""
     profile = as_profile(x)
-    grads = [np.asarray(aux[k], dtype=float) for k in range(profile.players)]
-    for k, y in enumerate(grads):
-        if y.shape != profile[k].shape:
-            raise ValueError(f"aux vector {k} has shape {y.shape}, want {profile[k].shape}")
-    return _gains(profile, grads, kind)
+    if not (isinstance(aux, np.ndarray) and aux.shape == np.shape(profile.stack)):
+        for k, strategy in enumerate(profile):
+            if np.shape(aux[k]) != strategy.shape:
+                raise ValueError(
+                    f"aux vector {k} has shape {np.shape(aux[k])}, want {strategy.shape}"
+                )
+        aux = aux[: profile.players]
+    return _gains(profile, aux, kind)
 
 
 def _gains(profile, grads, kind):
     """Each player's gain from the `kind` best response to its payoff
-    gradient over its current strategy, regularizer values included."""
-    per = np.zeros(len(profile))
-    for k, grad in enumerate(grads):
+    gradient over its current strategy, regularizer values included; on one
+    (n, m) stack when every player has the same action count."""
+
+    def gain(x, grad):
         br = best_response(grad, kind)
-        gain = float(np.dot(grad, br.dist - profile[k]))
-        gain += entropy_value(br.dist, kind, br.scale)
-        gain -= entropy_value(profile[k], kind, br.scale)
-        per[k] = gain
+        value = row_dot(grad, br.dist - x) + entropy_value(br.dist, kind, br.scale)
+        return value - entropy_value(x, kind, br.scale)
+
+    per = np.array(map_rows(gain, stack_rows(profile), stack_rows(grads)), dtype=float)
     return AdiReport(per, regularized=kind.family != "none" and kind.temperature > 0.0)
 
 
@@ -88,7 +93,8 @@ def symmetric_adi_exact(game, strategy):
 
 
 def response_terms(nabla, y, x, kind):
-    """One player's (policy, effect) terms of the deviation-incentive gradient.
+    """One player's (policy, effect) terms of the deviation-incentive
+    gradient, or every row's terms of (n, m) stacks of players.
 
     `nabla` is the player's payoff gradient rebuilt from the pairwise blocks,
     `y` the gradient that feeds the response (exact, or the auxiliary
@@ -104,24 +110,31 @@ def response_terms(nabla, y, x, kind):
     At power 0 the corrections vanish and the policy term reduces to
     nabla - ||nabla||_inf, whose constant part the tangent projection removes.
     """
-    y = np.asarray(y, dtype=float)
+    nabla, y, x = (np.asarray(v, dtype=float) for v in (nabla, y, x))
     temperature = kind.temperature
     if kind.family == "tsallis":
         if np.any(y < 0.0):
             raise ValueError("tsallis gradient needs nonnegative payoff gradients")
         br = best_response(y, kind)
-        br_sparse = 1.0 - np.sum(br.dist ** (temperature + 1.0))
-        x_sparse = 1.0 - np.sum(x ** (temperature + 1.0))
+        scale = np.asarray(br.scale)[..., None]
+        br_sparse = 1.0 - (br.dist ** (temperature + 1.0)).sum(axis=-1, keepdims=True)
+        x_sparse = 1.0 - (x ** (temperature + 1.0)).sum(axis=-1, keepdims=True)
         effect = (br.dist - x) + (br_sparse - x_sparse) / (
             temperature + 1.0
         ) * br.dist ** (1.0 - temperature)
-        return nabla - br.scale * x**temperature, effect
+        return nabla - scale * x**temperature, effect
     if not kind.is_hard:
-        br = special.softmax(y / temperature)
-        br_jac = (np.diag(br) - np.outer(br, br)) / temperature
+        br = _softmax(y / temperature)
+        # (diag(br) - outer(br, br)) / temperature, one Jacobian per row
+        br_jac = np.zeros((*br.shape, br.shape[-1]))
+        diagonal = np.arange(br.shape[-1])
+        br_jac[..., diagonal, diagonal] = br
+        br_jac -= br[..., :, None] * br[..., None, :]
+        br_jac /= temperature
         with np.errstate(divide="ignore"):
             log_br = np.clip(np.log(br), LOGIT_FLOOR, 0.0)
-        effect = (br - x) + br_jac @ (nabla - temperature * (log_br + 1.0))
+        pull = nabla - temperature * (log_br + 1.0)
+        effect = (br - x) + np.matmul(br_jac, pull[..., None])[..., 0]
     else:
         effect = _hard_argmax(y) - x
     policy = np.array(nabla)
@@ -133,27 +146,21 @@ def response_terms(nabla, y, x, kind):
 
 
 def adi_gradient(matrices, nablas, grads, x, kind):
-    """Gradient of the `kind`-regularized deviation incentive per player.
+    """Gradient of the `kind`-regularized deviation incentive per player: an
+    (n, m) stack when every player has the same action count, else a list.
 
     `nablas` are the payoff gradients of the pairwise blocks at x
     (`matrices.payoff_gradients(x)`), which feed the policy terms; `grads`
     feeds the responses (the same nablas, or the auxiliary y).
     """
-    profile = as_profile(x)
-    n = profile.players
-    terms = [
-        response_terms(nabla, grads[i], profile[i], kind)
-        for i, nabla in enumerate(nablas)
-    ]
-    out = []
-    for i in range(n):
-        g = -terms[i][0]
-        for j in range(n):
-            if j != i:
-                # owner-j block with i's actions on the rows
-                g = g + matrices.matrix(j, i).T @ terms[j][1]
-        out.append(g)
-    return out
+    rows = stack_rows(as_profile(x))
+    nablas, grads = stack_rows(nablas), stack_rows(grads)
+    if isinstance(rows, np.ndarray):
+        policy, effect = response_terms(nablas, grads, rows, kind)
+    else:
+        terms = [response_terms(*row, kind) for row in zip(nablas, grads, rows)]
+        policy, effect = map(list, zip(*terms))
+    return matrices.response_gradients(policy, effect)
 
 
 def consensus_loss_check(game, x):

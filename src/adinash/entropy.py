@@ -69,34 +69,48 @@ class Entropy:
 
 @dataclass(frozen=True)
 class BestResponse:
-    """A response distribution plus the Tsallis scale it was normalized by."""
+    """A response distribution plus the Tsallis scale it was normalized by;
+    for a stack of gradient rows, one row and one scale per row."""
 
     dist: np.ndarray
     scale: float = 0.0
 
 
+def _softmax(z):
+    """softmax over the last axis, as scipy.special.softmax computes it."""
+    shifted = np.exp(z - np.max(z, axis=-1, keepdims=True))
+    return shifted / np.sum(shifted, axis=-1, keepdims=True)
+
+
 def _hard_argmax(y):
+    """Mass split uniformly over the maximizers of y, or of each row."""
     y = np.asarray(y, dtype=float)
-    top = y.max()
-    dist = np.zeros_like(y)
-    maxima = y == top
-    dist[maxima] = 1.0 / maxima.sum()
-    return dist
+    maxima = y == y.max(axis=-1, keepdims=True)
+    return maxima / maxima.sum(axis=-1, keepdims=True)
 
 
 def tsallis_scale(y, power):
-    """The 1/p norm of a nonnegative gradient vector, overflow-safe."""
+    """The 1/p norm of a nonnegative gradient vector (or of each row),
+    overflow-safe."""
     y = np.asarray(y, dtype=float)
+    if y.ndim == 1:
+        return float(_row_scale(y, power))
+    # one scalar power per row: the vector power ufunc can differ in the last bit
+    return np.array([_row_scale(row, power) for row in y])
+
+
+def _row_scale(y, power):
     top = y.max(initial=0.0)
     if top <= 0.0:
         return 0.0
     if power < TSALLIS_POWER_MIN:
-        return float(top)
-    return float(top * (np.sum((y / top) ** (1.0 / power)) ** power))
+        return top
+    return top * (((y / top) ** (1.0 / power)).sum() ** power)
 
 
 def best_response(y, kind):
-    """Maximizer of z . y + S(z) over the simplex for the given regularizer.
+    """Maximizer of z . y + S(z) over the simplex for the given regularizer,
+    for a gradient or for each row of a stack.
 
     Shannon: softmax(y / tau). Tsallis: (y / s)^(1/p) with s the 1/p norm of y
     (uniform when s = 0). At hard (snapped) temperatures: argmax with mass
@@ -111,24 +125,30 @@ def best_response(y, kind):
         s = tsallis_scale(y, kind.temperature)
         if kind.is_hard:
             return BestResponse(_hard_argmax(y), s)
-        if s == 0.0:
-            return BestResponse(np.full(y.size, 1.0 / y.size), 0.0)
-        return BestResponse((y / s) ** (1.0 / kind.temperature), s)
+        # s = 0 only on an all-zero row, whose response is uniform
+        zero = np.asarray(s)[..., None] == 0.0
+        dist = (y / np.where(zero, 1.0, s if y.ndim == 1 else s[:, None])) ** (
+            1.0 / kind.temperature
+        )
+        return BestResponse(np.where(zero, 1.0 / y.shape[-1], dist), s)
     if kind.family == "shannon" and not kind.is_hard:
-        return BestResponse(special.softmax(y / kind.temperature), 0.0)
+        return BestResponse(_softmax(y / kind.temperature), 0.0)
     return BestResponse(_hard_argmax(y), 0.0)
 
 
 def entropy_value(x, kind, scale=0.0):
-    """The regularizer's value at x; 0 ln 0 counts as 0.
+    """The regularizer's value at x (one float), or at each row of a stack
+    (one per row); 0 ln 0 counts as 0.
 
-    Tsallis needs the scale s (the 1/p norm of the owner's payoff gradient),
-    which the regularizer treats as a constant.
+    Tsallis needs the scale s (the 1/p norm of the owner's payoff gradient,
+    one per row), which the regularizer treats as a constant.
     """
     x = np.asarray(x, dtype=float)
     if kind.family == "shannon":
-        return float(kind.temperature * special.entr(x).sum())
-    if kind.family == "tsallis":
+        value = kind.temperature * special.entr(x).sum(axis=-1)
+    elif kind.family == "tsallis":
         p = kind.temperature
-        return float(scale / (p + 1.0) * (1.0 - np.sum(x ** (p + 1.0))))
-    return 0.0
+        value = scale / (p + 1.0) * (1.0 - (x ** (p + 1.0)).sum(axis=-1))
+    else:
+        value = np.zeros(x.shape[:-1])
+    return float(value) if x.ndim == 1 else value

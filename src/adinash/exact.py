@@ -20,6 +20,7 @@ import math
 import numpy as np
 
 from .normalform import DESK_SCALE_ENTRIES, SymmetricGame, as_profile, validate_integer
+from .simplex import stack_rows
 
 
 def _chain(owner, keep, players):
@@ -167,16 +168,16 @@ def _pair_chains(players, pairs):
 
 
 def _pair_blocks(game, x, pairs):
-    """Exact blocks of the ordered pairs (i, j), in one batched contraction;
-    i's actions on the rows, a transposed view when j < i."""
+    """Exact blocks of the ordered pairs (i, j), in one batched contraction,
+    each with the lower-numbered player's actions on the rows: H[i][j] when
+    i < j, H[i][j].T when j < i."""
     if isinstance(game, SymmetricGame):
         raise TypeError(
             "pairwise blocks on compressed symmetric games come from "
             "SymmetricGame.pair_payoff_matrix; expand_to_tensor for the general op"
         )
     profile = as_profile(x, game.action_counts)
-    blocks = _contract_chains(game, profile, _pair_chains(game.players, pairs))
-    return [b.T if j < i else b for (i, j), b in zip(pairs, blocks)]
+    return _contract_chains(game, profile, _pair_chains(game.players, pairs))
 
 
 def pairwise_jacobian_exact(game, x, owner, partner):
@@ -190,52 +191,178 @@ def pairwise_jacobian_exact(game, x, owner, partner):
     if owner == partner:
         raise ValueError("pairwise block needs two distinct players")
     (block,) = _pair_blocks(game, x, ((owner, partner),))
-    return block
+    return block.T if partner < owner else block
+
+
+@functools.cache
+def ordered_pairs(players):
+    """Owner and partner of every ordered pair of distinct players, in
+    itertools.permutations order (by owner, then partner), as int arrays."""
+    pairs = np.array(list(itertools.permutations(range(players), 2)), dtype=np.int64)
+    pairs = pairs.reshape(-1, 2)
+    return pairs[:, 0], pairs[:, 1]
+
+
+@functools.cache
+def _pair_index(players):
+    """Ordered pair (i, j) -> its index in `ordered_pairs`."""
+    return {pair: p for p, pair in enumerate(itertools.permutations(range(players), 2))}
+
+
+@functools.cache
+def _into_player(players):
+    """(n, n - 1) pair indices: row i lists the pairs (j, i) over partners j
+    in ascending order."""
+    out = np.empty((players, players - 1), dtype=np.int64)
+    for i in range(players):
+        out[i] = [j * (players - 1) + (i if i < j else i - 1) for j in range(players) if j != i]
+    return out
+
+
+@functools.cache
+def _orientations(flags):
+    """(pair indices, transposed) of each orientation a bool pattern (as
+    bytes) holds."""
+    flip = np.frombuffer(flags, dtype=bool)
+    return tuple(
+        (rows, turn)
+        for rows, turn in ((np.flatnonzero(~flip), False), (np.flatnonzero(flip), True))
+        if rows.size
+    )
 
 
 class PairwiseMatrices:
-    """All ordered-pair blocks H[i][j] (m_i x m_j, payoffs to player i)."""
+    """All ordered-pair blocks H[i][j] (m_i x m_j, payoffs to player i).
+
+    Pair p runs over `ordered_pairs`. Block p is stored as read: H[i][j], or
+    for a transposed pair its transpose, so that ``matrix(i, j)`` hands back
+    the layout the reader made (an F-ordered view of a transposed pair).
+    BLAS gives a C and an F block's products different last bits, so each
+    product keeps its block's orientation. When every player has the same
+    action count and no block is missing, the blocks are one (P, m, m)
+    stack, and every player's products are two batched matmuls, one per
+    orientation; otherwise they are a list, multiplied pair by pair.
+    """
 
     def __init__(self, blocks, action_counts):
+        """From a dict {(i, j): H[i][j]}; an F-ordered block is kept as the
+        transpose of a C-ordered one."""
         self.action_counts = tuple(action_counts)
         self.players = len(self.action_counts)
-        self._blocks = {}
+        self._index = _pair_index(self.players)
+        raw = [None] * len(self._index)
+        transposed = [False] * len(self._index)
         for key, values in blocks.items():
+            if key not in self._index:
+                raise ValueError(f"block {key} is not an ordered pair of distinct players")
             i, j = key
             expected = (self.action_counts[i], self.action_counts[j])
             if values.shape != expected:
                 raise ValueError(f"block {key} has shape {values.shape}, expected {expected}")
-            self._blocks[key] = values
+            p = self._index[key]
+            transposed[p] = values.flags.f_contiguous and not values.flags.c_contiguous
+            raw[p] = values.T if transposed[p] else values
+        self._set(raw, transposed)
+
+    @classmethod
+    def from_stored(cls, raw, transposed, action_counts):
+        """From blocks already in pair order: `raw` a (P, m, m) array or a
+        list of P arrays, block p being H[i][j].T where `transposed[p]` and
+        H[i][j] otherwise."""
+        self = cls.__new__(cls)
+        self.action_counts = tuple(action_counts)
+        self.players = len(self.action_counts)
+        self._index = _pair_index(self.players)
+        self._set(raw, transposed)
+        return self
+
+    def _set(self, raw, transposed):
+        square = len(set(self.action_counts)) == 1
+        if square and not isinstance(raw, np.ndarray) and all(r is not None for r in raw):
+            raw = np.stack(raw)
+        self._raw = raw if square and isinstance(raw, np.ndarray) else list(raw)
+        self._transposed = np.array(transposed, dtype=bool).reshape(-1)
+
+    def stored(self):
+        """(blocks, transposed) as `from_stored` takes them."""
+        return self._raw, self._transposed
+
+    @property
+    def stack(self):
+        """The (P, m, m) stack of stored blocks, or None when they are a list."""
+        return self._raw if isinstance(self._raw, np.ndarray) else None
 
     def matrix(self, owner, partner):
-        try:
-            return self._blocks[(owner, partner)]
-        except KeyError:
-            raise ValueError(f"missing pairwise block ({owner}, {partner})") from None
+        p = self._index.get((owner, partner))
+        block = None if p is None else self._raw[p]
+        if block is None:
+            raise ValueError(f"missing pairwise block ({owner}, {partner})")
+        return block.T if self._transposed[p] else block
 
     def pairs(self):
-        return sorted(self._blocks)
+        return [pair for pair, p in self._index.items() if self._raw[p] is not None]
 
-    def payoff_gradient(self, x, player):
-        """Average of H[i][j] @ x_j over partners j, the sampled-pipeline gradient."""
-        profile = x.strategies if hasattr(x, "strategies") else x
-        terms = [
-            self.matrix(player, j) @ profile[j]
-            for j in range(self.players)
-            if j != player
+    def _products(self, flip, vectors, which):
+        """Row p: stored block p, transposed where `flip`, times
+        vectors[which[p]]; one batched matmul per orientation, each item the
+        bytes of one 2-d @."""
+        out = np.empty((flip.size, vectors.shape[1]))
+        for rows, turn in _orientations(flip.tobytes()):
+            blocks = self._raw[rows]
+            if turn:
+                blocks = blocks.transpose(0, 2, 1)
+            out[rows] = np.matmul(blocks, vectors[which[rows], :, None])[:, :, 0]
+        return out
+
+    def payoff_gradient(self, x, player=None):
+        """Average of H[i][j] @ x_j over partners j, the sampled-pipeline
+        gradient, summed in ascending j; with no player, every player's, as
+        an (n, m) stack of rows when the blocks are stacked, else a list."""
+        rows = stack_rows(x)
+        n = self.players
+        if player is None and self.stack is not None:
+            owners, partners = ordered_pairs(n)
+            terms = self._products(self._transposed, rows, partners).reshape(n, n - 1, -1)
+            return sum(terms[:, k] for k in range(n - 1)) / (n - 1)
+        grads = [
+            sum(self.matrix(i, j) @ rows[j] for j in range(n) if j != i) / (n - 1)
+            for i in (range(n) if player is None else [player])
         ]
-        return sum(terms) / len(terms)
+        return grads if player is None else grads[0]
 
     def payoff_gradients(self, x):
         """Every player's payoff_gradient, in player order."""
-        return [self.payoff_gradient(x, i) for i in range(self.players)]
+        return self.payoff_gradient(x)
+
+    def response_gradients(self, policy, effect):
+        """-policy_i plus H[j][i].T @ effect_j over partners j in ascending
+        order, for every player i: the deviation-incentive gradient from its
+        response terms, stacked like `payoff_gradient`'s."""
+        n = self.players
+        if self.stack is not None and isinstance(effect, np.ndarray):
+            owners, _ = ordered_pairs(n)
+            # pair (j, i) carries H[j][i].T @ effect_j to player i
+            cross = self._products(~self._transposed, effect, owners)[_into_player(n)]
+            g = -policy
+            for k in range(n - 1):
+                g = g + cross[:, k]
+            return g
+        out = []
+        for i in range(n):
+            g = -policy[i]
+            for j in range(n):
+                if j != i:
+                    g = g + self.matrix(j, i).T @ effect[j]
+            out.append(g)
+        return out
 
 
 def exact_pairwise_matrices(game, x):
     """All pairwise blocks computed by exact marginalization, in one batched
     contraction."""
     pairs = tuple(itertools.permutations(range(game.players), 2))
-    return PairwiseMatrices(dict(zip(pairs, _pair_blocks(game, x, pairs))), game.action_counts)
+    blocks = _pair_blocks(game, x, pairs)
+    return PairwiseMatrices.from_stored(blocks, [j < i for i, j in pairs], game.action_counts)
 
 
 def _symmetric_deviation_payoffs(game, profile, player):

@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from .simplex import as_distribution
+from .simplex import as_distribution, stack_rows
 
 DESK_SCALE_ENTRIES = 10_000_000
 # symmetric pair tables above this many entries are not cached; each batch of
@@ -112,10 +112,21 @@ def validate_joint_action(joint, action_counts):
 
 
 class StrategyProfile:
-    """One mixed strategy per player, each validated onto its simplex."""
+    """One mixed strategy per player, each validated onto its simplex.
+
+    When every player has the same action count the strategies are the rows
+    of one (n, m) array, ``stack``, validated in one call; otherwise
+    ``stack`` is None.
+    """
 
     def __init__(self, strategies):
-        self.strategies = tuple(as_distribution(s) for s in strategies)
+        rows = stack_rows(strategies)
+        if isinstance(rows, np.ndarray):
+            self.stack = as_distribution(rows)
+            self.strategies = tuple(self.stack)
+        else:
+            self.stack = None
+            self.strategies = tuple(as_distribution(s) for s in rows)
 
     @classmethod
     def uniform(cls, action_counts):
@@ -359,12 +370,31 @@ class SymmetricGame:
         """Exact expected payoff of each own action when opponents play `strategy`."""
         return self.table @ self._iid_weights(strategy, *self._opponent_weights())
 
+    @property
+    def pair_table_entries(self):
+        """Entries of the (K, m, m) pair table: m^2 per multiset of the n - 2
+        other opponents."""
+        m = self.actions
+        return m * m * math.comb(m + self.players - 3, self.players - 2)
+
+    def pair_table_fits(self):
+        """Whether the pair table is cached or may be: at most
+        ``PAIR_TABLE_ENTRIES`` entries."""
+        return self._pair_cache is not None or self.pair_table_entries <= PAIR_TABLE_ENTRIES
+
     def pair_payoff_matrix(self, strategy):
         """Exact m x m matrix G[r, c] = E[u(r; c, rest)] with rest ~ strategy iid.
 
         G is the focal player's view of the bimatrix game against one designated
-        opponent; by exchangeability the opponent's view is G.T.
+        opponent; by exchangeability the opponent's view is G.T. It is read
+        from the cached pair table, so a table over ``PAIR_TABLE_ENTRIES``
+        entries raises ValueError instead of being built.
         """
+        if not self.pair_table_fits():
+            raise ValueError(
+                f"the pair table has {self.pair_table_entries} entries, over "
+                f"PAIR_TABLE_ENTRIES = {PAIR_TABLE_ENTRIES}; exact pair blocks need it cached"
+            )
         table, counts, log_coef = self._pair_table()
         weights = self._iid_weights(strategy, counts, log_coef)
         m = self.actions
@@ -411,9 +441,7 @@ class SymmetricGame:
             raise ValueError(f"rest of {rests.shape[1]} actions, want {self.players - 2}")
         if rests.size and (rests[:, 0].min() < 0 or rests[:, -1].max() >= m):
             raise ValueError(f"actions outside [0, {m})")
-        # m^2 entries per multiset of the n - 2 other opponents
-        size = m * m * math.comb(m + self.players - 3, self.players - 2)
-        if self._pair_cache is None and size > PAIR_TABLE_ENTRIES:
+        if not self.pair_table_fits():
             blocks = self._gather_blocks(rests)
         else:
             blocks = self._pair_table()[0][multiset_rank_array(rests, m)]

@@ -56,6 +56,7 @@ class TensorOracle(PayoffOracle):
             raise TypeError("TensorOracle wraps a GameTensor")
         super().__init__(game.players, game.action_counts)
         self.game = game
+        self._plans = {}
 
     def query(self, player, joint_action):
         joint = validate_joint_action(joint_action, self.action_counts)
@@ -63,13 +64,59 @@ class TensorOracle(PayoffOracle):
         return float(self.game.payoffs[(player, *joint)])
 
     def pair_payoffs(self, owner, partner, base_joint):
-        joint = validate_joint_action(base_joint, self.action_counts)
-        take = [slice(None) if k in (owner, partner) else joint[k] for k in range(self.players)]
-        block = self.game.payoffs[(owner, *take)]
-        if partner < owner:
-            block = block.T
-        self._count(block.size)
-        return np.array(block, dtype=float)
+        """The (m_owner, m_partner) block with (r, c) substituted into base;
+        counts m_owner * m_partner queries. A partner < owner block is
+        F-ordered: the transpose of the C-ordered slice.
+
+        Many blocks in one gather: with `owner` and `partner` equal-length
+        int arrays of P ordered pairs and `base_joint` an (S, n) int array of
+        joint actions, on a game whose players have one action count m, an
+        (S, P, m, m) stack whose block (s, p) is the C-ordered slice, with
+        the lower-numbered player of pair p on its rows: H[i][j] when i < j,
+        the memory of the transposed H[i][j] when j < i.
+        """
+        if np.ndim(owner) == 0:
+            joint = validate_joint_action(base_joint, self.action_counts)
+            take = [slice(None) if k in (owner, partner) else joint[k] for k in range(self.players)]
+            block = self.game.payoffs[(owner, *take)]
+            if partner < owner:
+                block = block.T
+            self._count(block.size)
+            return np.array(block, dtype=float)
+        joints = np.asarray(base_joint)
+        m = self.action_counts[0]
+        if len(set(self.action_counts)) != 1:
+            raise ValueError("stacked block reads need one action count for every player")
+        if joints.ndim != 2 or joints.shape[1] != self.players:
+            raise ValueError(f"joint actions of shape {joints.shape}, want (S, {self.players})")
+        if joints.dtype.kind not in "iu" or joints.min() < 0 or joints.max() >= m:
+            raise ValueError(f"joint actions must be integers in [0, {m})")
+        weights, offsets = self._gather_plan(np.asarray(owner), np.asarray(partner))
+        blocks = self.game.payoffs.reshape(-1)[(joints @ weights)[:, :, None, None] + offsets]
+        self._count(blocks.size)
+        return blocks
+
+    def _gather_plan(self, owners, partners):
+        """Flat payoff index of block (s, p, r, c) = joints[s] @ weights[:, p]
+        + offsets[p, r, c]: the joint's other players' actions, and the
+        owner's tensor with r and c at the pair's lower and higher player;
+        cached per pair list."""
+        key = (owners.tobytes(), partners.tobytes())
+        if key not in self._plans:
+            n, m = self.players, self.action_counts[0]
+            strides = m ** np.arange(n, -1, -1)  # player axis, then action axes
+            weights = np.tile(strides[1:, None], (1, owners.size))
+            weights[owners, np.arange(owners.size)] = 0
+            weights[partners, np.arange(owners.size)] = 0
+            low, high = np.minimum(owners, partners), np.maximum(owners, partners)
+            actions = np.arange(m)
+            offsets = (
+                (owners * strides[0])[:, None, None]
+                + actions[None, :, None] * strides[1 + low][:, None, None]
+                + actions[None, None, :] * strides[1 + high][:, None, None]
+            )
+            self._plans[key] = (weights, offsets)
+        return self._plans[key]
 
 
 class SymmetricOracle(PayoffOracle):

@@ -1,24 +1,29 @@
 """Monte-Carlo estimation of the pairwise blocks from joint play, and the
 auxiliary-variable machinery that amortizes those estimates over iterations."""
 
+import functools
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .exact import PairwiseMatrices
+from .exact import PairwiseMatrices, ordered_pairs
 from .normalform import as_profile
+from .oracles import TensorOracle
+from .simplex import map_rows, stack_rows
 
 
 @dataclass
 class AuxiliaryState:
-    """Exponentially averaged payoff-gradient estimates, one per player."""
+    """Exponentially averaged payoff-gradient estimates, one per player: an
+    (n, m) stack of rows when every player has the same action count."""
 
     y: list
     t: int = 1
 
     @classmethod
     def zeros(cls, action_counts):
-        return cls([np.zeros(m) for m in action_counts], t=1)
+        return cls(stack_rows([np.zeros(m) for m in action_counts]), t=1)
 
 
 def new_rng(seed):
@@ -26,40 +31,103 @@ def new_rng(seed):
     return np.random.Generator(np.random.Philox(key=int(seed)))
 
 
+def _inverse_cdf(strategy, uniforms):
+    """The action each uniform draw picks from `strategy`, as an int array."""
+    cum = np.cumsum(strategy)
+    draws = np.searchsorted(cum, uniforms, side="right")
+    return np.minimum(draws, cum.size - 1)
+
+
 def sample_actions(strategy, rng, count=1):
     """`count` independent draws from one strategy, by inverse CDF, as an
     int array; one vector draw of `count` uniforms, the doubles of `count`
     single calls."""
-    cum = np.cumsum(strategy)
-    draws = np.searchsorted(cum, rng.random(count), side="right")
-    return np.minimum(draws, cum.size - 1)
+    return _inverse_cdf(strategy, rng.random(count))
 
 
-def sample_joint_action(x, rng):
-    """One independent categorical draw per player."""
-    return tuple(int(sample_actions(strategy, rng)[0]) for strategy in as_profile(x))
+def sample_joint_action(x, rng, samples=None):
+    """One independent categorical draw per player, as a tuple of ints; with
+    `samples`, a (samples, n) int array of joint actions drawn one after
+    another, from one vector draw: the doubles of `samples` single calls."""
+    profile = as_profile(x)
+    n = profile.players
+    uniforms = rng.random(n * (1 if samples is None else samples)).reshape(-1, n)
+    joints = np.column_stack([_inverse_cdf(s, uniforms[:, i]) for i, s in enumerate(profile)])
+    return tuple(int(a) for a in joints[0]) if samples is None else joints
+
+
+def sample_mean(stack):
+    """The entrywise mean of a stack of sampled blocks over its first axis,
+    added in sample order from 0.0; the one block mean of both solvers."""
+    return np.add.reduce(stack, axis=0, initial=0.0) / len(stack)
+
+
+def _fill(oracle, joint):
+    """{pair: block} read one pair at a time at one joint action."""
+    blocks = {}
+    for i, j in itertools.permutations(range(oracle.players), 2):
+        try:
+            blocks[(i, j)] = oracle.pair_payoffs(i, j, joint)
+        except Exception as err:
+            raise RuntimeError(
+                f"oracle failed on pair ({i}, {j}) at joint {tuple(joint)}"
+            ) from err
+    return blocks
+
+
+@functools.cache
+def _rests(players):
+    """(P, n - 2) columns of the players outside each ordered pair."""
+    pairs = itertools.permutations(range(players), 2)
+    rests = [[k for k in range(players) if k not in pair] for pair in pairs]
+    return np.array(rests, dtype=np.int64).reshape(-1, players - 2)
 
 
 def estimate_pairwise_matrices(oracle, joint_action):
-    """Fill every ordered pair's block by substituting (r, c) into the sample.
+    """Fill every ordered pair's block by substituting (r, c) into a sampled
+    joint action; the query counter advances by sum_{i != j} m_i * m_j per
+    joint action.
 
-    All pairs reuse the same joint action; the query counter advances by
-    sum_{i != j} m_i * m_j. Oracle failures surface with the offending pair
-    attached.
+    One joint action: each block read by its own pair_payoffs call. An
+    (S, n) int array of joint actions, checked against the action counts:
+    each block's sample_mean over the S
+    fills, read in one call from a symmetric oracle (symmetric_pair_payoffs
+    on every pair's rest) or from a TensorOracle whose players have one
+    action count, and pair by pair otherwise. Oracle failures surface with
+    the offending pair, or the joint actions of the failed read, attached.
     """
-    n = oracle.players
-    blocks = {}
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            try:
-                blocks[(i, j)] = oracle.pair_payoffs(i, j, joint_action)
-            except Exception as err:
-                raise RuntimeError(
-                    f"oracle failed on pair ({i}, {j}) at joint {tuple(joint_action)}"
-                ) from err
-    return PairwiseMatrices(blocks, oracle.action_counts)
+    counts = oracle.action_counts
+    joints = np.asarray(joint_action)
+    if joints.ndim < 2:
+        return PairwiseMatrices(_fill(oracle, joint_action), counts)
+    n, samples = oracle.players, len(joints)
+    if (
+        joints.ndim != 2
+        or samples < 1
+        or joints.shape[1] != n
+        or joints.dtype.kind not in "iu"
+        or np.any((joints < 0) | (joints >= counts))
+    ):
+        raise ValueError(f"joint actions must be an (S >= 1, {n}) int array within {counts}")
+    owners, partners = ordered_pairs(n)
+    try:
+        if oracle.is_symmetric():
+            rests = joints[:, _rests(n)].reshape(samples * owners.size, n - 2)
+            blocks = oracle.symmetric_pair_payoffs(rests)
+            transposed = np.zeros(owners.size, dtype=bool)
+        elif isinstance(oracle, TensorOracle) and len(set(counts)) == 1:
+            blocks = oracle.pair_payoffs(owners, partners, joints)
+            transposed = partners < owners
+        else:
+            blocks = None
+    except Exception as err:
+        raise RuntimeError(f"oracle failed on the blocks of joints {joints.tolist()}") from err
+    if blocks is not None:
+        blocks = blocks.reshape(samples, owners.size, *blocks.shape[-2:])
+        return PairwiseMatrices.from_stored(sample_mean(blocks), transposed, counts)
+    fills = [PairwiseMatrices(_fill(oracle, joint), counts).stored() for joint in joints]
+    raw = [sample_mean(np.stack([stored[p] for stored, _ in fills])) for p in range(owners.size)]
+    return PairwiseMatrices.from_stored(raw, fills[0][1], counts)
 
 
 def update_aux(state, grad_estimates, aux_learning_rate):
@@ -71,8 +139,7 @@ def update_aux(state, grad_estimates, aux_learning_rate):
     alpha = max(1.0 / state.t, float(aux_learning_rate))
     if not 0.0 < alpha <= 1.0:
         raise ValueError(f"step weight {alpha} outside (0, 1]")
-    new_y = [
-        y - alpha * (y - np.asarray(g, dtype=float))
-        for y, g in zip(state.y, grad_estimates)
-    ]
+    new_y = map_rows(
+        lambda y, g: y - alpha * (y - g), stack_rows(state.y), stack_rows(grad_estimates)
+    )
     return AuxiliaryState(new_y, state.t + 1)

@@ -9,16 +9,35 @@ SIMPLEX_TOL = 1e-9
 
 
 def as_distribution(v, size=None):
-    """Validate (and lightly repair) a vector as a mixed strategy.
+    """Validate (and lightly repair) a vector as a mixed strategy, or every
+    row of an (n, m) stack of them.
 
     Nonnegative entries summing to 1 within ``RENORMALIZE_TOL`` are accepted
-    and renormalized exactly; anything further off is rejected.
+    and renormalized exactly; anything further off is rejected, naming what
+    is wrong with the first bad row.
     """
     x = np.asarray(v, dtype=float)
-    if x.ndim != 1:
+    if x.ndim not in (1, 2):
         raise ValueError(f"mixed strategy must be 1-d, got shape {x.shape}")
-    if size is not None and x.size != size:
-        raise ValueError(f"expected {size} actions, got {x.size}")
+    if size is not None and x.shape[-1] != size:
+        raise ValueError(f"expected {size} actions, got {x.shape[-1]}")
+    rows = np.atleast_2d(x)
+    # NaN and -inf fail the first test and +inf the mass test, so the sum of
+    # a row never meets inf - inf
+    if not (
+        (rows >= -RENORMALIZE_TOL).all()
+        and (np.abs(rows.sum(axis=1) - 1.0) <= RENORMALIZE_TOL).all()
+    ):
+        for row in rows:
+            _reject(row)
+    # np.clip(rows, 0.0, None), without its wrapper
+    rows = np.maximum(rows, 0.0)
+    out = rows / rows.sum(axis=1, keepdims=True)
+    return out[0] if x.ndim == 1 else out
+
+
+def _reject(x):
+    """Raise for the first check the vector x fails, if any."""
     if not np.all(np.isfinite(x)):
         raise ValueError("mixed strategy has non-finite entries")
     if np.any(x < -RENORMALIZE_TOL):
@@ -26,8 +45,6 @@ def as_distribution(v, size=None):
     total = x.sum()
     if abs(total - 1.0) > RENORMALIZE_TOL:
         raise ValueError(f"mixed strategy mass {total} is not 1 within {RENORMALIZE_TOL}")
-    x = np.clip(x, 0.0, None)
-    return x / x.sum()
 
 
 def is_distribution(v, tol=SIMPLEX_TOL):
@@ -41,46 +58,52 @@ def is_distribution(v, tol=SIMPLEX_TOL):
 
 
 def simplex_project_euclidean(v):
-    """Euclidean projection onto the probability simplex.
+    """Euclidean projection onto the probability simplex, of a vector or of
+    every row of an (n, m) stack.
 
     Standard sort-and-threshold procedure: exact, O(m log m), deterministic.
     On large entries the cumulative sum can round the threshold away (no
-    support index, or a result off unit mass by more than SIMPLEX_TOL); the
-    projection is then taken of the shift x - max(x), which has the same
+    support index, or a result off unit mass by more than SIMPLEX_TOL); such
+    a row is then projected as the shift x - max(x), which has the same
     projection and puts 0 at the top of the sort.
     """
     x = np.asarray(v, dtype=float)
-    if x.ndim != 1:
-        raise ValueError("expected a 1-d vector")
+    if x.ndim not in (1, 2):
+        raise ValueError("expected a 1-d vector or a stack of rows")
     if not np.all(np.isfinite(x)):
         raise ValueError("cannot project non-finite vector")
-    out = _threshold(x)
-    if out is None or not abs(out.sum() - 1.0) <= SIMPLEX_TOL:
-        out = _threshold(x - x.max())
-    return out
+    rows = np.atleast_2d(x)
+    out, found = _threshold(rows)
+    if not (found.all() and (np.abs(out.sum(axis=1) - 1.0) <= SIMPLEX_TOL).all()):
+        retake = ~found | ~(np.abs(out.sum(axis=1) - 1.0) <= SIMPLEX_TOL)
+        shifted = rows[retake]
+        out[retake] = _threshold(shifted - shifted.max(axis=1, keepdims=True))[0]
+    return out[0] if x.ndim == 1 else out
 
 
 def _threshold(x):
-    """Sort-and-threshold projection of x, or None when no index qualifies."""
-    u = np.sort(x)[::-1]
-    css = np.cumsum(u) - 1.0
-    ks = np.arange(1, x.size + 1)
-    cond = u - css / ks > 0
-    if not cond.any():
-        return None
-    rho = ks[cond][-1]
-    theta = css[cond][-1] / rho
-    return np.clip(x - theta, 0.0, None)
+    """Sort-and-threshold projection of each row of x, and whether each row
+    had a qualifying index (rows without one hold garbage)."""
+    m = x.shape[1]
+    u = np.sort(x, axis=1)[:, ::-1]
+    css = np.cumsum(u, axis=1) - 1.0
+    cond = u - css / np.arange(1, m + 1) > 0
+    # rho: the last qualifying index of each row, counted from 1
+    rho = m - np.argmax(cond[:, ::-1], axis=1)
+    theta = css[np.arange(x.shape[0]), rho - 1] / rho
+    return np.maximum(x - theta[:, None], 0.0), cond.any(axis=1)
 
 
 def tangent_project(g):
-    """Project a gradient onto the tangent space of the simplex (sum-zero)."""
+    """Project a gradient, or every row of a stack, onto the tangent space
+    of the simplex (sum-zero)."""
     g = np.asarray(g, dtype=float)
-    return g - g.sum() / g.size
+    return g - g.sum(axis=-1, keepdims=True) / g.shape[-1]
 
 
 def mirror_step_entropic(x, g, step_size):
-    """Entropic mirror-descent step: multiplicative weights against gradient g.
+    """Entropic mirror-descent step: multiplicative weights against gradient g,
+    on a vector or on every row of a stack.
 
     Returns ``x * exp(-step_size * g)`` renormalized; requires all of x's mass
     components strictly positive so the iterate stays in the simplex interior,
@@ -91,9 +114,46 @@ def mirror_step_entropic(x, g, step_size):
     if np.any(x <= 0.0):
         raise ValueError("entropic mirror step requires strictly positive input")
     logits = np.log(x) - step_size * g
-    logits -= logits.max()
+    logits -= logits.max(axis=-1, keepdims=True)
     z = np.exp(logits)
-    out = z / z.sum()
+    out = z / z.sum(axis=-1, keepdims=True)
     if not np.all(out > 0.0):
         raise FloatingPointError("entropic mirror step left the simplex interior")
     return out
+
+
+# -- per-player rows -------------------------------------------------------
+#
+# A profile's strategies (or gradients) of one length are one (n, m) array
+# and every kernel above runs on all of its rows at once; rows of different
+# lengths stay a list and each kernel runs once per row. A kernel on a stack
+# gives the bytes of the same kernel on each row alone.
+
+
+def stack_rows(vectors):
+    """Vectors of one length as one (n, m) array: a 2-d array, or a
+    StrategyProfile's own stack, as is; a list stacked. Vectors of different
+    lengths as a list of float arrays."""
+    stack = getattr(vectors, "stack", None)
+    if stack is not None:
+        return stack
+    if isinstance(vectors, np.ndarray) and vectors.ndim == 2:
+        return vectors
+    rows = [np.asarray(v, dtype=float) for v in vectors]
+    if rows and all(r.ndim == 1 and r.shape == rows[0].shape for r in rows):
+        return np.stack(rows)
+    return rows
+
+
+def map_rows(fn, *arrays):
+    """fn on (n, m) stacks at once, or on each row of per-player lists,
+    whose results are a list."""
+    if isinstance(arrays[0], np.ndarray):
+        return fn(*arrays)
+    return [fn(*rows) for rows in zip(*arrays)]
+
+
+def row_dot(a, b):
+    """Dot product of each row of a with the same row of b (vectors: one
+    float); each the bytes np.dot gives on the two rows."""
+    return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]

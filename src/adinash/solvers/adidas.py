@@ -22,7 +22,8 @@ from ..adi import (
 )
 # best_response has no caller here; bench/tracer.py patches this binding
 from ..entropy import Entropy, best_response  # noqa: F401
-from ..exact import PairwiseMatrices, exact_pairwise_matrices
+from ..exact import exact_pairwise_matrices
+from .. import normalform
 from ..normalform import (
     DESK_SCALE_ENTRIES,
     GameTensor,
@@ -37,9 +38,16 @@ from ..sampling import (
     new_rng,
     sample_actions,
     sample_joint_action,
+    sample_mean,
     update_aux,
 )
-from ..simplex import mirror_step_entropic, simplex_project_euclidean, tangent_project
+from ..simplex import (
+    map_rows,
+    mirror_step_entropic,
+    simplex_project_euclidean,
+    stack_rows,
+    tangent_project,
+)
 from .base import BaseSolver, IterateLog, profile_hash
 
 DEFAULT_SHANNON_TEMP = 100.0
@@ -81,26 +89,32 @@ def tsallis_offset(game):
 
 
 def descent_step(strategies, gradients, learning_rate, projection="euclidean", tangent=True):
-    """One descent step per strategy, as plain arrays for the caller to wrap.
+    """One descent step per strategy, as plain arrays for the caller to wrap:
+    one (n, m) array when the strategies have one length, else a list.
 
     The gradient is tangent-projected (which can overflow on huge finite
     entries), checked finite, then stepped; a non-finite gradient or
     Euclidean step raises FloatingPointError. Ascent is descent on the
     negated gradients with `tangent=False`.
     """
+    x, g = stack_rows(strategies), stack_rows(gradients)
     if tangent:
-        gradients = [tangent_project(g) for g in gradients]
-    if not all(np.all(np.isfinite(g)) for g in gradients):
+        g = map_rows(tangent_project, g)
+    if not _finite(g):
         raise FloatingPointError("non-finite gradient")
-    pairs = zip(strategies, gradients)
     if projection == "euclidean":
-        stepped = [s - learning_rate * g for s, g in pairs]
-        if not all(np.all(np.isfinite(v)) for v in stepped):
+        stepped = map_rows(lambda s, d: s - learning_rate * d, x, g)
+        if not _finite(stepped):
             raise FloatingPointError(f"step at learning rate {learning_rate!r} overflowed")
-        return [simplex_project_euclidean(v) for v in stepped]
+        return map_rows(simplex_project_euclidean, stepped)
     if projection == "mirror":
-        return [mirror_step_entropic(s, g, learning_rate) for s, g in pairs]
+        return map_rows(lambda s, d: mirror_step_entropic(s, d, learning_rate), x, g)
     raise ValueError(f"unknown projection {projection!r}")
+
+
+def _finite(rows):
+    """Whether every entry of a stack, or of every row of a list, is finite."""
+    return all(np.all(np.isfinite(r)) for r in ([rows] if isinstance(rows, np.ndarray) else rows))
 
 
 class AdidasSolver(BaseSolver):
@@ -174,8 +188,8 @@ class AdidasSolver(BaseSolver):
         kind = _resolve_entropy(self.entropy, self.initial_temperature)
         view = view_type(game_or_oracle, kind)
         oracle, desk = view.oracle, view.desk
-        if self.exact_gradients and desk is None:
-            raise ValueError(view.needs_desk)
+        if self.exact_gradients:
+            view.check_exact()
         iterations, samples = int(self.iterations), int(self.samples)
         rng = new_rng(self.seed)
         x = view.wrap([np.full(m, 1.0 / m) for m in view.counts])
@@ -307,6 +321,11 @@ class _GeneralView:
     def exact_is_cheap(self):
         return self.desk.is_desk_scale()
 
+    def check_exact(self):
+        """Raise unless exact blocks can be built."""
+        if self.desk is None:
+            raise ValueError(self.needs_desk)
+
     @functools.cached_property
     def tensor(self):
         """The desk game as a tensor, expanded once for exact blocks; exact
@@ -319,18 +338,9 @@ class _GeneralView:
         return exact_pairwise_matrices(self.tensor, x)
 
     def sampled_blocks(self, x, rng, samples):
-        """Blocks averaged over `samples` joint actions drawn from x, entrywise
-        in sample order; one sample's blocks pass through."""
-        sets = [
-            estimate_pairwise_matrices(self.oracle, sample_joint_action(x, rng))
-            for _ in range(samples)
-        ]
-        if samples == 1:
-            return sets[0]
-        return PairwiseMatrices(
-            {key: sum(s.matrix(*key) for s in sets) / samples for key in sets[0].pairs()},
-            sets[0].action_counts,
-        )
+        """Blocks averaged over `samples` joint actions drawn from x in one
+        draw, entrywise in sample order (`sample_mean`)."""
+        return estimate_pairwise_matrices(self.oracle, sample_joint_action(x, rng, samples))
 
     def payoff_gradients(self, matrices, x):
         return matrices.payoff_gradients(x)
@@ -370,10 +380,20 @@ class _SymmetricView(_GeneralView):
         return self.oracle.action_counts[:1]
 
     def wrap(self, strategies):
-        return list(strategies)
+        """The shared strategy as a one-row stack, its bytes as given (a
+        StrategyProfile would renormalize it)."""
+        return np.asarray(strategies, dtype=float)
 
     def exact_is_cheap(self):
         return self.desk.entry_count <= DESK_SCALE_ENTRIES
+
+    def check_exact(self):
+        super().check_exact()
+        if not self.desk.pair_table_fits():
+            raise ValueError(
+                f"exact_gradients reads the pair table, {self.desk.pair_table_entries} entries "
+                f"here, over PAIR_TABLE_ENTRIES = {normalform.PAIR_TABLE_ENTRIES}"
+            )
 
     def exact_blocks(self, x):
         return self.desk.pair_payoff_matrix(x[0])
@@ -383,24 +403,23 @@ class _SymmetricView(_GeneralView):
         draw of every rest, one batched read, and the blocks added in sample
         order."""
         rests = sample_actions(x[0], rng, samples * (self.players - 2))
-        blocks = self.oracle.symmetric_pair_payoffs(rests.reshape(samples, self.players - 2))
-        # a total started at 0.0, like the per-sample loop it replaces: -0.0 sums to 0.0
-        return np.add.reduce(blocks, axis=0, initial=0.0) / samples
+        rests = rests.reshape(samples, self.players - 2)
+        return sample_mean(self.oracle.symmetric_pair_payoffs(rests))
 
     def payoff_gradients(self, own, x):
-        return [own @ x[0]]
+        return (own @ x[0])[None]
 
     def amortized(self, x, y, kind):
         """Every player shares the strategy and the tracker, so one player's
         gain is every player's: computed once, reported n times."""
         (strategy,), (tracker,) = x, y
         n = self.players
-        report = adi_amortized([strategy], [tracker], kind)
+        report = adi_amortized(x, y, kind)
         report = dataclasses.replace(report, per_player=np.full(n, report.per_player[0]))
         return report, n * float(tracker.max() - np.dot(tracker, strategy))
 
     def gradients(self, own, nablas, y, x, kind):
-        return [_symmetric_gradient(own, nablas[0], y[0], x[0], kind, self.players)]
+        return _symmetric_gradient(own, nablas[0], y[0], x[0], kind, self.players)[None]
 
     def exact_adi(self, strategies):
         return symmetric_adi_exact(self.desk, strategies[0])
@@ -454,8 +473,7 @@ def warmup_anneal_descend(
     rounds = validate_integer("anneal_rounds", anneal_rounds, 0)
     steps = validate_integer("descent_steps", descent_steps, 0)
     view = _GeneralView(game, Entropy.none())
-    if view.desk is None:
-        raise ValueError(view.needs_desk)
+    view.check_exact()
     lam = 0.0
     x = view.wrap([np.full(m, 1.0 / m) for m in view.counts])
     for _ in range(rounds):

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from adinash import exact
 from adinash.exact import (
+    PairwiseMatrices,
     exact_pairwise_matrices,
     expected_utility,
     pairwise_jacobian_exact,
@@ -15,6 +16,8 @@ from adinash.exact import (
 )
 from adinash.generators import ElFarolSpec, make_covariant_random, make_el_farol
 from adinash.normalform import GameTensor, StrategyProfile
+from adinash.oracles import SymmetricOracle, TensorOracle
+from adinash.sampling import estimate_pairwise_matrices
 from adinash.simplex import simplex_project_euclidean
 
 from conftest import random_game, random_profile
@@ -282,3 +285,75 @@ class TestPlayerIndices:
         game, x = case
         want = payoff_gradient(game, x, 1)
         assert np.array_equal(payoff_gradient(game, x, np.int64(1)), want)
+
+
+class TestStoredLayout:
+    """Blocks keep the layout their reader made: BLAS gives a C and an F
+    block's products different last bits, so the batched products must read
+    the memory the per-pair products read."""
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: TensorOracle(make_covariant_random(4, 3, 0.0, seed=4)),
+            lambda: TensorOracle(GameTensor(np.random.default_rng(5).normal(size=(3, 2, 3, 4)))),
+            lambda: SymmetricOracle(make_el_farol(ElFarolSpec(players=5))),
+        ],
+        ids=["tensor", "tensor-ragged", "symmetric"],
+    )
+    def test_sampled_fill_matches_single_reads(self, make):
+        oracle = make()
+        rng = np.random.default_rng(6)
+        joint = [int(rng.integers(0, m)) for m in oracle.action_counts]
+        stacked = estimate_pairwise_matrices(oracle, np.array([joint]))
+        single = make()
+        for i, j in itertools.permutations(range(oracle.players), 2):
+            assert same_layout(stacked.matrix(i, j), single.pair_payoffs(i, j, joint))
+        assert oracle.queries == single.queries
+
+    def test_exact_blocks_match_tensordot(self):
+        game = make_el_farol(ElFarolSpec(players=5)).expand_to_tensor()
+        x = random_profile(np.random.default_rng(7), game)
+        blocks = exact_pairwise_matrices(game, x)
+        for i, j in itertools.permutations(range(game.players), 2):
+            assert same_layout(blocks.matrix(i, j), reference_block(game, x, i, j))
+
+    def test_dict_blocks_keep_their_layout(self):
+        rng = np.random.default_rng(8)
+        given = {
+            pair: (rng.normal(size=(3, 3)) if pair[0] < pair[1] else rng.normal(size=(3, 3)).T)
+            for pair in itertools.permutations(range(3), 2)
+        }
+        blocks = PairwiseMatrices(given, (3, 3, 3))
+        for pair, block in given.items():
+            assert same_layout(blocks.matrix(*pair), block)
+
+    @pytest.mark.parametrize("source", ["tensor", "exact", "symmetric"])
+    def test_stacked_products_match_per_pair_products(self, source):
+        rng = np.random.default_rng(9)
+        game = make_covariant_random(5, 4, 0.0, seed=2)
+        x = random_profile(rng, game)
+        if source == "exact":
+            blocks = exact_pairwise_matrices(game, x)
+        else:
+            oracle = TensorOracle(game)
+            if source == "symmetric":
+                game = make_el_farol(ElFarolSpec(players=5))
+                x = random_profile(rng, game.expand_to_tensor())
+                oracle = SymmetricOracle(game)
+            joints = rng.integers(0, game.action_counts[0], size=(3, game.players))
+            blocks = estimate_pairwise_matrices(oracle, joints)
+        assert blocks.stack is not None
+        n = game.players
+        partners = [[j for j in range(n) if j != i] for i in range(n)]
+        grads = blocks.payoff_gradient(x)
+        for i in range(n):
+            want = sum(blocks.matrix(i, j) @ x[j] for j in partners[i]) / (n - 1)
+            assert np.array_equal(grads[i], want)
+        policy, effect = rng.normal(size=(2, n, game.action_counts[0]))
+        stacked = blocks.response_gradients(policy, effect)
+        for i in range(n):
+            want = -policy[i]
+            for j in partners[i]:
+                want = want + blocks.matrix(j, i).T @ effect[j]
+            assert np.array_equal(stacked[i], want)

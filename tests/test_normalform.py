@@ -20,7 +20,8 @@ from adinash.normalform import (
     validate_integer,
     validate_joint_action,
 )
-from adinash.generators import make_modified_shapley
+from adinash.generators import ElFarolSpec, make_el_farol, make_modified_shapley
+from adinash.solvers import SymmetricAdidasSolver
 from adinash.oracles import TensorOracle
 from conftest import symmetric_games
 
@@ -282,6 +283,29 @@ class TestSymmetricGame:
 def _scalar_lookup(game, own, opponents):
     column = list(enumerate_multisets(game.actions, game.players - 1))
     return game.table[own, column.index(tuple(sorted(opponents)))]
+
+
+class TestPairTableLimit:
+    """The cached (K, m, m) pair table is built only within PAIR_TABLE_ENTRIES;
+    over it, exact pair blocks are refused and sampled reads gathered."""
+
+    def test_exact_block_over_the_limit_is_refused(self):
+        game = make_el_farol(ElFarolSpec(players=5))
+        assert game.pair_table_entries == 4 * 4
+        with mock.patch.object(normalform, "PAIR_TABLE_ENTRIES", 0):
+            with pytest.raises(ValueError, match=r"16 entries, over PAIR_TABLE_ENTRIES = 0"):
+                game.pair_payoff_matrix([0.5, 0.5])
+            assert game._pair_cache is None
+            blocks = game.pair_block_at([[0, 1, 1], [1, 1, 1]])
+            assert blocks.shape == (2, 2, 2)
+            assert game._pair_cache is None
+            solver = SymmetricAdidasSolver(exact_gradients=True, iterations=3)
+            with pytest.raises(ValueError, match="exact_gradients.*PAIR_TABLE_ENTRIES = 0"):
+                solver.fit(game)
+            assert game._pair_cache is None
+        # within the limit the same block is served from the cached table
+        assert game.pair_payoff_matrix([0.5, 0.5]).shape == (2, 2)
+        assert game._pair_cache is not None
 
 
 class TestMultisetLookupProperties:

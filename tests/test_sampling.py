@@ -3,13 +3,20 @@ import pytest
 
 from adinash.exact import exact_pairwise_matrices, payoff_gradient
 from adinash.normalform import GameTensor, StrategyProfile
-from adinash.oracles import TensorOracle
+from adinash.generators import (
+    ElFarolSpec,
+    make_bernoulli_metagame,
+    make_el_farol,
+    planted_winrates,
+)
+from adinash.oracles import SymmetricOracle, TensorOracle
 from adinash.sampling import (
     AuxiliaryState,
     estimate_pairwise_matrices,
     new_rng,
     sample_actions,
     sample_joint_action,
+    sample_mean,
     update_aux,
 )
 
@@ -253,3 +260,85 @@ class TestAuxiliaryUpdates:
             np.abs(state.y[i] - payoff_gradient(g, x, i)).max() for i in range(3)
         )
         assert worst <= 0.15
+
+
+class TestStackedFills:
+    """The general loop draws every joint action of a step in one call and
+    fills every block of them in one read; both give the bytes of the
+    sample-by-sample, pair-by-pair path."""
+
+    @pytest.mark.parametrize("counts", [(3, 3, 3, 3), (2, 4, 3)], ids=["square", "ragged"])
+    def test_stacked_draw_is_successive_single_draws(self, counts):
+        rng = np.random.default_rng(1)
+        x = StrategyProfile([rng.dirichlet(np.ones(m)) for m in counts])
+        stacked, single = new_rng(4), new_rng(4)
+        joints = sample_joint_action(x, stacked, 25)
+        assert joints.shape == (25, len(counts))
+        assert [tuple(j) for j in joints] == [sample_joint_action(x, single) for _ in range(25)]
+        assert stacked.random() == single.random()
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: TensorOracle(GameTensor(np.random.default_rng(2).normal(size=(4, 3, 3, 3, 3)))),
+            lambda: TensorOracle(GameTensor(np.random.default_rng(3).normal(size=(3, 2, 3, 4)))),
+            lambda: SymmetricOracle(make_el_farol(ElFarolSpec(players=4))),
+            lambda: make_bernoulli_metagame(planted_winrates(4, 3, seed=1), seed=5),
+        ],
+        ids=["tensor", "tensor-ragged", "symmetric", "bernoulli"],
+    )
+    def test_stacked_fill_is_the_mean_of_single_fills(self, make):
+        stacked, single = make(), make()
+        rng = np.random.default_rng(4)
+        joints = np.column_stack(
+            [rng.integers(0, m, size=3) for m in stacked.action_counts]
+        )
+        blocks = estimate_pairwise_matrices(stacked, joints)
+        fills = [estimate_pairwise_matrices(single, tuple(joint)) for joint in joints]
+        for key in fills[0].pairs():
+            want = sample_mean(np.stack([fill.matrix(*key) for fill in fills]))
+            assert np.array_equal(blocks.matrix(*key), want)
+        assert stacked.queries == single.queries
+
+    def test_tensor_stack_read_matches_single_reads(self):
+        game = GameTensor(np.random.default_rng(5).normal(size=(3, 3, 3, 3)))
+        oracle = TensorOracle(game)
+        owners, partners = np.array([0, 2, 1]), np.array([1, 0, 2])
+        joints = np.array([[0, 1, 2], [2, 2, 0]])
+        blocks = oracle.pair_payoffs(owners, partners, joints)
+        assert blocks.shape == (2, 3, 3, 3) and blocks.flags.c_contiguous
+        assert oracle.queries == blocks.size
+        for s, joint in enumerate(joints):
+            for p, (i, j) in enumerate(zip(owners, partners)):
+                block = oracle.pair_payoffs(int(i), int(j), joint)
+                assert np.array_equal(blocks[s, p], block.T if j < i else block)
+
+    @pytest.mark.parametrize(
+        "joints,match",
+        [
+            (np.array([[0, 3, 1]]), "integers in"),
+            (np.array([[0.0, 1.0, 1.0]]), "integers in"),
+            (np.array([[0, 1]]), "shape"),
+        ],
+        ids=["out-of-range", "float", "short"],
+    )
+    def test_tensor_stack_read_rejects_bad_joints(self, joints, match):
+        oracle = TensorOracle(GameTensor(np.zeros((3, 3, 3, 3))))
+        with pytest.raises(ValueError, match=match):
+            oracle.pair_payoffs(np.array([0, 1]), np.array([1, 0]), joints)
+        with pytest.raises(ValueError, match="one action count"):
+            TensorOracle(GameTensor(np.zeros((2, 2, 3)))).pair_payoffs(
+                np.array([0]), np.array([1]), np.array([[0, 0]])
+            )
+
+    @pytest.mark.parametrize(
+        "joints",
+        [np.array([[0, 2]]), np.array([[0.0, 1.0]]), np.array([[0, 1, 1]]), np.empty((0, 2), int)],
+        ids=["out-of-range", "float", "long", "empty"],
+    )
+    def test_stacked_fill_rejects_bad_joints(self, joints):
+        # a two-player symmetric read has no rest to range-check
+        oracle = SymmetricOracle(make_el_farol(ElFarolSpec(players=2)))
+        with pytest.raises(ValueError, match="joint actions"):
+            estimate_pairwise_matrices(oracle, joints)
+        assert oracle.queries == 0
