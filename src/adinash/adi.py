@@ -110,13 +110,15 @@ def response_terms(nabla, y, x, kind):
     At power 0 the corrections vanish and the policy term reduces to
     nabla - ||nabla||_inf, whose constant part the tangent projection removes.
     """
-    nabla, y, x = (np.asarray(v, dtype=float) for v in (nabla, y, x))
+    nabla = np.asarray(nabla, dtype=float)
+    y = np.asarray(y, dtype=float)
+    x = np.asarray(x, dtype=float)
     temperature = kind.temperature
     if kind.family == "tsallis":
-        if np.any(y < 0.0):
+        if (y < 0.0).any():
             raise ValueError("tsallis gradient needs nonnegative payoff gradients")
         br = best_response(y, kind)
-        scale = np.asarray(br.scale)[..., None]
+        scale = br.scale if y.ndim == 1 else br.scale[:, None]
         br_sparse = 1.0 - (br.dist ** (temperature + 1.0)).sum(axis=-1, keepdims=True)
         x_sparse = 1.0 - (x ** (temperature + 1.0)).sum(axis=-1, keepdims=True)
         effect = (br.dist - x) + (br_sparse - x_sparse) / (

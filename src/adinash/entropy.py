@@ -118,19 +118,23 @@ def best_response(y, kind):
     """
     y = np.asarray(y, dtype=float)
     if kind.family == "tsallis":
-        if np.any(y < 0.0):
+        if (y < 0.0).any():
             raise ValueError(
                 "tsallis responses need nonnegative payoff gradients; offset the game"
             )
         s = tsallis_scale(y, kind.temperature)
         if kind.is_hard:
             return BestResponse(_hard_argmax(y), s)
-        # s = 0 only on an all-zero row, whose response is uniform
-        zero = np.asarray(s)[..., None] == 0.0
-        dist = (y / np.where(zero, 1.0, s if y.ndim == 1 else s[:, None])) ** (
-            1.0 / kind.temperature
-        )
-        return BestResponse(np.where(zero, 1.0 / y.shape[-1], dist), s)
+        # s = 0 only on an all-zero row, whose response is uniform; a
+        # vector's float scale needs no guard array
+        zero = s == 0.0
+        if y.ndim == 1:
+            divisor = 1.0 if zero else s
+        else:
+            divisor = np.where(zero, 1.0, s)[:, None]
+        dist = (y / divisor) ** (1.0 / kind.temperature)
+        dist[zero] = 1.0 / y.shape[-1]
+        return BestResponse(dist, s)
     if kind.family == "shannon" and not kind.is_hard:
         return BestResponse(_softmax(y / kind.temperature), 0.0)
     return BestResponse(_hard_argmax(y), 0.0)

@@ -320,18 +320,21 @@ class PairwiseMatrices:
         an (n, m) stack of rows when the blocks are stacked, else a list."""
         rows = stack_rows(x)
         n = self.players
-        if player is None and self.stack is not None:
+        if player is not None:
+            player = validate_integer("player", player, 0, n)
+        if self.stack is not None:
             owners, partners = ordered_pairs(n)
             terms = self._products(self._transposed, rows, partners).reshape(n, n - 1, -1)
-            return sum(terms[:, k] for k in range(n - 1)) / (n - 1)
-        grads = [
-            sum(self.matrix(i, j) @ rows[j] for j in range(n) if j != i) / (n - 1)
-            for i in (range(n) if player is None else [player])
-        ]
-        return grads if player is None else grads[0]
+            grads = sum(terms[:, k] for k in range(n - 1)) / (n - 1)
+        else:
+            grads = [
+                sum(self.matrix(i, j) @ rows[j] for j in range(n) if j != i) / (n - 1)
+                for i in range(n)
+            ]
+        return grads if player is None else grads[player]
 
     def payoff_gradients(self, x):
-        """Every player's payoff_gradient, in player order."""
+        """Alias of ``payoff_gradient(x)``: every player's gradient."""
         return self.payoff_gradient(x)
 
     def response_gradients(self, policy, effect):

@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from .simplex import as_distribution, stack_rows
+from .simplex import _as_distributions, as_distribution, stack_rows
 
 DESK_SCALE_ENTRIES = 10_000_000
 # symmetric pair tables above this many entries are not cached; each batch of
@@ -122,7 +122,7 @@ class StrategyProfile:
     def __init__(self, strategies):
         rows = stack_rows(strategies)
         if isinstance(rows, np.ndarray):
-            self.stack = as_distribution(rows)
+            self.stack = _as_distributions(np.asarray(rows, dtype=float))
             self.strategies = tuple(self.stack)
         else:
             self.stack = None

@@ -8,8 +8,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exact import PairwiseMatrices, ordered_pairs
-from .normalform import as_profile
-from .oracles import TensorOracle
+from .normalform import as_profile, validate_joint_action
+from .oracles import SymmetricOracle, TensorOracle
 from .simplex import map_rows, stack_rows
 
 
@@ -78,29 +78,31 @@ def _fill(oracle, joint):
 @functools.cache
 def _rests(players):
     """(P, n - 2) columns of the players outside each ordered pair."""
-    pairs = itertools.permutations(range(players), 2)
+    pairs = list(itertools.permutations(range(players), 2))
     rests = [[k for k in range(players) if k not in pair] for pair in pairs]
-    return np.array(rests, dtype=np.int64).reshape(-1, players - 2)
+    return np.array(rests, dtype=np.int64).reshape(len(pairs), players - 2)
 
 
 def estimate_pairwise_matrices(oracle, joint_action):
-    """Fill every ordered pair's block by substituting (r, c) into a sampled
-    joint action; the query counter advances by sum_{i != j} m_i * m_j per
-    joint action.
+    """Fill every ordered pair's block by substituting (r, c) into sampled
+    joint actions, each block the sample_mean of its fills; the query
+    counter advances by sum_{i != j} m_i * m_j per joint action.
 
-    One joint action: each block read by its own pair_payoffs call. An
-    (S, n) int array of joint actions, checked against the action counts:
-    each block's sample_mean over the S
-    fills, read in one call from a symmetric oracle (symmetric_pair_payoffs
-    on every pair's rest) or from a TensorOracle whose players have one
-    action count, and pair by pair otherwise. Oracle failures surface with
-    the offending pair, or the joint actions of the failed read, attached.
+    `joint_action` is one joint action (checked by validate_joint_action) or
+    an (S, n) int array of them, checked against the action counts. The per-pair reads of the oracle's
+    own class run as one call: `SymmetricOracle.pair_payoffs` as one
+    symmetric_pair_payoffs over every pair's rest, `TensorOracle.pair_payoffs`
+    on one action count as one gather. Any other oracle (a subclass that
+    overrides pair_payoffs, or one with different action counts) is read
+    pair by pair. Oracle failures surface with the joint actions of the
+    failed read attached, and, read pair by pair, the offending pair.
     """
     counts = oracle.action_counts
     joints = np.asarray(joint_action)
-    if joints.ndim < 2:
-        return PairwiseMatrices(_fill(oracle, joint_action), counts)
-    n, samples = oracle.players, len(joints)
+    if joints.ndim == 1:
+        # one joint action, checked as a single pair read checks it
+        joints = np.array([validate_joint_action(joint_action, counts)])
+    n, samples = oracle.players, joints.shape[0] if joints.ndim else 0
     if (
         joints.ndim != 2
         or samples < 1
@@ -110,12 +112,13 @@ def estimate_pairwise_matrices(oracle, joint_action):
     ):
         raise ValueError(f"joint actions must be an (S >= 1, {n}) int array within {counts}")
     owners, partners = ordered_pairs(n)
+    read = type(oracle).pair_payoffs
     try:
-        if oracle.is_symmetric():
+        if read is SymmetricOracle.pair_payoffs:
             rests = joints[:, _rests(n)].reshape(samples * owners.size, n - 2)
             blocks = oracle.symmetric_pair_payoffs(rests)
             transposed = np.zeros(owners.size, dtype=bool)
-        elif isinstance(oracle, TensorOracle) and len(set(counts)) == 1:
+        elif read is TensorOracle.pair_payoffs and len(set(counts)) == 1:
             blocks = oracle.pair_payoffs(owners, partners, joints)
             transposed = partners < owners
         else:
@@ -125,7 +128,9 @@ def estimate_pairwise_matrices(oracle, joint_action):
     if blocks is not None:
         blocks = blocks.reshape(samples, owners.size, *blocks.shape[-2:])
         return PairwiseMatrices.from_stored(sample_mean(blocks), transposed, counts)
-    fills = [PairwiseMatrices(_fill(oracle, joint), counts).stored() for joint in joints]
+    fills = [
+        PairwiseMatrices(_fill(oracle, tuple(joint)), counts).stored() for joint in joints.tolist()
+    ]
     raw = [sample_mean(np.stack([stored[p] for stored, _ in fills])) for p in range(owners.size)]
     return PairwiseMatrices.from_stored(raw, fills[0][1], counts)
 

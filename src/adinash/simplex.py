@@ -9,31 +9,34 @@ SIMPLEX_TOL = 1e-9
 
 
 def as_distribution(v, size=None):
-    """Validate (and lightly repair) a vector as a mixed strategy, or every
-    row of an (n, m) stack of them.
+    """Validate (and lightly repair) a vector as a mixed strategy.
 
     Nonnegative entries summing to 1 within ``RENORMALIZE_TOL`` are accepted
-    and renormalized exactly; anything further off is rejected, naming what
-    is wrong with the first bad row.
+    and renormalized exactly; anything further off is rejected.
     """
     x = np.asarray(v, dtype=float)
-    if x.ndim not in (1, 2):
+    if x.ndim != 1:
         raise ValueError(f"mixed strategy must be 1-d, got shape {x.shape}")
-    if size is not None and x.shape[-1] != size:
-        raise ValueError(f"expected {size} actions, got {x.shape[-1]}")
-    rows = np.atleast_2d(x)
+    if size is not None and x.size != size:
+        raise ValueError(f"expected {size} actions, got {x.size}")
+    return _as_distributions(x)
+
+
+def _as_distributions(x):
+    """as_distribution on each row of a float array along its last axis, in
+    one pass: a vector, or the (n, m) stack of a StrategyProfile. A bad
+    stack raises what the first bad row alone raises."""
     # NaN and -inf fail the first test and +inf the mass test, so the sum of
     # a row never meets inf - inf
     if not (
-        (rows >= -RENORMALIZE_TOL).all()
-        and (np.abs(rows.sum(axis=1) - 1.0) <= RENORMALIZE_TOL).all()
+        (x >= -RENORMALIZE_TOL).all()
+        and (np.abs(x.sum(axis=-1) - 1.0) <= RENORMALIZE_TOL).all()
     ):
-        for row in rows:
+        for row in np.atleast_2d(x):
             _reject(row)
-    # np.clip(rows, 0.0, None), without its wrapper
-    rows = np.maximum(rows, 0.0)
-    out = rows / rows.sum(axis=1, keepdims=True)
-    return out[0] if x.ndim == 1 else out
+    # np.clip(x, 0.0, None), without its wrapper
+    x = np.maximum(x, 0.0)
+    return x / x.sum(axis=-1, keepdims=True)
 
 
 def _reject(x):
@@ -111,13 +114,13 @@ def mirror_step_entropic(x, g, step_size):
     """
     x = np.asarray(x, dtype=float)
     g = np.asarray(g, dtype=float)
-    if np.any(x <= 0.0):
+    if (x <= 0.0).any():
         raise ValueError("entropic mirror step requires strictly positive input")
     logits = np.log(x) - step_size * g
     logits -= logits.max(axis=-1, keepdims=True)
     z = np.exp(logits)
     out = z / z.sum(axis=-1, keepdims=True)
-    if not np.all(out > 0.0):
+    if not (out > 0.0).all():
         raise FloatingPointError("entropic mirror step left the simplex interior")
     return out
 

@@ -114,7 +114,9 @@ def descent_step(strategies, gradients, learning_rate, projection="euclidean", t
 
 def _finite(rows):
     """Whether every entry of a stack, or of every row of a list, is finite."""
-    return all(np.all(np.isfinite(r)) for r in ([rows] if isinstance(rows, np.ndarray) else rows))
+    if isinstance(rows, np.ndarray):
+        return bool(np.isfinite(rows).all())
+    return all(np.isfinite(r).all() for r in rows)
 
 
 class AdidasSolver(BaseSolver):

@@ -12,6 +12,8 @@ from hypothesis import strategies as st
 
 from adinash import adi
 from adinash.entropy import Entropy
+from adinash.generators import ElFarolSpec, make_el_farol
+from adinash.normalform import StrategyProfile
 from adinash.simplex import (
     as_distribution,
     mirror_step_entropic,
@@ -122,7 +124,7 @@ class TestRowKernels:
     def test_renormalization(self, case):
         n, m, rng = case
         x = strategies(rng, n, m) * (1.0 + rng.uniform(-5e-7, 5e-7, size=(n, 1)))
-        assert identical(as_distribution(x), [as_distribution(row) for row in x])
+        assert identical(StrategyProfile(x).stack, [as_distribution(row) for row in x])
 
     def test_row_dot_is_np_dot(self):
         # the gains' dot products kept the bytes of np.dot on each row
@@ -137,4 +139,14 @@ class TestRowKernels:
         with pytest.raises(ValueError) as single:
             as_distribution(x[1])
         with pytest.raises(ValueError, match=re.escape(str(single.value))):
-            as_distribution(x)
+            StrategyProfile(x)
+
+    def test_one_strategy_is_one_row(self):
+        # only a profile validates a stack; a single strategy stays a vector
+        with pytest.raises(ValueError, match="1-d"):
+            as_distribution(np.full((2, 2), 0.5))
+        with pytest.raises(ValueError, match="1-d"):
+            StrategyProfile([[0.5, 0.5], [[0.5, 0.5], [0.5, 0.5]]])
+        game = make_el_farol(ElFarolSpec(players=3))
+        with pytest.raises(ValueError, match="1-d"):
+            game.deviation_payoffs(np.full((2, 2), 0.5))

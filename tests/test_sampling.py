@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -21,6 +23,7 @@ from adinash.sampling import (
 )
 
 from conftest import random_game, random_profile
+from test_exact import same_layout
 
 
 class TestJointActionSampling:
@@ -171,6 +174,12 @@ class TestGradientFromEstimates:
         exact = payoff_gradient(g, x, 0)
         assert np.abs(mean - exact).max() <= 3.0 * 2.0 / np.sqrt(draws)
 
+    def test_player_out_of_range(self):
+        blocks = exact_pairwise_matrices(GameTensor(np.zeros((3, 2, 2, 2))), [[0.5, 0.5]] * 3)
+        for player in (-1, 3):
+            with pytest.raises(ValueError, match="player"):
+                blocks.payoff_gradient(StrategyProfile.uniform([2, 2, 2]), player)
+
     def test_missing_block(self):
         from adinash.exact import PairwiseMatrices
 
@@ -283,9 +292,11 @@ class TestStackedFills:
             lambda: TensorOracle(GameTensor(np.random.default_rng(2).normal(size=(4, 3, 3, 3, 3)))),
             lambda: TensorOracle(GameTensor(np.random.default_rng(3).normal(size=(3, 2, 3, 4)))),
             lambda: SymmetricOracle(make_el_farol(ElFarolSpec(players=4))),
+            lambda: SymmetricOracle(make_el_farol(ElFarolSpec(players=2))),
             lambda: make_bernoulli_metagame(planted_winrates(4, 3, seed=1), seed=5),
+            lambda: make_bernoulli_metagame(planted_winrates(2, 3, seed=1), seed=5),
         ],
-        ids=["tensor", "tensor-ragged", "symmetric", "bernoulli"],
+        ids=["tensor", "tensor-ragged", "symmetric", "symmetric-2", "bernoulli", "bernoulli-2"],
     )
     def test_stacked_fill_is_the_mean_of_single_fills(self, make):
         stacked, single = make(), make()
@@ -294,11 +305,44 @@ class TestStackedFills:
             [rng.integers(0, m, size=3) for m in stacked.action_counts]
         )
         blocks = estimate_pairwise_matrices(stacked, joints)
-        fills = [estimate_pairwise_matrices(single, tuple(joint)) for joint in joints]
-        for key in fills[0].pairs():
-            want = sample_mean(np.stack([fill.matrix(*key) for fill in fills]))
+        # one pair_payoffs read per pair per joint, in the order of the
+        # sample-by-sample, pair-by-pair fill (a Bernoulli oracle's draws
+        # follow its query order)
+        pairs = list(itertools.permutations(range(stacked.players), 2))
+        fills = [{key: single.pair_payoffs(*key, tuple(joint)) for key in pairs} for joint in joints]
+        for key in pairs:
+            want = sample_mean(np.stack([fill[key] for fill in fills]))
             assert np.array_equal(blocks.matrix(*key), want)
         assert stacked.queries == single.queries
+        one = estimate_pairwise_matrices(make(), tuple(joints[0]))
+        for key in pairs:
+            assert np.array_equal(one.matrix(*key), fills[0][key])
+
+    def test_overridden_read_goes_pair_by_pair(self):
+        # a subclass's own pair_payoffs is called as a single read, never
+        # with the arrays of the one-call gather
+        calls = []
+
+        class Logged(TensorOracle):
+            def pair_payoffs(self, owner, partner, base_joint):
+                calls.append((owner, partner, base_joint))
+                return super().pair_payoffs(owner, partner, base_joint)
+
+        game = GameTensor(np.random.default_rng(6).normal(size=(3, 3, 3, 3)))
+        joints = np.array([[0, 1, 2], [2, 0, 1]])
+        blocks = estimate_pairwise_matrices(Logged(game), joints)
+        pairs = list(itertools.permutations(range(3), 2))
+        assert calls == [(i, j, tuple(joint)) for joint in joints.tolist() for i, j in pairs]
+        want = estimate_pairwise_matrices(TensorOracle(game), joints)
+        for key in pairs:
+            assert same_layout(blocks.matrix(*key), want.matrix(*key))
+
+        class Broken(TensorOracle):
+            def pair_payoffs(self, owner, partner, base_joint):
+                raise OSError("bad simulator")
+
+        with pytest.raises(RuntimeError, match=r"pair \(0, 1\) at joint \(0, 1, 2\)"):
+            estimate_pairwise_matrices(Broken(game), joints)
 
     def test_tensor_stack_read_matches_single_reads(self):
         game = GameTensor(np.random.default_rng(5).normal(size=(3, 3, 3, 3)))

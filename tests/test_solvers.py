@@ -178,6 +178,21 @@ class TestAdidasSolver:
             assert np.array_equal(got, want)
         assert fitted.queries_ == 0
 
+    @pytest.mark.parametrize(
+        "source",
+        [
+            lambda: make_el_farol(ElFarolSpec(players=2)),
+            lambda: make_bernoulli_metagame(planted_winrates(2, 3, seed=0), seed=0),
+        ],
+        ids=["el-farol", "bernoulli"],
+    )
+    def test_sampled_two_player_symmetric_game(self, source):
+        # a two-player symmetric read has an empty rest per pair
+        game = source()
+        fitted = AdidasSolver(iterations=3, samples=2, seed=0, exact_adi_every=0).fit(game)
+        assert all(is_distribution(s) for s in fitted.profile_)
+        assert fitted.queries_ == 3 * 2 * 2 * game.action_counts[0] ** 2
+
     @pytest.mark.parametrize("solver_type", [AdidasSolver, SymmetricAdidasSolver])
     @pytest.mark.parametrize(
         "name,value",
