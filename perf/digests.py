@@ -2,8 +2,9 @@
 
 Each run is a small, fully seeded solve (both ADIDAS solvers over every
 entropy, exact and sampled blocks and both projections; the general solver
-also on a game with unequal action counts and on the benchmark's covariant
-4x6 game; the six baselines on six games, ``ped`` on five players, and the
+also on a game with unequal action counts, on the benchmark's covariant
+4x6 game and on a Bernoulli oracle that overrides ``pair_payoffs``, whose
+blocks are read pair by pair in query order; the six baselines on six games, ``ped`` on five players, and the
 shared-strategy form; the exact warm-up; the gradient-bias table; block
 fills of a Bernoulli oracle, single and stacked; the Blotto(10,3,4) table;
 and, with ``normalform.PAIR_TABLE_ENTRIES`` at 0 so that no pair table is
@@ -18,7 +19,8 @@ lines, so two trees agree exactly when their outputs are equal:
     python3 perf/digests.py --src /path/to/other/tree/src > before.txt
     diff before.txt after.txt
 
-Only parameters every tree since the one-loop refactor accepts are used.
+Only parameters and call forms that every tree since the player-batched
+general loop accepts are used.
 Takes about 5-8 s on one CPU; errors are echoed to stderr.
 """
 
@@ -75,6 +77,7 @@ def runs():
     from adinash import generators as gen
     from adinash.entropy import Entropy
     from adinash.normalform import GameTensor
+    from adinash.oracles import BernoulliOracle
     from adinash.harness import measure_gradient_bias
     from adinash.sampling import estimate_pairwise_matrices, new_rng, sample_joint_action
     from adinash.solvers import AdidasSolver, BaselineSolver, SymmetricAdidasSolver
@@ -127,6 +130,22 @@ def runs():
             AdidasSolver, "covariant4x6", entropy="shannon", initial_temperature=1.0,
             iterations=60, samples=2, seed=seed,
         )))
+
+    class PairByPair(BernoulliOracle):
+        """A Bernoulli oracle that overrides pair_payoffs, so the sampled
+        fill reads it one pair and joint at a time, drawing in query order."""
+
+        def pair_payoffs(self, owner, partner, base_joint):
+            return super().pair_payoffs(owner, partner, base_joint)
+
+    def pair_by_pair():
+        oracle = PairByPair(gen.planted_winrates(3, 3, seed=0), seed=4)
+        return _fitted_bytes(AdidasSolver(
+            entropy="shannon", iterations=40, samples=2, learning_rate=0.05,
+            adi_threshold=0.05, exact_adi_every=10, seed=3,
+        ).fit(oracle))
+
+    out.append(("adidas/bernoulli-pair-by-pair/shannon/sampled", pair_by_pair))
     for game in ("covariant3x3", "elfarol4"):
         out.append((f"adidas/{game}/no-tangent", solve(
             AdidasSolver, game, tangent_projection=False, iterations=30, seed=5,
@@ -205,7 +224,7 @@ def runs():
         x = [np.array([0.2, 0.3, 0.5])] * oracle.players
         blocks = []
         for _ in range(20):
-            matrices = estimate_pairwise_matrices(oracle, sample_joint_action(x, rng))
+            matrices = estimate_pairwise_matrices(oracle, sample_joint_action(x, rng, 1))
             blocks += [matrices.matrix(*key) for key in matrices.pairs()]
         return _strategy_bytes(blocks) + repr(oracle.queries).encode()
 

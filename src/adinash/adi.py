@@ -61,13 +61,14 @@ def adi_amortized(x, aux, kind=Entropy.none()):
     """Deviation incentive with the auxiliary estimates y in place of the
     exact payoff gradients, including inside the best response."""
     profile = as_profile(x)
+    if len(aux) != profile.players:
+        raise ValueError(f"aux has {len(aux)} vectors, want one per player ({profile.players})")
     if not (isinstance(aux, np.ndarray) and aux.shape == np.shape(profile.stack)):
         for k, strategy in enumerate(profile):
             if np.shape(aux[k]) != strategy.shape:
                 raise ValueError(
                     f"aux vector {k} has shape {np.shape(aux[k])}, want {strategy.shape}"
                 )
-        aux = aux[: profile.players]
     return _gains(profile, aux, kind)
 
 
@@ -152,7 +153,7 @@ def adi_gradient(matrices, nablas, grads, x, kind):
     (n, m) stack when every player has the same action count, else a list.
 
     `nablas` are the payoff gradients of the pairwise blocks at x
-    (`matrices.payoff_gradients(x)`), which feed the policy terms; `grads`
+    (`matrices.payoff_gradient(x)`), which feed the policy terms; `grads`
     feeds the responses (the same nablas, or the auxiliary y).
     """
     rows = stack_rows(as_profile(x))

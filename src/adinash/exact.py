@@ -239,53 +239,37 @@ class PairwiseMatrices:
     the layout the reader made (an F-ordered view of a transposed pair).
     BLAS gives a C and an F block's products different last bits, so each
     product keeps its block's orientation. When every player has the same
-    action count and no block is missing, the blocks are one (P, m, m)
-    stack, and every player's products are two batched matmuls, one per
-    orientation; otherwise they are a list, multiplied pair by pair.
+    action count the blocks are one (P, m, m) stack, and every player's
+    products are two batched matmuls, one per orientation; otherwise they
+    are a list, multiplied pair by pair.
     """
 
-    def __init__(self, blocks, action_counts):
-        """From a dict {(i, j): H[i][j]}; an F-ordered block is kept as the
-        transpose of a C-ordered one."""
-        self.action_counts = tuple(action_counts)
-        self.players = len(self.action_counts)
+    def __init__(self, raw, transposed, action_counts):
+        """From P blocks in pair order, a (P, m, m) array or a list of arrays:
+        block p is H[i][j].T where `transposed[p]`, else H[i][j]. A missing or
+        misshapen block or flag raises ValueError naming the first such pair."""
+        self.action_counts = counts = tuple(action_counts)
+        self.players = len(counts)
         self._index = _pair_index(self.players)
-        raw = [None] * len(self._index)
-        transposed = [False] * len(self._index)
-        for key, values in blocks.items():
-            if key not in self._index:
-                raise ValueError(f"block {key} is not an ordered pair of distinct players")
-            i, j = key
-            expected = (self.action_counts[i], self.action_counts[j])
-            if values.shape != expected:
-                raise ValueError(f"block {key} has shape {values.shape}, expected {expected}")
-            p = self._index[key]
-            transposed[p] = values.flags.f_contiguous and not values.flags.c_contiguous
-            raw[p] = values.T if transposed[p] else values
-        self._set(raw, transposed)
-
-    @classmethod
-    def from_stored(cls, raw, transposed, action_counts):
-        """From blocks already in pair order: `raw` a (P, m, m) array or a
-        list of P arrays, block p being H[i][j].T where `transposed[p]` and
-        H[i][j] otherwise."""
-        self = cls.__new__(cls)
-        self.action_counts = tuple(action_counts)
-        self.players = len(self.action_counts)
-        self._index = _pair_index(self.players)
-        self._set(raw, transposed)
-        return self
-
-    def _set(self, raw, transposed):
-        square = len(set(self.action_counts)) == 1
-        if square and not isinstance(raw, np.ndarray) and all(r is not None for r in raw):
+        self._transposed = flags = np.array(transposed, dtype=bool).reshape(-1)
+        size, square = len(self._index), len(set(counts)) == 1
+        if square and not isinstance(raw, np.ndarray) and len({b.shape for b in raw}) == 1:
             raw = np.stack(raw)
-        self._raw = raw if square and isinstance(raw, np.ndarray) else list(raw)
-        self._transposed = np.array(transposed, dtype=bool).reshape(-1)
-
-    def stored(self):
-        """(blocks, transposed) as `from_stored` takes them."""
-        return self._raw, self._transposed
+        stacked = square and isinstance(raw, np.ndarray) and raw.shape == (size, *counts[:2])
+        if not (stacked and flags.size == size):
+            raw = list(raw)
+            for p, (i, j) in enumerate(self._index):
+                turn = p < flags.size and flags[p]
+                want = (counts[j], counts[i]) if turn else (counts[i], counts[j])
+                got = np.shape(raw[p]) if p < len(raw) else None
+                if got != want or p >= flags.size:
+                    raise ValueError(
+                        f"pair ({i}, {j}) needs a block of shape {want} and a flag; got {got} "
+                        f"among {len(raw)} blocks and {flags.size} flags"
+                    )
+            if len(raw) != size or flags.size != size:
+                raise ValueError(f"{len(raw)} blocks and {flags.size} flags for {size} pairs")
+        self._raw = raw
 
     @property
     def stack(self):
@@ -294,13 +278,13 @@ class PairwiseMatrices:
 
     def matrix(self, owner, partner):
         p = self._index.get((owner, partner))
-        block = None if p is None else self._raw[p]
-        if block is None:
-            raise ValueError(f"missing pairwise block ({owner}, {partner})")
+        if p is None:
+            raise ValueError(f"({owner}, {partner}) is not an ordered pair of distinct players")
+        block = self._raw[p]
         return block.T if self._transposed[p] else block
 
     def pairs(self):
-        return [pair for pair, p in self._index.items() if self._raw[p] is not None]
+        return list(self._index)
 
     def _products(self, flip, vectors, which):
         """Row p: stored block p, transposed where `flip`, times
@@ -314,28 +298,20 @@ class PairwiseMatrices:
             out[rows] = np.matmul(blocks, vectors[which[rows], :, None])[:, :, 0]
         return out
 
-    def payoff_gradient(self, x, player=None):
-        """Average of H[i][j] @ x_j over partners j, the sampled-pipeline
-        gradient, summed in ascending j; with no player, every player's, as
-        an (n, m) stack of rows when the blocks are stacked, else a list."""
+    def payoff_gradient(self, x):
+        """Every player's average of H[i][j] @ x_j over partners j, the
+        sampled-pipeline gradient, summed in ascending j: an (n, m) stack of
+        rows when the blocks are stacked, else a list."""
         rows = stack_rows(x)
         n = self.players
-        if player is not None:
-            player = validate_integer("player", player, 0, n)
         if self.stack is not None:
             owners, partners = ordered_pairs(n)
             terms = self._products(self._transposed, rows, partners).reshape(n, n - 1, -1)
-            grads = sum(terms[:, k] for k in range(n - 1)) / (n - 1)
-        else:
-            grads = [
-                sum(self.matrix(i, j) @ rows[j] for j in range(n) if j != i) / (n - 1)
-                for i in range(n)
-            ]
-        return grads if player is None else grads[player]
-
-    def payoff_gradients(self, x):
-        """Alias of ``payoff_gradient(x)``: every player's gradient."""
-        return self.payoff_gradient(x)
+            return sum(terms[:, k] for k in range(n - 1)) / (n - 1)
+        return [
+            sum(self.matrix(i, j) @ rows[j] for j in range(n) if j != i) / (n - 1)
+            for i in range(n)
+        ]
 
     def response_gradients(self, policy, effect):
         """-policy_i plus H[j][i].T @ effect_j over partners j in ascending
@@ -365,7 +341,7 @@ def exact_pairwise_matrices(game, x):
     contraction."""
     pairs = tuple(itertools.permutations(range(game.players), 2))
     blocks = _pair_blocks(game, x, pairs)
-    return PairwiseMatrices.from_stored(blocks, [j < i for i, j in pairs], game.action_counts)
+    return PairwiseMatrices(blocks, [j < i for i, j in pairs], game.action_counts)
 
 
 def _symmetric_deviation_payoffs(game, profile, player):

@@ -434,13 +434,18 @@ class SymmetricGame:
         stack. Served from the cached pair table when it fits
         ``PAIR_TABLE_ENTRIES``, else gathered for this batch alone."""
         m = self.actions
-        rests = np.asarray(rest_actions, dtype=np.int64)
+        rests = np.asarray(rest_actions)
+        if rests.dtype.kind not in "iu" and not (
+            rests.dtype.kind == "f" and np.isfinite(rests).all() and (rests % 1 == 0).all()
+        ):
+            raise ValueError(f"rest_actions must be integers, got {rest_actions!r}")
         single = rests.ndim == 1
         rests = np.sort(np.atleast_2d(rests), axis=1)
         if rests.shape[1] != self.players - 2:
             raise ValueError(f"rest of {rests.shape[1]} actions, want {self.players - 2}")
         if rests.size and (rests[:, 0].min() < 0 or rests[:, -1].max() >= m):
             raise ValueError(f"actions outside [0, {m})")
+        rests = rests.astype(np.int64, copy=False)
         if not self.pair_table_fits():
             blocks = self._gather_blocks(rests)
         else:

@@ -2,13 +2,12 @@
 auxiliary-variable machinery that amortizes those estimates over iterations."""
 
 import functools
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .exact import PairwiseMatrices, ordered_pairs
-from .normalform import as_profile, validate_joint_action
+from .normalform import as_profile, validate_integer
 from .oracles import SymmetricOracle, TensorOracle
 from .simplex import map_rows, stack_rows
 
@@ -45,15 +44,15 @@ def sample_actions(strategy, rng, count=1):
     return _inverse_cdf(strategy, rng.random(count))
 
 
-def sample_joint_action(x, rng, samples=None):
-    """One independent categorical draw per player, as a tuple of ints; with
-    `samples`, a (samples, n) int array of joint actions drawn one after
-    another, from one vector draw: the doubles of `samples` single calls."""
+def sample_joint_action(x, rng, samples=1):
+    """A (samples, n) int array of joint actions, one independent
+    categorical draw per player each, drawn one after another from one
+    vector draw: the doubles of `samples` single draws."""
+    samples = validate_integer("samples", samples, 1)
     profile = as_profile(x)
     n = profile.players
-    uniforms = rng.random(n * (1 if samples is None else samples)).reshape(-1, n)
-    joints = np.column_stack([_inverse_cdf(s, uniforms[:, i]) for i, s in enumerate(profile)])
-    return tuple(int(a) for a in joints[0]) if samples is None else joints
+    uniforms = rng.random(n * samples).reshape(samples, n)
+    return np.column_stack([_inverse_cdf(s, uniforms[:, i]) for i, s in enumerate(profile)])
 
 
 def sample_mean(stack):
@@ -62,55 +61,39 @@ def sample_mean(stack):
     return np.add.reduce(stack, axis=0, initial=0.0) / len(stack)
 
 
-def _fill(oracle, joint):
-    """{pair: block} read one pair at a time at one joint action."""
-    blocks = {}
-    for i, j in itertools.permutations(range(oracle.players), 2):
-        try:
-            blocks[(i, j)] = oracle.pair_payoffs(i, j, joint)
-        except Exception as err:
-            raise RuntimeError(
-                f"oracle failed on pair ({i}, {j}) at joint {tuple(joint)}"
-            ) from err
-    return blocks
-
-
 @functools.cache
 def _rests(players):
     """(P, n - 2) columns of the players outside each ordered pair."""
-    pairs = list(itertools.permutations(range(players), 2))
+    pairs = zip(*ordered_pairs(players))
     rests = [[k for k in range(players) if k not in pair] for pair in pairs]
-    return np.array(rests, dtype=np.int64).reshape(len(pairs), players - 2)
+    return np.array(rests, dtype=np.int64).reshape(players * (players - 1), players - 2)
 
 
-def estimate_pairwise_matrices(oracle, joint_action):
+def estimate_pairwise_matrices(oracle, joints):
     """Fill every ordered pair's block by substituting (r, c) into sampled
     joint actions, each block the sample_mean of its fills; the query
     counter advances by sum_{i != j} m_i * m_j per joint action.
 
-    `joint_action` is one joint action (checked by validate_joint_action) or
-    an (S, n) int array of them, checked against the action counts. The per-pair reads of the oracle's
-    own class run as one call: `SymmetricOracle.pair_payoffs` as one
-    symmetric_pair_payoffs over every pair's rest, `TensorOracle.pair_payoffs`
-    on one action count as one gather. Any other oracle (a subclass that
-    overrides pair_payoffs, or one with different action counts) is read
-    pair by pair. Oracle failures surface with the joint actions of the
-    failed read attached, and, read pair by pair, the offending pair.
+    `joints` is an (S, n) int array of joint actions within the action
+    counts. The per-pair reads of the oracle's own class run as one call:
+    `SymmetricOracle.pair_payoffs` as one symmetric_pair_payoffs over every
+    pair's rest, `TensorOracle.pair_payoffs` on one action count as one
+    gather. Any other oracle (a subclass that overrides pair_payoffs, or one
+    with different action counts) is read pair by pair, joint-major, each
+    pair in the orientation of its first read. Oracle failures name the
+    joint actions of the failed read and, read pair by pair, the pair.
     """
     counts = oracle.action_counts
-    joints = np.asarray(joint_action)
-    if joints.ndim == 1:
-        # one joint action, checked as a single pair read checks it
-        joints = np.array([validate_joint_action(joint_action, counts)])
-    n, samples = oracle.players, joints.shape[0] if joints.ndim else 0
+    joints, n = np.asarray(joints), oracle.players
     if (
         joints.ndim != 2
-        or samples < 1
+        or not joints.size
         or joints.shape[1] != n
         or joints.dtype.kind not in "iu"
         or np.any((joints < 0) | (joints >= counts))
     ):
         raise ValueError(f"joint actions must be an (S >= 1, {n}) int array within {counts}")
+    samples = len(joints)
     owners, partners = ordered_pairs(n)
     read = type(oracle).pair_payoffs
     try:
@@ -127,12 +110,17 @@ def estimate_pairwise_matrices(oracle, joint_action):
         raise RuntimeError(f"oracle failed on the blocks of joints {joints.tolist()}") from err
     if blocks is not None:
         blocks = blocks.reshape(samples, owners.size, *blocks.shape[-2:])
-        return PairwiseMatrices.from_stored(sample_mean(blocks), transposed, counts)
-    fills = [
-        PairwiseMatrices(_fill(oracle, tuple(joint)), counts).stored() for joint in joints.tolist()
-    ]
-    raw = [sample_mean(np.stack([stored[p] for stored, _ in fills])) for p in range(owners.size)]
-    return PairwiseMatrices.from_stored(raw, fills[0][1], counts)
+        return PairwiseMatrices(sample_mean(blocks), transposed, counts)
+    reads = [[] for _ in range(owners.size)]
+    for joint in map(tuple, joints.tolist()):
+        for pair, i, j in zip(reads, owners.tolist(), partners.tolist()):
+            try:
+                pair.append(oracle.pair_payoffs(i, j, joint))
+            except Exception as err:
+                raise RuntimeError(f"oracle failed on pair ({i}, {j}) at joint {joint}") from err
+    transposed = [r[0].flags.f_contiguous and not r[0].flags.c_contiguous for r in reads]
+    raw = [sample_mean(np.stack([b.T if t else b for b in r])) for r, t in zip(reads, transposed)]
+    return PairwiseMatrices(raw, transposed, counts)
 
 
 def update_aux(state, grad_estimates, aux_learning_rate):

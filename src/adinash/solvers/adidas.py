@@ -288,8 +288,9 @@ class _GeneralView:
     needs_desk = "exact gradients need a desk-scale game, not a bare oracle"
 
     def __init__(self, game_or_oracle, kind):
-        """Accepts the input or raises; builds the oracle and, when the
-        payoffs are known, the desk game, offset for a Tsallis `kind`."""
+        """Accepts the input or raises (a one-player game among the
+        rejections); builds the oracle and, when the payoffs are known, the
+        desk game, offset for a Tsallis `kind`."""
         self.desk = None
         self.offset = 0.0
         if isinstance(game_or_oracle, self.games):
@@ -306,6 +307,8 @@ class _GeneralView:
         else:
             raise self.rejection(game_or_oracle)
         self.players = self.oracle.players
+        if self.players < 2:
+            raise ValueError(f"ADIDAS needs at least two players, got players={self.players}")
 
     def accepts_oracle(self, source):
         return isinstance(source, PayoffOracle)
@@ -345,7 +348,7 @@ class _GeneralView:
         return estimate_pairwise_matrices(self.oracle, sample_joint_action(x, rng, samples))
 
     def payoff_gradients(self, matrices, x):
-        return matrices.payoff_gradients(x)
+        return matrices.payoff_gradient(x)
 
     def amortized(self, x, y, kind):
         """The amortized ADI report under `kind`, and its unregularized total."""
@@ -446,7 +449,7 @@ def _symmetric_gradient(own, nabla, y, x, kind, players):
 def blocks_gradient(matrices, x, kind):
     """The `kind` deviation-incentive gradient with the blocks' payoff
     gradients, built once, feeding both the policy terms and the responses."""
-    nablas = matrices.payoff_gradients(x)
+    nablas = matrices.payoff_gradient(x)
     return adi_gradient(matrices, nablas, nablas, x, kind)
 
 

@@ -107,7 +107,7 @@ def test_criterion_02_gradient_correctness():
         profile = random_profile(rng, game)
         blocks = exact_pairwise_matrices(game, profile)
         grads = [payoff_gradient(game, profile, i) for i in range(players)]
-        nablas = blocks.payoff_gradients(profile)
+        nablas = blocks.payoff_gradient(profile)
         for temperature in (1.0, 0.1, 0.01):
             shannon = adi_gradient(blocks, nablas, grads, profile, Entropy.shannon(temperature))
             tsallis = adi_gradient(blocks, nablas, grads, profile, Entropy.tsallis(temperature))
@@ -303,7 +303,7 @@ def test_criterion_08_sampling_unbiasedness():
     profile = random_profile(rng, game)
     state = AuxiliaryState.zeros(game.action_counts)
     blocks = exact_pairwise_matrices(game, profile)
-    grads = [blocks.payoff_gradient(profile, i) for i in range(3)]
+    grads = [blocks.payoff_gradient(profile)[i] for i in range(3)]
     for _ in range(400):
         state = update_aux(state, grads, 0.1)
     kind = Entropy.shannon(0.1)

@@ -106,6 +106,21 @@ class TestAdiAmortized:
         with pytest.raises(ValueError):
             adi_amortized(x, [np.zeros(2), np.zeros(2)], Entropy.none())
 
+    @pytest.mark.parametrize(
+        "x,aux",
+        [
+            ([[0.5, 0.5]], [[1.0, 0.0], [2.0, 3.0]]),
+            ([[0.5, 0.5]] * 2, [np.zeros(2)] * 3),
+            ([[0.5, 0.5]] * 2, np.zeros((3, 2))),
+            ([[0.5, 0.5]] * 2, np.zeros((1, 2))),
+        ],
+        ids=["extra", "extra-list", "extra-stack", "short-stack"],
+    )
+    def test_aux_count_must_match_players(self, x, aux):
+        # extra vectors were ignored, and the first case returned [0.5]
+        with pytest.raises(ValueError, match="aux"):
+            adi_amortized(x, aux, Entropy.none())
+
 
 TEMPERATURE_GRID = (1.0, 0.1, 0.01)
 
@@ -120,7 +135,7 @@ class TestGradients:
             x = random_profile(rng, g)
             blocks = exact_pairwise_matrices(g, x)
             grads = [payoff_gradient(g, x, i) for i in range(players)]
-            nablas = blocks.payoff_gradients(x)
+            nablas = blocks.payoff_gradient(x)
             analytic = adi_gradient(blocks, nablas, grads, x, Entropy.shannon(temperature))
             h = 1e-6 if temperature <= 0.05 else 1e-5
             kind = Entropy.shannon(temperature)
@@ -152,7 +167,7 @@ class TestGradients:
             x = random_profile(rng, g)
             blocks = exact_pairwise_matrices(g, x)
             grads = [payoff_gradient(g, x, i) for i in range(players)]
-            nablas = blocks.payoff_gradients(x)
+            nablas = blocks.payoff_gradient(x)
             analytic = adi_gradient(blocks, nablas, grads, x, Entropy.tsallis(power))
             h = 1e-6 if power <= 0.05 else 1e-5
             kind = Entropy.tsallis(power)
@@ -167,7 +182,7 @@ class TestGradients:
         x = random_profile(rng, g)
         blocks = exact_pairwise_matrices(g, x)
         grads = [payoff_gradient(g, x, i) for i in range(3)]
-        nablas = blocks.payoff_gradients(x)
+        nablas = blocks.payoff_gradient(x)
         got = adi_gradient(blocks, nablas, grads, x, Entropy.shannon(0.0))
         from adinash.entropy import _hard_argmax
 
@@ -185,7 +200,7 @@ class TestGradients:
         x = random_profile(rng, g)
         blocks = exact_pairwise_matrices(g, x)
         grads = [payoff_gradient(g, x, i) for i in range(2)]
-        nablas = blocks.payoff_gradients(x)
+        nablas = blocks.payoff_gradient(x)
         got = adi_gradient(blocks, nablas, grads, x, Entropy.tsallis(0.0))
         from adinash.entropy import _hard_argmax
         from adinash.simplex import tangent_project
@@ -212,7 +227,7 @@ class TestGradients:
         profile = StrategyProfile([x] * 3)
         blocks = exact_pairwise_matrices(dense, profile)
         grads = [payoff_gradient(dense, profile, i) for i in range(3)]
-        nablas = blocks.payoff_gradients(profile)
+        nablas = blocks.payoff_gradient(profile)
         out = adi_gradient(blocks, nablas, grads, profile, Entropy.tsallis(0.5))
         assert np.allclose(out[0], out[1], atol=1e-9)
         assert np.allclose(out[1], out[2], atol=1e-9)
@@ -227,7 +242,7 @@ class TestGradients:
         for _ in range(4000):
             blocks = exact_pairwise_matrices(matching_pennies, x)
             grads = [payoff_gradient(matching_pennies, x, i) for i in range(2)]
-            nablas = blocks.payoff_gradients(x)
+            nablas = blocks.payoff_gradient(x)
             step = adi_gradient(blocks, nablas, grads, x, Entropy.shannon(temperature))
             x = StrategyProfile(
                 [
@@ -237,7 +252,7 @@ class TestGradients:
             )
         blocks = exact_pairwise_matrices(matching_pennies, x)
         grads = [payoff_gradient(matching_pennies, x, i) for i in range(2)]
-        nablas = blocks.payoff_gradients(x)
+        nablas = blocks.payoff_gradient(x)
         final = adi_gradient(blocks, nablas, grads, x, Entropy.shannon(temperature))
         norm = max(np.abs(tangent_project(g)).max() for g in final)
         assert norm <= 1e-5

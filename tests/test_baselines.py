@@ -131,7 +131,7 @@ class TestPedAndFtrl:
         from adinash.simplex import simplex_project_euclidean
 
         for i in range(2):
-            grad = blocks.payoff_gradient(StrategyProfile(before), i)
+            grad = blocks.payoff_gradient(StrategyProfile(before))[i]
             want = simplex_project_euclidean(before[i] + 0.2 * grad)
             assert np.allclose(state.profile[i], want, atol=1e-12)
 

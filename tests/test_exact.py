@@ -196,7 +196,7 @@ class TestPairwiseJacobian:
         blocks = exact_pairwise_matrices(g, x)
         for i in range(3):
             assert np.allclose(
-                blocks.payoff_gradient(x, i), payoff_gradient(g, x, i), atol=1e-12
+                blocks.payoff_gradient(x)[i], payoff_gradient(g, x, i), atol=1e-12
             )
 
 
@@ -318,15 +318,29 @@ class TestStoredLayout:
         for i, j in itertools.permutations(range(game.players), 2):
             assert same_layout(blocks.matrix(i, j), reference_block(game, x, i, j))
 
-    def test_dict_blocks_keep_their_layout(self):
-        rng = np.random.default_rng(8)
-        given = {
-            pair: (rng.normal(size=(3, 3)) if pair[0] < pair[1] else rng.normal(size=(3, 3)).T)
-            for pair in itertools.permutations(range(3), 2)
-        }
-        blocks = PairwiseMatrices(given, (3, 3, 3))
-        for pair, block in given.items():
-            assert same_layout(blocks.matrix(*pair), block)
+    @pytest.mark.parametrize(
+        "counts,shapes,flags,match",
+        [
+            ((3, 3, 3), [(3, 3)] * 5 + [(3, 2)], [False] * 6, r"pair \(2, 1\)"),
+            ((3, 3, 3), [(3, 3)] * 6, [False] * 5, r"pair \(2, 1\)"),
+            ((3, 3, 3), [(3, 3)] * 5, [False] * 6, r"pair \(2, 1\)"),
+            ((3, 3, 3), [(3, 3)] * 6, [False] * 7, "6 blocks and 7 flags for 6 pairs"),
+            ((2, 3), [(2, 3), (2, 3)], [False, False], r"pair \(1, 0\)"),
+            ((2, 3), [(2, 3), (2, 3)], [False, True], None),
+        ],
+        ids=["stack-shape", "stack-flags", "stack-blocks", "extra-flag", "ragged-shape", "ragged"],
+    )
+    def test_constructor_checks_blocks_and_flags(self, counts, shapes, flags, match):
+        raw = [np.zeros(shape) for shape in shapes]
+        if len(set(shapes)) == 1:
+            raw = np.stack(raw)
+        if match is None:
+            blocks = PairwiseMatrices(raw, flags, counts)
+            assert blocks.pairs() == [(0, 1), (1, 0)]
+            assert blocks.matrix(1, 0).shape == (3, 2)
+            return
+        with pytest.raises(ValueError, match=match):
+            PairwiseMatrices(raw, flags, counts)
 
     @pytest.mark.parametrize("source", ["tensor", "exact", "symmetric"])
     def test_stacked_products_match_per_pair_products(self, source):

@@ -242,6 +242,11 @@ class TestGradientBias:
         with pytest.raises(ValueError, match=name):
             measure_gradient_bias(game, x, [Entropy.shannon(0.1)], counts, trials=trials)
 
+    def test_rejects_a_one_player_game(self):
+        game = GameTensor(np.zeros((1, 3)))
+        with pytest.raises(ValueError, match="players=1"):
+            measure_gradient_bias(game, [np.full(3, 1 / 3)], [Entropy.none()], [0, 1], trials=1)
+
     def test_rows_carry_kind_metadata(self):
         game = make_modified_shapley(0.5)
         x = StrategyProfile.uniform([3, 3])

@@ -407,6 +407,20 @@ class TestMultisetLookupProperties:
             with pytest.raises(ValueError):
                 game.pair_block_at(bad)
 
+    def test_pair_block_rejects_non_integral_rests(self):
+        # a float rest was truncated: [0.7, 1.2] read the [0, 1] block
+        from adinash.oracles import SymmetricOracle
+
+        game = _random_symmetric(np.random.default_rng(6), 4, 3)
+        for bad in ([0.7, 1.2], [[0.0, 1.5]], [np.nan, 0.0], [np.inf, 0.0], ["0", "1"]):
+            with pytest.raises(ValueError, match="rest_actions"):
+                game.pair_block_at(bad)
+        assert np.array_equal(game.pair_block_at([1.0, 0.0]), game.pair_block_at([0, 1]))
+        oracle = SymmetricOracle(game)
+        with pytest.raises(ValueError, match="rest_actions"):
+            oracle.symmetric_pair_payoffs([[0.9, 1.9]])
+        assert oracle.queries == 0
+
     @given(st.integers(1, 6), st.integers(1, 5))
     def test_multiset_rank_is_bijection(self, actions, size):
         ranks = [multiset_rank(ms, actions) for ms in enumerate_multisets(actions, size)]

@@ -11,7 +11,7 @@ from adinash.generators import (
     make_el_farol,
     planted_winrates,
 )
-from adinash.oracles import SymmetricOracle, TensorOracle
+from adinash.oracles import BernoulliOracle, SymmetricOracle, TensorOracle
 from adinash.sampling import (
     AuxiliaryState,
     estimate_pairwise_matrices,
@@ -31,13 +31,13 @@ class TestJointActionSampling:
         x = StrategyProfile.one_hot([2, 0, 1], [3, 2, 2])
         rng = new_rng(0)
         for _ in range(10):
-            assert sample_joint_action(x, rng) == (2, 0, 1)
+            assert sample_joint_action(x, rng)[0].tolist() == [2, 0, 1]
 
     def test_uniform_frequencies(self):
         x = StrategyProfile.uniform([2])
         rng = new_rng(1)
         draws = 100_000
-        ones = sum(sample_joint_action(x, rng)[0] for _ in range(draws))
+        ones = sum(sample_joint_action(x, rng)[0, 0] for _ in range(draws))
         assert abs(ones / draws - 0.5) <= 0.01
 
     def test_fixed_seed_reproducible(self):
@@ -46,7 +46,7 @@ class TestJointActionSampling:
         runs = []
         for _ in range(2):
             rng = new_rng(7)
-            runs.append([sample_joint_action(x, rng) for _ in range(50)])
+            runs.append([sample_joint_action(x, rng)[0].tolist() for _ in range(50)])
         assert runs[0] == runs[1]
 
     def test_draws_are_independent_per_player(self):
@@ -54,8 +54,8 @@ class TestJointActionSampling:
         rng = new_rng(2)
         joint_counts = np.zeros((2, 2))
         for _ in range(40_000):
-            a = sample_joint_action(x, rng)
-            joint_counts[a] += 1
+            a = sample_joint_action(x, rng)[0]
+            joint_counts[tuple(a)] += 1
         freq = joint_counts / joint_counts.sum()
         assert np.abs(freq - 0.25).max() <= 0.01
 
@@ -82,25 +82,25 @@ class TestJointActionSampling:
         joint_rng = new_rng(seed)
         for _ in range(20):
             shared = sample_actions(s, rng, players - 2)
-            assert tuple(shared) == sample_joint_action([s] * (players - 2), joint_rng)
+            assert tuple(shared) == tuple(sample_joint_action([s] * (players - 2), joint_rng)[0])
 
 
 class TestPairwiseEstimation:
     def test_two_player_deterministic_recovers_tables(self, biased_game):
         oracle = TensorOracle(biased_game)
-        blocks = estimate_pairwise_matrices(oracle, (0, 0))
+        blocks = estimate_pairwise_matrices(oracle, np.array([(0, 0)]))
         assert np.array_equal(blocks.matrix(0, 1), biased_game.player_tensor(0))
         assert np.array_equal(blocks.matrix(1, 0), biased_game.player_tensor(1).T)
         # independent of the conditioning joint action for two players
-        blocks2 = estimate_pairwise_matrices(oracle, (2, 1))
+        blocks2 = estimate_pairwise_matrices(oracle, np.array([(2, 1)]))
         assert np.array_equal(blocks2.matrix(0, 1), blocks.matrix(0, 1))
 
     def test_query_counter_per_fill(self):
         g =GameTensor(np.zeros((3, 4, 4, 4)))
         oracle = TensorOracle(g)
-        estimate_pairwise_matrices(oracle, (0, 0, 0))
+        estimate_pairwise_matrices(oracle, np.array([(0, 0, 0)]))
         assert oracle.queries == 6 * 16
-        estimate_pairwise_matrices(oracle, (1, 2, 3))
+        estimate_pairwise_matrices(oracle, np.array([(1, 2, 3)]))
         assert oracle.queries == 2 * 6 * 16
 
     def test_sampled_blocks_unbiased(self):
@@ -135,15 +135,15 @@ class TestPairwiseEstimation:
         rng = np.random.default_rng(4)
         g = random_game(rng, players=2)
         with pytest.raises(RuntimeError, match=r"pair \(0, 1\)"):
-            estimate_pairwise_matrices(Broken(g), (0, 0))
+            estimate_pairwise_matrices(Broken(g), np.array([(0, 0)]))
 
 
 class TestGradientFromEstimates:
     def test_two_player_exact(self, biased_game):
         oracle = TensorOracle(biased_game)
         x = StrategyProfile([[0.2, 0.5, 0.3], [0.4, 0.6]])
-        blocks = estimate_pairwise_matrices(oracle, (0, 0))
-        grad = blocks.payoff_gradients(x)[0]
+        blocks = estimate_pairwise_matrices(oracle, np.array([(0, 0)]))
+        grad = blocks.payoff_gradient(x)[0]
         assert np.allclose(grad, payoff_gradient(biased_game, x, 0), atol=1e-12)
 
     def test_average_over_partners(self):
@@ -151,7 +151,7 @@ class TestGradientFromEstimates:
         g = random_game(rng, players=3)
         x = random_profile(rng, g)
         blocks = exact_pairwise_matrices(g, x)
-        grads = blocks.payoff_gradients(x)
+        grads = blocks.payoff_gradient(x)
         assert len(grads) == 3
         for i in range(3):
             partners = [j for j in range(3) if j != i]
@@ -169,23 +169,16 @@ class TestGradientFromEstimates:
         for _ in range(draws):
             joint = sample_joint_action(x, sample_rng)
             blocks = estimate_pairwise_matrices(oracle, joint)
-            acc += blocks.payoff_gradients(x)[0]
+            acc += blocks.payoff_gradient(x)[0]
         mean = acc / draws
         exact = payoff_gradient(g, x, 0)
         assert np.abs(mean - exact).max() <= 3.0 * 2.0 / np.sqrt(draws)
 
     def test_player_out_of_range(self):
         blocks = exact_pairwise_matrices(GameTensor(np.zeros((3, 2, 2, 2))), [[0.5, 0.5]] * 3)
-        for player in (-1, 3):
-            with pytest.raises(ValueError, match="player"):
-                blocks.payoff_gradient(StrategyProfile.uniform([2, 2, 2]), player)
-
-    def test_missing_block(self):
-        from adinash.exact import PairwiseMatrices
-
-        blocks = PairwiseMatrices({(0, 1): np.zeros((2, 2))}, (2, 2))
-        with pytest.raises(ValueError, match=r"\(1, 0\)"):
-            blocks.payoff_gradients(StrategyProfile.uniform([2, 2]))
+        for pair in ((-1, 0), (0, 3), (1, 1)):
+            with pytest.raises(ValueError, match=rf"\({pair[0]}, {pair[1]}\) is not an ordered pair"):
+                blocks.matrix(*pair)
 
 
 class TestAuxiliaryUpdates:
@@ -236,7 +229,7 @@ class TestAuxiliaryUpdates:
         state = AuxiliaryState.zeros(g.action_counts)
         for _ in range(400):
             blocks = exact_pairwise_matrices(g, x)
-            grads = [blocks.payoff_gradient(x, i) for i in range(3)]
+            grads = [blocks.payoff_gradient(x)[i] for i in range(3)]
             state = update_aux(state, grads, 0.1)
         est = adi_amortized(x, state.y, Entropy.shannon(0.1))
         ref = adi_exact(g, x, Entropy.shannon(0.1))
@@ -258,7 +251,7 @@ class TestAuxiliaryUpdates:
         for _ in range(4000):
             joint = sample_joint_action(x, sample_rng)
             blocks = estimate_pairwise_matrices(oracle, joint)
-            grads = [blocks.payoff_gradient(x, i) for i in range(3)]
+            grads = [blocks.payoff_gradient(x)[i] for i in range(3)]
             state = update_aux(state, grads, rate)
         kind = Entropy.shannon(0.2)
         est = adi_amortized(x, state.y, kind)
@@ -283,7 +276,7 @@ class TestStackedFills:
         stacked, single = new_rng(4), new_rng(4)
         joints = sample_joint_action(x, stacked, 25)
         assert joints.shape == (25, len(counts))
-        assert [tuple(j) for j in joints] == [sample_joint_action(x, single) for _ in range(25)]
+        assert joints.tolist() == [sample_joint_action(x, single)[0].tolist() for _ in range(25)]
         assert stacked.random() == single.random()
 
     @pytest.mark.parametrize(
@@ -314,7 +307,7 @@ class TestStackedFills:
             want = sample_mean(np.stack([fill[key] for fill in fills]))
             assert np.array_equal(blocks.matrix(*key), want)
         assert stacked.queries == single.queries
-        one = estimate_pairwise_matrices(make(), tuple(joints[0]))
+        one = estimate_pairwise_matrices(make(), np.array([joints[0]]))
         for key in pairs:
             assert np.array_equal(one.matrix(*key), fills[0][key])
 
@@ -343,6 +336,40 @@ class TestStackedFills:
 
         with pytest.raises(RuntimeError, match=r"pair \(0, 1\) at joint \(0, 1, 2\)"):
             estimate_pairwise_matrices(Broken(game), joints)
+
+    def test_overriding_stochastic_fill_reads_joint_major(self):
+        # a Bernoulli oracle's draws follow its query order, so a stack read
+        # pair by pair equals single reads only in the fill's order: every
+        # pair at the first joint, then every pair at the next
+        class PairByPair(BernoulliOracle):
+            def pair_payoffs(self, owner, partner, base_joint):
+                return super().pair_payoffs(owner, partner, base_joint)
+
+        def make():
+            return PairByPair(planted_winrates(3, 4, seed=2), seed=6)
+
+        stacked, single = make(), make()
+        joints = np.array([[0, 1, 2], [3, 3, 0], [1, 0, 1]])
+        blocks = estimate_pairwise_matrices(stacked, joints)
+        pairs = list(itertools.permutations(range(3), 2))
+        reads = {key: [] for key in pairs}
+        for joint in joints.tolist():
+            for key in pairs:
+                reads[key].append(single.pair_payoffs(*key, tuple(joint)))
+        for key in pairs:
+            want = sample_mean(np.stack(reads[key]))
+            assert same_layout(blocks.matrix(*key), want)
+        assert stacked.queries == single.queries == 3 * 6 * 16
+        # the pair-major order draws other bytes
+        pair_major = make()
+        first = [pair_major.pair_payoffs(0, 1, tuple(joint)) for joint in joints.tolist()]
+        assert not np.array_equal(blocks.matrix(0, 1), sample_mean(np.stack(first)))
+
+    @pytest.mark.parametrize("samples", [0, -1, 1.5, True])
+    def test_sample_count_is_checked(self, samples):
+        x = StrategyProfile.uniform([2, 3])
+        with pytest.raises(ValueError, match="samples"):
+            sample_joint_action(x, new_rng(0), samples)
 
     def test_tensor_stack_read_matches_single_reads(self):
         game = GameTensor(np.random.default_rng(5).normal(size=(3, 3, 3, 3)))

@@ -371,7 +371,7 @@ class TestSymmetricGeneralAgreement:
             x = rng.dirichlet(np.ones(m) * 2.0)
             profile = StrategyProfile([x] * n)
             blocks = exact_pairwise_matrices(dense, profile)
-            grads = [blocks.payoff_gradient(profile, i) for i in range(n)]
+            grads = [blocks.payoff_gradient(profile)[i] for i in range(n)]
             general = adi_gradient(blocks, grads, grads, profile, kind)
             own = game.pair_payoff_matrix(x)
             shared = _symmetric_gradient(own, own @ x, grads[0], x, kind, n)
@@ -506,6 +506,28 @@ class TestWarmup:
 @pytest.mark.parametrize(
     "run",
     [
+        lambda g: AdidasSolver(iterations=2).fit(g),
+        lambda g: AdidasSolver(iterations=2, exact_gradients=True).fit(g),
+        lambda g: warmup_anneal_descend(g, 1, 1, 1.0),
+    ],
+    ids=["sampled", "exact", "warmup"],
+)
+def test_one_player_game_is_rejected_by_count(run):
+    # it failed at the first step: "cannot reshape array of size 0"
+    with pytest.raises(ValueError, match="players=1"):
+        run(GameTensor(np.zeros((1, 3))))
+
+
+def test_one_player_oracle_is_rejected_before_any_query():
+    oracle = TensorOracle(GameTensor(np.zeros((1, 3))))
+    with pytest.raises(ValueError, match="players=1"):
+        AdidasSolver(iterations=2).fit(oracle)
+    assert oracle.queries == 0
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
         lambda g: AdidasSolver(exact_gradients=True, entropy="none", iterations=5).fit(g),
         lambda g: BaselineSolver(method="ped", iterations=5, learning_rate=0.1).fit(g),
         lambda g: warmup_anneal_descend(g, 1, 5, 1.0),
@@ -577,7 +599,7 @@ def test_monotone_descent_between_anneals():
     values = []
     for _ in range(60):
         blocks = exact_pairwise_matrices(dense, x)
-        grads = [blocks.payoff_gradient(x, i) for i in range(dense.players)]
+        grads = [blocks.payoff_gradient(x)[i] for i in range(dense.players)]
         values.append(adi_exact(dense, x, kind).total)
         step = adi_gradient(blocks, grads, grads, x, kind)
         x = StrategyProfile(
@@ -607,10 +629,10 @@ def test_one_step_builds_each_payoff_gradient_once(step, monkeypatch):
     calls = []
     original = PairwiseMatrices.payoff_gradient
 
-    def counted(self, x, player=None):
-        calls.append(player)
-        return original(self, x, player)
+    def counted(self, x):
+        calls.append(x)
+        return original(self, x)
 
     monkeypatch.setattr(PairwiseMatrices, "payoff_gradient", counted)
     step(make_el_farol(ElFarolSpec(players=4)).expand_to_tensor())
-    assert calls == [None]
+    assert len(calls) == 1
