@@ -339,32 +339,37 @@ class SymmetricGame:
     # -- exact evaluation against a shared mixed strategy -------------------
 
     @staticmethod
-    def _multiset_weights(multisets, actions):
-        """Action-count matrix and log multinomial coefficients for iid draws."""
+    def _multiset_weights(multisets):
+        """The sorted multiset rows (K', size) and their log multinomial
+        coefficients for iid draws: lgamma(size + 1) minus the log-factorial
+        of each run of equal actions. Nothing m-wide is built."""
         from scipy.special import gammaln
 
-        size = multisets.shape[1]
-        counts = np.zeros((multisets.shape[0], actions), dtype=np.float64)
-        rows = np.arange(multisets.shape[0])
-        for column in multisets.T:
-            # one entry per row in each column: no index repeats within a step
-            counts[rows, column] += 1.0
-        log_coef = math.lgamma(size + 1) - gammaln(counts + 1.0).sum(axis=1)
-        return counts, log_coef
+        count, size = multisets.shape
+        # run[:, i]: position i's place in its run of equal actions, 1-based
+        run = np.ones((count, size), dtype=np.int64)
+        for i in range(1, size):
+            same = multisets[:, i] == multisets[:, i - 1]
+            run[same, i] = run[same, i - 1] + 1
+            # only a run's last position keeps its length; log 0! = 0
+            run[same, i - 1] = 0
+        log_factorial = gammaln(np.arange(size + 1) + 1.0)
+        log_coef = math.lgamma(size + 1) - log_factorial[run].sum(axis=1)
+        return multisets, log_coef
 
     def _opponent_weights(self):
-        """Action counts and log multinomial coefficients of the opponent
+        """Sorted rows and log multinomial coefficients of the opponent
         multisets, in table column order; cached."""
         if self._weights is None:
-            opponents = _multiset_rows(self.actions, self.players - 1)
-            self._weights = self._multiset_weights(opponents, self.actions)
+            self._weights = self._multiset_weights(_multiset_rows(self.actions, self.players - 1))
         return self._weights
 
-    def _iid_weights(self, strategy, counts, log_coef):
-        """Probability of each multiset, given by its action counts and log
+    def _iid_weights(self, strategy, rows, log_coef):
+        """Probability of each multiset, given by its sorted row and log
         multinomial coefficient, under iid play of `strategy`."""
         x = as_distribution(strategy, self.actions)
-        return np.exp(log_coef + counts @ np.log(np.clip(x, 1e-300, None)))
+        log_x = np.log(np.clip(x, 1e-300, None))
+        return np.exp(log_coef + log_x[rows].sum(axis=1))
 
     def deviation_payoffs(self, strategy):
         """Exact expected payoff of each own action when opponents play `strategy`."""
@@ -395,8 +400,8 @@ class SymmetricGame:
                 f"the pair table has {self.pair_table_entries} entries, over "
                 f"PAIR_TABLE_ENTRIES = {PAIR_TABLE_ENTRIES}; exact pair blocks need it cached"
             )
-        table, counts, log_coef = self._pair_table()
-        weights = self._iid_weights(strategy, counts, log_coef)
+        table, rows, log_coef = self._pair_table()
+        weights = self._iid_weights(strategy, rows, log_coef)
         m = self.actions
         return (weights @ table.reshape(-1, m * m)).reshape(m, m)
 
@@ -409,7 +414,7 @@ class SymmetricGame:
             # rests in colex rank order: a rest's rank is its table row
             rest = np.empty_like(rows)
             rest[multiset_rank_array(rows, m)] = rows
-            self._pair_cache = (self._gather_blocks(rest), *self._multiset_weights(rest, m))
+            self._pair_cache = (self._gather_blocks(rest), *self._multiset_weights(rest))
         return self._pair_cache
 
     def _gather_blocks(self, rests):

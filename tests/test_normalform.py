@@ -1,10 +1,13 @@
 import itertools
+import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import gammaln
 
 from adinash import normalform
 from adinash.exact import expected_utility, pairwise_jacobian_exact, payoff_gradient
@@ -20,7 +23,13 @@ from adinash.normalform import (
     validate_integer,
     validate_joint_action,
 )
-from adinash.generators import ElFarolSpec, make_el_farol, make_modified_shapley
+from adinash.generators import (
+    BlottoSpec,
+    ElFarolSpec,
+    make_blotto,
+    make_el_farol,
+    make_modified_shapley,
+)
 from adinash.solvers import SymmetricAdidasSolver
 from adinash.oracles import TensorOracle
 from conftest import symmetric_games
@@ -278,6 +287,54 @@ class TestSymmetricGame:
         got = payoff_gradient(g, profile, 0)
         want = payoff_gradient(dense, profile, 0)
         assert np.allclose(got, want, atol=1e-12)
+
+
+class TestSortedRowWeights:
+    """A symmetric game's iid multiset weights come from the sorted multiset
+    rows: (K', n - 1) actions and one log coefficient per row."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 5), st.integers(0, 6), st.data())
+    def test_iid_weights_match_dense_counts(self, actions, size, data):
+        # integer weights give exact zeros and keep every other entry >= 1/50,
+        # so each log-weight is small enough for a 1e-14 relative match
+        raw = data.draw(
+            st.lists(st.integers(0, 10), min_size=actions, max_size=actions).filter(any)
+        )
+        x = np.array(raw, dtype=float) / sum(raw)
+        rows = normalform._multiset_rows(actions, size)
+        game = SymmetricGame(2, actions, np.zeros((actions, actions)))
+        got = game._iid_weights(x, *SymmetricGame._multiset_weights(rows))
+        # reference: the dense (K', m) action-count matrix
+        counts = np.zeros((rows.shape[0], actions))
+        for column in rows.T:
+            counts[np.arange(rows.shape[0]), column] += 1.0
+        log_coef = math.lgamma(size + 1) - gammaln(counts + 1.0).sum(axis=1)
+        want = np.exp(log_coef + counts @ np.log(np.clip(x, 1e-300, None)))
+        live = counts[:, x == 0].sum(axis=1) == 0
+        np.testing.assert_allclose(got[live], want[live], rtol=1e-14, atol=0.0)
+        # a multiset holding an action of probability 0 keeps only the clip floor
+        assert np.all(got[~live] <= 1e-290)
+        assert abs(got.sum() - 1.0) <= 1e-12
+
+    def test_no_weight_array_is_m_wide(self):
+        game = make_blotto(BlottoSpec(coins=6, fields=3, players=4))
+        m = game.actions
+        x = np.full(m, 1.0 / m)
+        tracemalloc.start()
+        try:
+            game.deviation_payoffs(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # a (K', m) count matrix alone would be as large as the table
+        assert peak < game.table.nbytes // 2
+        game.pair_payoff_matrix(x)
+        rows, log_coef = game._weights
+        assert rows.shape == (multiset_count(m, 3), 3)
+        assert log_coef.shape == (multiset_count(m, 3),)
+        for weights in (*game._weights, *game._pair_cache[1:]):
+            assert m not in weights.shape
 
 
 def _scalar_lookup(game, own, opponents):
