@@ -43,18 +43,24 @@ def multiset_rank(multiset, actions):
 
 @functools.cache
 def _comb_table(actions, k):
+    """comb(v, j) at the entries a rank reads, v = a + j - 1 for actions a in
+    [0, actions); every other entry is 0. Each entry read is at most a rank,
+    so it fits in int64 whenever the multiset count does."""
     table = np.zeros((actions + k, k + 1), dtype=np.int64)
-    for v in range(actions + k):
-        for j in range(1, k + 1):
+    for j in range(1, k + 1):
+        for v in range(j - 1, actions + j - 1):
             table[v, j] = math.comb(v, j)
     return table
 
 
 def multiset_rank_array(multisets, actions):
-    """Vectorized multiset_rank over an (N, k) array of sorted rows."""
+    """Vectorized multiset_rank over an (N, k) array of sorted rows; an action
+    outside [0, actions) raises ValueError."""
     ms = np.asarray(multisets, dtype=np.int64)
     if ms.ndim == 1:
         ms = ms[None, :]
+    if ms.size and (ms[:, 0].min() < 0 or ms[:, -1].max() >= actions):
+        raise ValueError(f"actions outside [0, {actions})")
     k = ms.shape[1]
     table = _comb_table(actions, k)
     idx = ms + np.arange(k, dtype=np.int64)
@@ -445,16 +451,14 @@ class SymmetricGame:
         ):
             raise ValueError(f"rest_actions must be integers, got {rest_actions!r}")
         single = rests.ndim == 1
-        rests = np.sort(np.atleast_2d(rests), axis=1)
+        rests = np.sort(np.atleast_2d(rests).astype(np.int64, copy=False), axis=1)
         if rests.shape[1] != self.players - 2:
             raise ValueError(f"rest of {rests.shape[1]} actions, want {self.players - 2}")
-        if rests.size and (rests[:, 0].min() < 0 or rests[:, -1].max() >= m):
-            raise ValueError(f"actions outside [0, {m})")
-        rests = rests.astype(np.int64, copy=False)
         if not self.pair_table_fits():
             blocks = self._gather_blocks(rests)
         else:
-            blocks = self._pair_table()[0][multiset_rank_array(rests, m)]
+            ranks = multiset_rank_array(rests, m)
+            blocks = self._pair_table()[0][ranks]
         return blocks[0] if single else blocks
 
     def expand_to_tensor(self):

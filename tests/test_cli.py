@@ -47,6 +47,14 @@ class TestSolve:
         assert code == 0
         assert "strategy=" in stdout
 
+    def test_symmetric_solver_past_66_players(self, capsys):
+        # exited 2 with "oracle failed" from an int64 overflow in the rank table
+        code, stdout, _ = run_cli(
+            capsys, "solve", "--game", "el-farol", "--players", "100", "--solver", "adidas-symmetric"
+        )
+        assert code == 0
+        assert "strategy=" in stdout
+
     def test_config_error_exit_code(self, capsys):
         code, _, stderr = run_cli(
             capsys,

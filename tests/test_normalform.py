@@ -72,6 +72,24 @@ class TestMultisetCounting:
         assert multiset_rank_array(np.array(ms), 4).tolist() == scalar
 
     @pytest.mark.parametrize(
+        "actions,sizes", [(2, range(1, 151)), (3, (1, 2, 3, 32, 33, 65, 66, 67, 100, 150))]
+    )
+    def test_rank_array_matches_scalar_past_int64_binomials(self, actions, sizes):
+        # from size 66 on, two-action ranks once filled comb(v, j) > 2^63
+        for size in sizes:
+            rows = normalform._multiset_rows(actions, size)
+            scalar = [multiset_rank(row, actions) for row in rows.tolist()]
+            ranks = multiset_rank_array(rows, actions)
+            assert ranks.tolist() == scalar
+            assert sorted(scalar) == list(range(multiset_count(actions, size)))
+
+    @pytest.mark.parametrize("bad", [[[0, 3]], [[0, 5]], [[-1, 0]], [[0, 1], [2, 3]]])
+    def test_rank_array_rejects_actions_out_of_range(self, bad):
+        # [0, 3] read a wrong entry (rank 6) and [0, 5] raised IndexError
+        with pytest.raises(ValueError, match=r"actions outside \[0, 3\)"):
+            multiset_rank_array(bad, 3)
+
+    @pytest.mark.parametrize(
         "actions,size", [(1, 0), (4, 0), (1, 1), (1, 5), (3, 1), (4, 3), (2, 10), (66, 3)]
     )
     def test_rows_equal_the_listed_enumeration(self, actions, size):

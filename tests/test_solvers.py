@@ -13,7 +13,7 @@ from adinash.generators import (
     planted_winrates,
 )
 from adinash.normalform import GameTensor, StrategyProfile, SymmetricGame
-from adinash.oracles import TensorOracle
+from adinash.oracles import SymmetricOracle, TensorOracle
 from adinash.simplex import is_distribution
 from adinash.solvers import (
     AdidasSolver,
@@ -193,6 +193,14 @@ class TestAdidasSolver:
         assert all(is_distribution(s) for s in fitted.profile_)
         assert fitted.queries_ == 3 * 2 * 2 * game.action_counts[0] ** 2
 
+    def test_sampled_symmetric_oracle_past_66_players(self):
+        game = make_el_farol(ElFarolSpec(players=100))
+        fitted = AdidasSolver(iterations=2, samples=1, seed=0, exact_adi_every=0).fit(
+            SymmetricOracle(game)
+        )
+        assert all(is_distribution(s) for s in fitted.profile_)
+        assert fitted.queries_ == 2 * 100 * 99 * 2**2
+
     @pytest.mark.parametrize("solver_type", [AdidasSolver, SymmetricAdidasSolver])
     @pytest.mark.parametrize(
         "name,value",
@@ -297,6 +305,18 @@ class TestSymmetricAdidas:
         assert abs(solver.strategy_[0] - 0.7138) <= 0.05
         assert solver.log_.final_exact_adi() <= 0.5
         assert solver.queries_ == 8000 * 4 * 4  # samples * m^2
+
+    def test_el_farol_past_66_players(self):
+        # ranking 99 two-action opponents once read comb(67, 33) > 2^63
+        game = make_el_farol(ElFarolSpec(players=100))
+        solver = SymmetricAdidasSolver(
+            entropy="shannon", iterations=50, samples=4, seed=0, exact_adi_every=25
+        ).fit(game)
+        assert is_distribution(solver.strategy_)
+        assert np.isfinite(solver.log_.final_exact_adi())
+        # every step costs samples * m^2 queries, whatever the player count
+        queries = np.array(solver.log_.column("queries"))
+        assert np.array_equal(np.diff(queries, prepend=0), np.full(50, 4 * 2**2))
 
     def test_rejects_asymmetric_input(self, matching_pennies):
         # a dense tensor is not accepted even if it happens to be symmetric
