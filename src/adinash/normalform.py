@@ -447,7 +447,7 @@ class SymmetricGame:
         m = self.actions
         rests = np.asarray(rest_actions)
         if rests.dtype.kind not in "iu" and not (
-            rests.dtype.kind == "f" and np.isfinite(rests).all() and (rests % 1 == 0).all()
+            rests.dtype.kind == "f" and (np.abs(rests) < 2**63).all() and (rests % 1 == 0).all()
         ):
             raise ValueError(f"rest_actions must be integers, got {rest_actions!r}")
         single = rests.ndim == 1

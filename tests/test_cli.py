@@ -50,7 +50,8 @@ class TestSolve:
     def test_symmetric_solver_past_66_players(self, capsys):
         # exited 2 with "oracle failed" from an int64 overflow in the rank table
         code, stdout, _ = run_cli(
-            capsys, "solve", "--game", "el-farol", "--players", "100", "--solver", "adidas-symmetric"
+            capsys, "solve", "--game", "el-farol", "--players", "100",
+            "--solver", "adidas-symmetric",
         )
         assert code == 0
         assert "strategy=" in stdout

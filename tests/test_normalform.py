@@ -487,7 +487,8 @@ class TestMultisetLookupProperties:
         from adinash.oracles import SymmetricOracle
 
         game = _random_symmetric(np.random.default_rng(6), 4, 3)
-        for bad in ([0.7, 1.2], [[0.0, 1.5]], [np.nan, 0.0], [np.inf, 0.0], ["0", "1"]):
+        bads = ([0.7, 1.2], [[0.0, 1.5]], [np.nan, 0.0], [np.inf, 0.0], [0.0, 1e30], ["0", "1"])
+        for bad in bads:
             with pytest.raises(ValueError, match="rest_actions"):
                 game.pair_block_at(bad)
         assert np.array_equal(game.pair_block_at([1.0, 0.0]), game.pair_block_at([0, 1]))
