@@ -7,9 +7,11 @@ also on a game with unequal action counts, on the benchmark's covariant
 blocks are read pair by pair in query order; the six baselines on six games, ``ped`` on five players, and the
 shared-strategy form; the exact warm-up; the gradient-bias table; block
 fills of a Bernoulli oracle, single and stacked; the Blotto(10,3,4) table;
-and, with ``normalform.PAIR_TABLE_ENTRIES`` at 0 so that no pair table is
+with ``normalform.PAIR_TABLE_ENTRIES`` at 0 so that no pair table is
 built and every block read takes the uncached branch, sampled symmetric
-solves and the stacked fill). A run's digest is the sha256
+solves and the stacked fill; and a sampled symmetric solve of El Farol(70),
+past the 66 players where a two-action rank table once overflowed int64).
+A run's digest is the sha256
 of its metric-CSV bytes, final strategies and query count (the table's
 bytes, for the table), or of the error it raised. Output is one
 ``<sha256>  <run>`` line per run and then ``<sha256>  total`` over those
@@ -53,6 +55,7 @@ def _games(gen, GameTensor, new_rng):
         "covariant4x6": lambda: gen.make_covariant_random(4, 6, 0.0, seed=0),
         # five players: both block orientations for every owner but the ends
         "covariant5x3": lambda: gen.make_covariant_random(5, 3, 0.0, seed=13),
+        "elfarol70": lambda: gen.make_el_farol(gen.ElFarolSpec(players=70)),
     }
 
 
@@ -250,6 +253,10 @@ def runs():
         ))))
     out.append(("uncached/fill/bernoulli-stacked", uncached(stacked_fills)))
     out.append(("table/blotto10", lambda: gen.make_blotto(gen.BlottoSpec(10, 3, 4)).table.tobytes()))
+    out.append(("symmetric/elfarol70/shannon/sampled/euclidean", solve(
+        SymmetricAdidasSolver, "elfarol70", entropy="shannon", iterations=40, samples=5,
+        learning_rate=0.05, adi_threshold=0.05, exact_adi_every=10, seed=7,
+    )))
     return out
 
 
