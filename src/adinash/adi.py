@@ -87,10 +87,13 @@ def _gains(profile, grads, kind):
 
 
 def symmetric_adi_exact(game, strategy):
-    """Unregularized exact deviation incentive when all n players of a
-    SymmetricGame share `strategy`: n times one player's best-response gain."""
-    grad = game.deviation_payoffs(strategy)
-    return game.players * float(grad.max() - np.dot(strategy, grad))
+    """Unregularized exact ADI of a SymmetricGame whose n players share `strategy`."""
+    return _symmetric_gain(game.players, game.deviation_payoffs(strategy), strategy)
+
+
+def _symmetric_gain(players, grad, strategy):
+    """n times one player's best-response gain from `strategy` against `grad`."""
+    return players * float(grad.max() - np.dot(strategy, grad))
 
 
 def response_terms(nabla, y, x, kind):

@@ -130,10 +130,9 @@ def _run_cell(config, cell_index, cell, rep):
     log = solver.log_
     path = os.path.join(config.output_dir, f"{run_id}.csv")
     log.to_csv(path)
-    final = log.final_exact_adi()
+    final, column = log.final_exact_adi(), "adi_exact"
     if np.isnan(final):
-        final = log.final["adi_estimate"]
-    column = "adi_exact" if not np.isnan(log.final_exact_adi()) else "adi_estimate"
+        final, column = log.final["adi_estimate"], "adi_estimate"
     below = log.first_iteration_below(SELECTION_THRESHOLD, column=column)
     return RunResult(run_id, cell, seed, final, below, path)
 

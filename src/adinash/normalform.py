@@ -259,7 +259,7 @@ class SymmetricGame:
             raise ValueError("payoff table has non-finite entries")
         table.flags.writeable = False
         self.table = table
-        self._column = None
+        self._rows = None
         self._weights = None
         self._pair_cache = None
 
@@ -276,7 +276,9 @@ class SymmetricGame:
         table = np.empty((actions, opponents.shape[0]))
         for a in range(actions):
             table[a] = batch_fn(np.full(opponents.shape[0], a), opponents)
-        return cls(players, actions, table)
+        game = cls(players, actions, table)
+        game._rows = opponents
+        return game
 
     @classmethod
     def from_tensor(cls, game):
@@ -300,24 +302,22 @@ class SymmetricGame:
 
     # -- lookups -----------------------------------------------------------
 
-    def _columns(self):
-        """Table column of each opponent multiset, indexed by colex rank; cached."""
-        if self._column is None:
-            opponents = _multiset_rows(self.actions, self.players - 1)
-            column = np.empty(opponents.shape[0], dtype=np.int64)
-            column[multiset_rank_array(opponents, self.actions)] = np.arange(opponents.shape[0])
-            self._column = column
-        return self._column
+    def _table_index(self, opponents):
+        """Table column of each row of opponent actions (N, n-1), any order:
+        the column of sorted O is K' - 1 minus the colex rank of sort(m - 1 - O).
+        An action outside [0, m) raises ValueError."""
+        m = self.actions
+        complement = m - 1 - np.asarray(opponents, dtype=np.int64)
+        complement.sort(axis=1)
+        return self.table.shape[1] - 1 - multiset_rank_array(complement, m)
 
     def lookup(self, own, opponents):
         """Payoffs of own actions (N,) against opponent actions (N, n-1):
         ``table[own, column of the sorted opponents]``."""
         own = np.asarray(own, dtype=np.int64)
-        opponents = np.sort(opponents, axis=1)
-        m = self.actions
-        if np.any((own < 0) | (own >= m)) or np.any((opponents < 0) | (opponents >= m)):
-            raise ValueError(f"actions outside [0, {m})")
-        return self.table[own, self._columns()[multiset_rank_array(opponents, m)]]
+        if np.any((own < 0) | (own >= self.actions)):
+            raise ValueError(f"actions outside [0, {self.actions})")
+        return self.table[own, self._table_index(opponents)]
 
     def payoff(self, own_action, opponents):
         """Payoff to a player choosing own_action against an opponent multiset."""
@@ -365,9 +365,12 @@ class SymmetricGame:
 
     def _opponent_weights(self):
         """Sorted rows and log multinomial coefficients of the opponent
-        multisets, in table column order; cached."""
+        multisets, in table column order; cached, reusing the rows
+        ``from_batch_function`` built."""
         if self._weights is None:
-            self._weights = self._multiset_weights(_multiset_rows(self.actions, self.players - 1))
+            if self._rows is None:
+                self._rows = _multiset_rows(self.actions, self.players - 1)
+            self._weights = self._multiset_weights(self._rows)
         return self._weights
 
     def _iid_weights(self, strategy, rows, log_coef):
@@ -415,11 +418,8 @@ class SymmetricGame:
         """u(r; c, rest) as a (K, m, m) table, one contiguous m x m block per
         rest multiset in colex rank order, plus the rest-multiset weights; cached."""
         if self._pair_cache is None:
-            m = self.actions
-            rows = _multiset_rows(m, self.players - 2)
-            # rests in colex rank order: a rest's rank is its table row
-            rest = np.empty_like(rows)
-            rest[multiset_rank_array(rows, m)] = rows
+            # rests in colex rank order (a rank is a row): lex rows complemented, reversed
+            rest = (self.actions - 1 - _multiset_rows(self.actions, self.players - 2))[::-1, ::-1]
             self._pair_cache = (self._gather_blocks(rest), *self._multiset_weights(rest))
         return self._pair_cache
 
@@ -430,9 +430,8 @@ class SymmetricGame:
         m = self.actions
         count = rests.shape[0]
         opponents = np.column_stack([np.repeat(np.arange(m), count), np.tile(rests, (m, 1))])
-        opponents.sort(axis=1)
         # columns[s, c]: table column of the opponent multiset c + rest_s
-        columns = self._columns()[multiset_rank_array(opponents, m)].reshape(m, count).T
+        columns = self._table_index(opponents).reshape(m, count).T
         blocks = np.empty((count, m, m))
         # one own action at a time: no temporary the size of the table
         for r in range(m):
@@ -444,7 +443,6 @@ class SymmetricGame:
         of n - 2 actions gives one block, an (S, n - 2) array an (S, m, m)
         stack. Served from the cached pair table when it fits
         ``PAIR_TABLE_ENTRIES``, else gathered for this batch alone."""
-        m = self.actions
         rests = np.asarray(rest_actions)
         if rests.dtype.kind not in "iu" and not (
             rests.dtype.kind == "f" and (np.abs(rests) < 2**63).all() and (rests % 1 == 0).all()
@@ -457,8 +455,7 @@ class SymmetricGame:
         if not self.pair_table_fits():
             blocks = self._gather_blocks(rests)
         else:
-            ranks = multiset_rank_array(rests, m)
-            blocks = self._pair_table()[0][ranks]
+            blocks = self._pair_table()[0][multiset_rank_array(rests, self.actions)]
         return blocks[0] if single else blocks
 
     def expand_to_tensor(self):
@@ -467,8 +464,9 @@ class SymmetricGame:
             raise ValueError("game too large to expand densely")
         m, n = self.actions, self.players
         joints = np.indices((m,) * n).reshape(n, -1).T
-        payoffs = [self.lookup(joints[:, i], np.delete(joints, i, axis=1)) for i in range(n)]
-        return GameTensor(np.reshape(payoffs, (n, *(m,) * n)))
+        first = self.lookup(joints[:, 0], joints[:, 1:]).reshape((m,) * n)
+        # u_i(a) = u(a_i; a_-i) is player 0's payoff with a_0 and a_i swapped
+        return GameTensor(np.stack([np.swapaxes(first, 0, i) for i in range(n)]))
 
     def __repr__(self):
         return (

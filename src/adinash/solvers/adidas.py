@@ -14,6 +14,7 @@ import time
 import numpy as np
 
 from ..adi import (
+    _symmetric_gain,
     adi_amortized,
     adi_exact,
     adi_gradient,
@@ -418,10 +419,9 @@ class _SymmetricView(_GeneralView):
         """Every player shares the strategy and the tracker, so one player's
         gain is every player's: computed once, reported n times."""
         (strategy,), (tracker,) = x, y
-        n = self.players
         report = adi_amortized(x, y, kind)
-        report = dataclasses.replace(report, per_player=np.full(n, report.per_player[0]))
-        return report, n * float(tracker.max() - np.dot(tracker, strategy))
+        report = dataclasses.replace(report, per_player=np.full(self.players, report.per_player[0]))
+        return report, _symmetric_gain(self.players, tracker, strategy)
 
     def gradients(self, own, nablas, y, x, kind):
         return _symmetric_gradient(own, nablas[0], y[0], x[0], kind, self.players)[None]

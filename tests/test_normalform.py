@@ -294,6 +294,18 @@ class TestSymmetricGame:
         want = [[scalar(a, opp) for opp in enumerate_multisets(4, 2)] for a in range(4)]
         assert np.allclose(b.table, want)
 
+    def test_batch_function_rows_are_the_weight_rows(self):
+        seen = []
+
+        def batch(own, opponents):
+            seen.append(opponents)
+            return own + opponents.sum(axis=1)
+
+        game = SymmetricGame.from_batch_function(4, 3, batch)
+        # the opponent rows are enumerated once: the weights keep that array
+        rows, _ = game._opponent_weights()
+        assert all(rows is opponents for opponents in seen) and len(seen) == 3
+
     def test_mixed_opponent_deviation_payoffs(self):
         # heterogeneous (non-shared) opponent strategies, sparse support
         rng = np.random.default_rng(4)
@@ -390,6 +402,12 @@ class TestMultisetLookupProperties:
         joints = np.array(list(itertools.product(range(game.actions), repeat=game.players)))
         want = [_scalar_lookup(game, int(j[0]), j[1:].tolist()) for j in joints]
         assert np.array_equal(game.lookup(joints[:, 0], joints[:, 1:]), want)
+        # every player's slice of the dense tensor, not only player 0's
+        dense = game.expand_to_tensor().payoffs
+        for i in range(game.players):
+            others = np.delete(joints, i, axis=1)
+            want = [_scalar_lookup(game, int(j[i]), o.tolist()) for j, o in zip(joints, others)]
+            assert np.array_equal(dense[(i, *joints.T)], want)
 
     @settings(max_examples=50, deadline=None)
     @given(symmetric_games())
