@@ -54,8 +54,8 @@ def _comb_table(actions, k):
 
 
 def multiset_rank_array(multisets, actions):
-    """Vectorized multiset_rank over an (N, k) array of sorted rows; an action
-    outside [0, actions) raises ValueError."""
+    """Vectorized multiset_rank over an (N, k) array of sorted rows, summed a
+    column at a time; an action outside [0, actions) raises ValueError."""
     ms = np.asarray(multisets, dtype=np.int64)
     if ms.ndim == 1:
         ms = ms[None, :]
@@ -63,8 +63,7 @@ def multiset_rank_array(multisets, actions):
         raise ValueError(f"actions outside [0, {actions})")
     k = ms.shape[1]
     table = _comb_table(actions, k)
-    idx = ms + np.arange(k, dtype=np.int64)
-    return table[idx, np.arange(1, k + 1)].sum(axis=1)
+    return sum((table[ms[:, j] + j, j + 1] for j in range(k)), np.zeros(len(ms), np.int64))
 
 
 def enumerate_multisets(actions, size):
@@ -302,14 +301,12 @@ class SymmetricGame:
 
     # -- lookups -----------------------------------------------------------
 
-    def _table_index(self, opponents):
-        """Table column of each row of opponent actions (N, n-1), any order:
-        the column of sorted O is K' - 1 minus the colex rank of sort(m - 1 - O).
-        An action outside [0, m) raises ValueError."""
-        m = self.actions
-        complement = m - 1 - np.asarray(opponents, dtype=np.int64)
-        complement.sort(axis=1)
-        return self.table.shape[1] - 1 - multiset_rank_array(complement, m)
+    def _table_index(self, complements):
+        """Table column of each row of m - 1 - O, opponent actions O (N, n-1) in
+        any order, sorted here in place: the column of sorted O is K' - 1 minus
+        the colex rank of sort(m - 1 - O). An action outside [0, m) raises ValueError."""
+        complements.sort(axis=1)
+        return self.table.shape[1] - 1 - multiset_rank_array(complements, self.actions)
 
     def lookup(self, own, opponents):
         """Payoffs of own actions (N,) against opponent actions (N, n-1):
@@ -317,7 +314,8 @@ class SymmetricGame:
         own = np.asarray(own, dtype=np.int64)
         if np.any((own < 0) | (own >= self.actions)):
             raise ValueError(f"actions outside [0, {self.actions})")
-        return self.table[own, self._table_index(opponents)]
+        complements = self.actions - 1 - np.asarray(opponents, dtype=np.int64)
+        return self.table[own, self._table_index(complements)]
 
     def payoff(self, own_action, opponents):
         """Payoff to a player choosing own_action against an opponent multiset."""
@@ -429,9 +427,9 @@ class SymmetricGame:
         opponent multiset c + rest], with no payoff lookups of its own."""
         m = self.actions
         count = rests.shape[0]
-        opponents = np.column_stack([np.repeat(np.arange(m), count), np.tile(rests, (m, 1))])
+        complements = m - 1 - np.column_stack([np.arange(m).repeat(count), np.tile(rests, (m, 1))])
         # columns[s, c]: table column of the opponent multiset c + rest_s
-        columns = self._table_index(opponents).reshape(m, count).T
+        columns = self._table_index(complements).reshape(m, count).T
         blocks = np.empty((count, m, m))
         # one own action at a time: no temporary the size of the table
         for r in range(m):
@@ -443,6 +441,7 @@ class SymmetricGame:
         of n - 2 actions gives one block, an (S, n - 2) array an (S, m, m)
         stack. Served from the cached pair table when it fits
         ``PAIR_TABLE_ENTRIES``, else gathered for this batch alone."""
+        m = self.actions
         rests = np.asarray(rest_actions)
         if rests.dtype.kind not in "iu" and not (
             rests.dtype.kind == "f" and (np.abs(rests) < 2**63).all() and (rests % 1 == 0).all()
@@ -455,7 +454,8 @@ class SymmetricGame:
         if not self.pair_table_fits():
             blocks = self._gather_blocks(rests)
         else:
-            blocks = self._pair_table()[0][multiset_rank_array(rests, self.actions)]
+            ranks = multiset_rank_array(rests, m)
+            blocks = self._pair_table()[0][ranks]
         return blocks[0] if single else blocks
 
     def expand_to_tensor(self):

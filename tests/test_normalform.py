@@ -89,6 +89,18 @@ class TestMultisetCounting:
         with pytest.raises(ValueError, match=r"actions outside \[0, 3\)"):
             multiset_rank_array(bad, 3)
 
+    def test_rank_array_builds_no_rows_sized_temporary(self):
+        rows = np.sort(np.random.default_rng(0).integers(0, 5, size=(100_000, 6)), axis=1)
+        tracemalloc.start()
+        try:
+            ranks = multiset_rank_array(rows, 5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # summed a column at a time: an (N, k) index or gather array alone is rows.nbytes
+        assert peak < rows.nbytes
+        assert ranks[:200].tolist() == [multiset_rank(row, 5) for row in rows[:200].tolist()]
+
     @pytest.mark.parametrize(
         "actions,size", [(1, 0), (4, 0), (1, 1), (1, 5), (3, 1), (4, 3), (2, 10), (66, 3)]
     )
