@@ -4,12 +4,12 @@ pairwise bimatrix blocks shared by every solver. Desk-scale tensors only.
 On a GameTensor each of these is a chain: one player's payoff tensor
 contracted with the strategies of the players it marginalizes out, in player
 order (all but the kept players: two for a block, the player for a payoff
-gradient, none for a utility). `_contract_chains` is the one kernel. It runs
-every chain of a call as one batched contraction per step, so all n(n-1)
-blocks of a profile cost one pass, and it reproduces the bytes of a
-per-chain np.tensordot chain exactly: the annealed warm-up amplifies
-last-bit differences into a different path. Stacks are split by owner to
-stay within DESK_SCALE_ENTRIES entries.
+gradient, none for a utility). `_contract_chains`, the one kernel, runs every
+chain of a call as one batched contraction per step, split by owner to stay
+within DESK_SCALE_ENTRIES entries, with the bytes of per-chain np.tensordot
+chains: the annealed warm-up amplifies last-bit differences into a different
+path. It returns one array per call, the (n(n-1), m, m) blocks or (n, m)
+gradients when every player has m actions; a list only when end shapes differ.
 """
 
 import collections
@@ -55,7 +55,7 @@ def _chunk_plan(counts, chains, lo, hi):
     0 is the owners' payoff tensors. Step t makes level t+1: states whose
     parents sit in the same block and whose next axis has the same position
     there form one group, contracted by one batched matmul into a row range
-    of an output block.
+    of an output block. The plan ends with each chain's (position, block, row).
     """
     mine = [(owner, order) for owner, order in chains if lo <= owner < hi]
     where = {(owner, ()): (0, owner - lo) for owner, _ in mine}
@@ -87,18 +87,20 @@ def _chunk_plan(counts, chains, lo, hi):
                 where[state] = (dst, start + k)
         steps.append((tuple(zip(fill, out_shapes)), tuple(step)))
         shapes = out_shapes
-    return lo, hi, mine, steps, [where[chain] for chain in mine]
+    return lo, hi, steps, np.array([(k, *where[c]) for k, c in enumerate(chains) if c in where])
 
 
 @functools.cache
 def _chain_plan(counts, chains, budget):
-    return [_chunk_plan(counts, chains, lo, hi) for lo, hi in _owner_chunks(counts, chains, budget)]
+    ends = {tuple(c for p, c in enumerate(counts) if p not in order) for _, order in chains}
+    plan = [_chunk_plan(counts, chains, lo, hi) for lo, hi in _owner_chunks(counts, chains, budget)]
+    return ends.pop() if len(ends) == 1 else None, plan
 
 
 def _contract_chains(game, profile, chains):
     """Every chain (owner, contracted players) of a GameTensor at once: the
-    owner's payoff tensor contracted with x_p for each contracted p, the
-    other axes left in player order. One array per chain, in chain order.
+    owner's payoff tensor contracted with x_p for each contracted p, other axes
+    in player order; one (len(chains), *shape) array, or a list when end shapes differ.
 
     Each contraction is the one np.tensordot makes on a single chain: the
     contracted axis moved last, the tensor reshaped C-ordered to (rows, m),
@@ -110,8 +112,9 @@ def _contract_chains(game, profile, chains):
     vectors = np.zeros((len(counts), max(counts)))
     for p, strategy in enumerate(profile):
         vectors[p, : len(strategy)] = strategy
-    out = {}
-    for lo, hi, mine, steps, finals in _chain_plan(counts, chains, DESK_SCALE_ENTRIES):
+    end, plans = _chain_plan(counts, chains, DESK_SCALE_ENTRIES)
+    out = [None] * len(chains) if end is None else np.empty((len(chains), *end))
+    for lo, hi, steps, finals in plans:
         blocks = [game.payoffs[lo:hi]]
         for out_shapes, step in steps:
             outs = [np.empty((rows, *shape)) for rows, shape in out_shapes]
@@ -122,9 +125,12 @@ def _contract_chains(game, profile, chains):
                 target = outs[dst][start:stop].reshape(stop - start, -1, 1)
                 np.matmul(moved, vectors[players, :width, None], out=target)
             blocks = outs
-        for chain, (block, row) in zip(mine, finals):
-            out[chain] = blocks[block][row]
-    return [out[chain] for chain in chains]
+        if end is None:
+            for k, block, row in finals:
+                out[k] = blocks[block][row]
+        else:
+            out[finals[:, 0]] = blocks[0][finals[:, 2]]
+    return out
 
 
 def expected_utility(game, x, player):
@@ -153,7 +159,7 @@ def payoff_gradient(game, x, player):
 
 def payoff_gradients(game, x):
     """Every player's payoff_gradient, in player order; on a GameTensor in
-    one batched contraction."""
+    one batched contraction, an (n, m) array (a list when action counts differ)."""
     profile = as_profile(x, game.action_counts)
     if isinstance(game, SymmetricGame):
         return [_symmetric_deviation_payoffs(game, profile, i) for i in range(game.players)]
@@ -253,8 +259,6 @@ class PairwiseMatrices:
         self._index = _pair_index(self.players)
         self._transposed = flags = np.array(transposed, dtype=bool).reshape(-1)
         size, square = len(self._index), len(set(counts)) == 1
-        if square and not isinstance(raw, np.ndarray) and len({b.shape for b in raw}) == 1:
-            raw = np.stack(raw)
         stacked = square and isinstance(raw, np.ndarray) and raw.shape == (size, *counts[:2])
         if not (stacked and flags.size == size):
             raw = list(raw)

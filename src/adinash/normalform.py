@@ -55,13 +55,13 @@ def _comb_table(actions, k):
 
 def multiset_rank_array(multisets, actions):
     """Vectorized multiset_rank over an (N, k) array of sorted rows, summed a
-    column at a time; an action outside [0, actions) raises ValueError."""
-    ms = np.asarray(multisets, dtype=np.int64)
-    if ms.ndim == 1:
-        ms = ms[None, :]
+    column at a time; an unsorted row or an action outside [0, actions) raises ValueError."""
+    ms = np.atleast_2d(np.asarray(multisets, dtype=np.int64))
     if ms.size and (ms[:, 0].min() < 0 or ms[:, -1].max() >= actions):
         raise ValueError(f"actions outside [0, {actions})")
     k = ms.shape[1]
+    if any((ms[:, j] > ms[:, j + 1]).any() for j in range(k - 1)):
+        raise ValueError("multiset rows must be sorted ascending")
     table = _comb_table(actions, k)
     return sum((table[ms[:, j] + j, j + 1] for j in range(k)), np.zeros(len(ms), np.int64))
 

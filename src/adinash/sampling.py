@@ -120,7 +120,8 @@ def estimate_pairwise_matrices(oracle, joints):
                 raise RuntimeError(f"oracle failed on pair ({i}, {j}) at joint {joint}") from err
     transposed = [r[0].flags.f_contiguous and not r[0].flags.c_contiguous for r in reads]
     raw = [sample_mean(np.stack([b.T if t else b for b in r])) for r, t in zip(reads, transposed)]
-    return PairwiseMatrices(raw, transposed, counts)
+    stacked = len({b.shape for b in raw}) == 1
+    return PairwiseMatrices(np.stack(raw) if stacked else raw, transposed, counts)
 
 
 def update_aux(state, grad_estimates, aux_learning_rate):

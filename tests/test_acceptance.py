@@ -2,6 +2,7 @@
 pass/fail line per criterion (run with -s to watch them stream)."""
 
 import itertools
+import pathlib
 import time
 
 import numpy as np
@@ -433,7 +434,7 @@ def test_criterion_12_determinism(tmp_path):
             output_dir=outdir,
         )
         results, _, _ = run_experiment(config, workers=workers)
-        return {r.run_id: open(r.csv_path, "rb").read() for r in results}
+        return {r.run_id: pathlib.Path(r.csv_path).read_bytes() for r in results}
 
     serial = sweep_bytes(str(tmp_path / "w1"), 1)
     parallel = sweep_bytes(str(tmp_path / "w3"), 3)

@@ -252,6 +252,38 @@ class TestBatchedContraction:
             assert got.tobytes() == want.tobytes()
             assert got.strides == want.strides
 
+    @pytest.mark.parametrize(
+        "game,stacked",
+        [
+            (make_covariant_random(4, 3, 0.0, seed=3), True),
+            (GameTensor(np.random.default_rng(11).uniform(-1.0, 1.0, size=(3, 2, 3, 4))), False),
+        ],
+        ids=["square_4x3", "ragged_2_3_4"],
+    )
+    def test_one_owner_per_chunk_keeps_bytes_and_layout(self, game, stacked, monkeypatch):
+        x = random_profile(np.random.default_rng(4), game)
+        pairs = tuple(itertools.permutations(range(game.players), 2))
+
+        def run():
+            return payoff_gradients(game, x), exact_pairwise_matrices(game, x)
+
+        whole = run()
+        # a budget of one entry gives every owner a chunk of its own
+        monkeypatch.setattr(exact, "DESK_SCALE_ENTRIES", 1)
+        chains = exact._pair_chains(game.players, pairs)
+        assert len(exact._owner_chunks(game.action_counts, chains, 1)) == game.players
+        chunked = run()
+        for grads, blocks in (whole, chunked):
+            # one array when every player has one action count, else a list
+            assert type(grads) is (np.ndarray if stacked else list)
+            assert (blocks.stack is not None) == stacked
+        for i in range(game.players):
+            assert chunked[0][i].tobytes() == whole[0][i].tobytes()
+        for key in pairs:
+            got, want = chunked[1].matrix(*key), whole[1].matrix(*key)
+            assert got.tobytes() == want.tobytes()
+            assert got.strides == want.strides
+
 
 class TestPlayerIndices:
     @pytest.fixture

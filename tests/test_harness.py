@@ -1,4 +1,5 @@
 import os
+import pathlib
 
 import numpy as np
 import pytest
@@ -37,7 +38,7 @@ class TestRunExperiment:
         )
         results, summaries, best = run_experiment(config)
         assert len(results) == 1 and results[0].error is None
-        content = open(results[0].csv_path).read()
+        content = pathlib.Path(results[0].csv_path).read_text()
         assert content.count("\n") == 41  # header + one row per iteration
         assert os.path.exists(str(tmp_path / "summary.csv"))
 
@@ -65,7 +66,7 @@ class TestRunExperiment:
                 output_dir=outdir,
             )
             results, _, _ = run_experiment(config)
-            return [open(r.csv_path, "rb").read() for r in results]
+            return [pathlib.Path(r.csv_path).read_bytes() for r in results]
 
         a = one(str(tmp_path / "a"))
         b = one(str(tmp_path / "b"))
@@ -82,7 +83,7 @@ class TestRunExperiment:
                 output_dir=outdir,
             )
             results, _, _ = run_experiment(config, workers=workers)
-            return {r.run_id: open(r.csv_path, "rb").read() for r in results}
+            return {r.run_id: pathlib.Path(r.csv_path).read_bytes() for r in results}
 
         serial = one(str(tmp_path / "serial"), 1)
         parallel = one(str(tmp_path / "parallel"), 3)

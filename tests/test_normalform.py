@@ -83,10 +83,15 @@ class TestMultisetCounting:
             assert ranks.tolist() == scalar
             assert sorted(scalar) == list(range(multiset_count(actions, size)))
 
-    @pytest.mark.parametrize("bad", [[[0, 3]], [[0, 5]], [[-1, 0]], [[0, 1], [2, 3]]])
+    @pytest.mark.parametrize(
+        "bad", [[[0, 3]], [[0, 5]], [[-1, 0]], [[0, 1], [2, 3]], [[0, 2, 1]], [[0, 9, 1]]]
+    )
     def test_rank_array_rejects_actions_out_of_range(self, bad):
-        # [0, 3] read a wrong entry (rank 6) and [0, 5] raised IndexError
-        with pytest.raises(ValueError, match=r"actions outside \[0, 3\)"):
+        # [0, 3] read a wrong entry (rank 6) and [0, 5] raised IndexError; the
+        # unsorted [0, 2, 1] ranked as another multiset and [0, 9, 1] raised IndexError
+        unsorted = any(row != sorted(row) for row in bad)
+        match = "sorted ascending" if unsorted else r"actions outside \[0, 3\)"
+        with pytest.raises(ValueError, match=match):
             multiset_rank_array(bad, 3)
 
     def test_rank_array_builds_no_rows_sized_temporary(self):

@@ -329,6 +329,7 @@ class TestStackedFills:
         want = estimate_pairwise_matrices(TensorOracle(game), joints)
         for key in pairs:
             assert same_layout(blocks.matrix(*key), want.matrix(*key))
+        assert blocks.stack is not None
 
         class Broken(TensorOracle):
             def pair_payoffs(self, owner, partner, base_joint):
@@ -336,6 +337,14 @@ class TestStackedFills:
 
         with pytest.raises(RuntimeError, match=r"pair \(0, 1\) at joint \(0, 1, 2\)"):
             estimate_pairwise_matrices(Broken(game), joints)
+
+        class Misshapen(TensorOracle):
+            def pair_payoffs(self, owner, partner, base_joint):
+                block = super().pair_payoffs(owner, partner, base_joint)
+                return block[:2] if (owner, partner) == (2, 1) else block
+
+        with pytest.raises(ValueError, match=r"pair \(2, 1\) needs a block of shape \(3, 3\)"):
+            estimate_pairwise_matrices(Misshapen(game), joints)
 
     def test_overriding_stochastic_fill_reads_joint_major(self):
         # a Bernoulli oracle's draws follow its query order, so a stack read
