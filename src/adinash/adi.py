@@ -8,6 +8,11 @@ as inputs, so the exact and sampled pipelines share one code path: pass the
 blocks' own payoff gradients for the true gradient, or the auxiliary
 estimates y for the amortized one. Each step builds its payoff gradients once
 and hands them to both roles.
+
+Each function checks the strategies it is given (``as_profile``) and computes
+with their bytes as given: only a ``StrategyProfile`` renormalizes. An
+unregularized gain (no regularizer, or zero temperature) is max(grad) -
+grad . x clamped at 0 (``unregularized_gains``): never reported below 0.
 """
 
 from dataclasses import dataclass
@@ -82,18 +87,24 @@ def _gains(profile, grads, kind):
         value = row_dot(grad, br.dist - x) + entropy_value(br.dist, kind, br.scale)
         return value - entropy_value(x, kind, br.scale)
 
-    per = np.array(map_rows(gain, stack_rows(profile), stack_rows(grads)), dtype=float)
-    return AdiReport(per, regularized=kind.family != "none" and kind.temperature > 0.0)
+    rows, grads = stack_rows(profile), stack_rows(grads)
+    if kind.family == "none" or kind.temperature == 0.0:
+        return AdiReport(unregularized_gains(grads, rows), regularized=False)
+    return AdiReport(np.array(map_rows(gain, rows, grads), dtype=float), regularized=True)
+
+
+def unregularized_gains(grads, x):
+    """Each player's gain from a pure best response, max(grad) - grad . x,
+    clamped at 0 so that rounding never reports a negative gain: one float
+    for a vector, an array for an (n, m) stack or per-player lists."""
+    gains = map_rows(lambda g, s: np.maximum(g.max(axis=-1) - row_dot(g, s), 0.0), grads, x)
+    return np.array(gains, dtype=float)
 
 
 def symmetric_adi_exact(game, strategy):
     """Unregularized exact ADI of a SymmetricGame whose n players share `strategy`."""
-    return _symmetric_gain(game.players, game.deviation_payoffs(strategy), strategy)
-
-
-def _symmetric_gain(players, grad, strategy):
-    """n times one player's best-response gain from `strategy` against `grad`."""
-    return players * float(grad.max() - np.dot(strategy, grad))
+    strategy = np.asarray(strategy, dtype=float)
+    return game.players * float(unregularized_gains(game.deviation_payoffs(strategy), strategy))
 
 
 def response_terms(nabla, y, x, kind):

@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from .simplex import _as_distributions, as_distribution, stack_rows
+from .simplex import _check_rows, as_distribution, check_distribution, map_rows, stack_rows
 
 DESK_SCALE_ENTRIES = 10_000_000
 # symmetric pair tables above this many entries are not cached; each batch of
@@ -57,11 +57,17 @@ def multiset_rank_array(multisets, actions):
     """Vectorized multiset_rank over an (N, k) array of sorted rows, summed a
     column at a time; an unsorted row or an action outside [0, actions) raises ValueError."""
     ms = np.atleast_2d(np.asarray(multisets, dtype=np.int64))
+    if any((ms[:, j] > ms[:, j + 1]).any() for j in range(ms.shape[1] - 1)):
+        raise ValueError("multiset rows must be sorted ascending")
+    return _sorted_rank_array(ms, actions)
+
+
+def _sorted_rank_array(ms, actions):
+    """multiset_rank_array of an (N, k) int64 array whose rows the caller has
+    sorted: the range is checked, the order is not."""
     if ms.size and (ms[:, 0].min() < 0 or ms[:, -1].max() >= actions):
         raise ValueError(f"actions outside [0, {actions})")
     k = ms.shape[1]
-    if any((ms[:, j] > ms[:, j + 1]).any() for j in range(k - 1)):
-        raise ValueError("multiset rows must be sorted ascending")
     table = _comb_table(actions, k)
     return sum((table[ms[:, j] + j, j + 1] for j in range(k)), np.zeros(len(ms), np.int64))
 
@@ -117,7 +123,8 @@ def validate_joint_action(joint, action_counts):
 
 
 class StrategyProfile:
-    """One mixed strategy per player, each validated onto its simplex.
+    """One mixed strategy per player, each validated onto its simplex and
+    renormalized: the one place drift within ``RENORMALIZE_TOL`` is repaired.
 
     When every player has the same action count the strategies are the rows
     of one (n, m) array, ``stack``, validated in one call; otherwise
@@ -125,13 +132,13 @@ class StrategyProfile:
     """
 
     def __init__(self, strategies):
-        rows = stack_rows(strategies)
-        if isinstance(rows, np.ndarray):
-            self.stack = _as_distributions(np.asarray(rows, dtype=float))
-            self.strategies = tuple(self.stack)
-        else:
-            self.stack = None
-            self.strategies = tuple(as_distribution(s) for s in rows)
+        rows = map_rows(lambda r: r / r.sum(axis=-1, keepdims=True), _checked_rows(strategies))
+        self._hold(rows)
+
+    def _hold(self, rows):
+        self.stack = rows if isinstance(rows, np.ndarray) else None
+        self.strategies = tuple(rows)
+        return self
 
     @classmethod
     def uniform(cls, action_counts):
@@ -139,12 +146,7 @@ class StrategyProfile:
 
     @classmethod
     def one_hot(cls, actions, action_counts):
-        strategies = []
-        for a, m in zip(actions, action_counts):
-            v = np.zeros(m)
-            v[a] = 1.0
-            strategies.append(v)
-        return cls(strategies)
+        return cls([np.eye(m)[a] for a, m in zip(actions, action_counts)])
 
     @property
     def players(self):
@@ -167,14 +169,25 @@ class StrategyProfile:
         return f"StrategyProfile({[np.round(s, 4).tolist() for s in self.strategies]})"
 
 
+def _checked_rows(strategies):
+    """Per-player strategies checked as ``check_distribution`` checks one:
+    one (n, m) array when they have one length, else a list."""
+    rows = stack_rows(strategies)
+    if isinstance(rows, np.ndarray):
+        return _check_rows(np.asarray(rows, dtype=float))
+    return [check_distribution(s) for s in rows]
+
+
 def as_profile(x, action_counts=None):
-    """Coerce a StrategyProfile or sequence of per-player vectors."""
-    profile = x if isinstance(x, StrategyProfile) else StrategyProfile(x)
-    if action_counts is not None and profile.action_counts != tuple(action_counts):
+    """A StrategyProfile as is; per-player vectors checked as StrategyProfile
+    checks them but used as given, not renormalized."""
+    if not isinstance(x, StrategyProfile):
+        x = StrategyProfile.__new__(StrategyProfile)._hold(_checked_rows(x))
+    if action_counts is not None and x.action_counts != tuple(action_counts):
         raise ValueError(
-            f"profile shapes {profile.action_counts} do not match game {tuple(action_counts)}"
+            f"profile shapes {x.action_counts} do not match game {tuple(action_counts)}"
         )
-    return profile
+    return x
 
 
 class GameTensor:
@@ -306,7 +319,7 @@ class SymmetricGame:
         any order, sorted here in place: the column of sorted O is K' - 1 minus
         the colex rank of sort(m - 1 - O). An action outside [0, m) raises ValueError."""
         complements.sort(axis=1)
-        return self.table.shape[1] - 1 - multiset_rank_array(complements, self.actions)
+        return self.table.shape[1] - 1 - _sorted_rank_array(complements, self.actions)
 
     def lookup(self, own, opponents):
         """Payoffs of own actions (N,) against opponent actions (N, n-1):
@@ -454,7 +467,7 @@ class SymmetricGame:
         if not self.pair_table_fits():
             blocks = self._gather_blocks(rests)
         else:
-            ranks = multiset_rank_array(rests, m)
+            ranks = _sorted_rank_array(rests, m)
             blocks = self._pair_table()[0][ranks]
         return blocks[0] if single else blocks
 

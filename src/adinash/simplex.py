@@ -3,7 +3,8 @@
 import numpy as np
 
 # Inputs whose mass is off by more than this are rejected; smaller drift is
-# renormalized away. Invariant checks use the tighter 1e-9.
+# renormalized away by as_distribution and StrategyProfile only, and used as
+# given everywhere else. Invariant checks use the tighter 1e-9.
 RENORMALIZE_TOL = 1e-6
 SIMPLEX_TOL = 1e-9
 
@@ -14,40 +15,39 @@ def as_distribution(v, size=None):
     Nonnegative entries summing to 1 within ``RENORMALIZE_TOL`` are accepted
     and renormalized exactly; anything further off is rejected.
     """
+    x = check_distribution(v, size)
+    return x / x.sum(axis=-1, keepdims=True)
+
+
+def check_distribution(v, size=None):
+    """A vector checked as as_distribution checks it, negative rounding
+    clamped to 0, not renormalized: a nonnegative vector keeps its bytes."""
     x = np.asarray(v, dtype=float)
     if x.ndim != 1:
         raise ValueError(f"mixed strategy must be 1-d, got shape {x.shape}")
     if size is not None and x.size != size:
         raise ValueError(f"expected {size} actions, got {x.size}")
-    return _as_distributions(x)
+    return _check_rows(x)
 
 
-def _as_distributions(x):
-    """as_distribution on each row of a float array along its last axis, in
-    one pass: a vector, or the (n, m) stack of a StrategyProfile. A bad
-    stack raises what the first bad row alone raises."""
-    # NaN and -inf fail the first test and +inf the mass test, so the sum of
-    # a row never meets inf - inf
-    if not (
-        (x >= -RENORMALIZE_TOL).all()
-        and (np.abs(x.sum(axis=-1) - 1.0) <= RENORMALIZE_TOL).all()
-    ):
+def _check_rows(x):
+    """check_distribution on each row of a float array along its last axis,
+    in one pass: a vector, or an (n, m) stack of strategies. A bad stack
+    raises what the first bad row alone raises."""
+    # NaN and -inf fail the first test and +inf the second, so the sum of a
+    # row never meets inf - inf; `low` is the least entry, or 0 if larger
+    tol, low, sums = RENORMALIZE_TOL, x.min(initial=0.0), x.sum(axis=-1)
+    drift = max(sums.max(initial=1.0) - 1.0, 1.0 - sums.min(initial=1.0))
+    if not (low >= -tol and drift <= tol):
         for row in np.atleast_2d(x):
-            _reject(row)
-    # np.clip(x, 0.0, None), without its wrapper
-    x = np.maximum(x, 0.0)
-    return x / x.sum(axis=-1, keepdims=True)
-
-
-def _reject(x):
-    """Raise for the first check the vector x fails, if any."""
-    if not np.all(np.isfinite(x)):
-        raise ValueError("mixed strategy has non-finite entries")
-    if np.any(x < -RENORMALIZE_TOL):
-        raise ValueError(f"mixed strategy has negative mass: min={x.min()}")
-    total = x.sum()
-    if abs(total - 1.0) > RENORMALIZE_TOL:
-        raise ValueError(f"mixed strategy mass {total} is not 1 within {RENORMALIZE_TOL}")
+            if not np.all(np.isfinite(row)):
+                raise ValueError("mixed strategy has non-finite entries")
+            if np.any(row < -tol):
+                raise ValueError(f"mixed strategy has negative mass: min={row.min()}")
+            if abs(row.sum() - 1.0) > tol:
+                raise ValueError(f"mixed strategy mass {row.sum()} is not 1 within {tol}")
+    # np.clip(x, 0.0, None), without its wrapper, where an entry is negative
+    return x if low >= 0.0 else np.maximum(x, 0.0)
 
 
 def is_distribution(v, tol=SIMPLEX_TOL):

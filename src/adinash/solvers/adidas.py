@@ -14,12 +14,12 @@ import time
 import numpy as np
 
 from ..adi import (
-    _symmetric_gain,
     adi_amortized,
     adi_exact,
     adi_gradient,
     response_terms,
     symmetric_adi_exact,
+    unregularized_gains,
 )
 # best_response has no caller here; bench/tracer.py patches this binding
 from ..entropy import Entropy, best_response  # noqa: F401
@@ -90,8 +90,8 @@ def tsallis_offset(game):
 
 
 def descent_step(strategies, gradients, learning_rate, projection="euclidean", tangent=True):
-    """One descent step per strategy, as plain arrays for the caller to wrap:
-    one (n, m) array when the strategies have one length, else a list.
+    """One descent step per strategy, as the caller's next iterate: one
+    (n, m) array when the strategies have one length, else a list.
 
     The gradient is tangent-projected (which can overflow on huge finite
     entries), checked finite, then stepped; a non-finite gradient or
@@ -194,14 +194,15 @@ class AdidasSolver(BaseSolver):
         if self.exact_gradients:
             view.check_exact()
         iterations, samples = int(self.iterations), int(self.samples)
+        average = self.average_iterates
         rng = new_rng(self.seed)
-        x = view.wrap([np.full(m, 1.0 / m) for m in view.counts])
+        x = stack_rows([np.full(m, 1.0 / m) for m in view.counts])
         aux = AuxiliaryState.zeros(view.counts)
         anneal_steps = 0
         cadence = self._exact_cadence(view)
         log = IterateLog(self.run_id or f"{view.run_prefix}-{self.seed}", self.seed)
         queries_before = oracle.queries
-        running_mean = [np.array(s) for s in x]
+        report = x
         started = time.perf_counter()
 
         for t in range(1, iterations + 1):
@@ -213,13 +214,10 @@ class AdidasSolver(BaseSolver):
             aux = update_aux(aux, nablas, self.aux_learning_rate)
             estimate, estimate_unreg = view.amortized(x, aux.y, kind)
             gradients = view.gradients(blocks, nablas, aux.y, x, kind)
-            x = view.wrap(
-                descent_step(
-                    x, gradients, self.learning_rate, self.projection, self.tangent_projection
-                )
+            x = descent_step(
+                x, gradients, self.learning_rate, self.projection, self.tangent_projection
             )
-            if self.average_iterates:
-                running_mean = [m + (s - m) / t for m, s in zip(running_mean, x)]
+            report = map_rows(lambda m, s: m + (s - m) / t, report, x) if average else x
 
             # anneal decision from the same evaluation that produced the step
             if self.anneal:
@@ -228,7 +226,6 @@ class AdidasSolver(BaseSolver):
                 )
 
             exact_value = None
-            report = view.wrap(running_mean) if self.average_iterates else x
             if cadence and (t % cadence == 0 or t == iterations) and desk is not None:
                 exact_value = view.exact_adi(report)
             log.append(
@@ -242,7 +239,7 @@ class AdidasSolver(BaseSolver):
                 wall_ms=(time.perf_counter() - started) * 1000.0,
             )
 
-        view.set_fitted(self, view.wrap(running_mean) if self.average_iterates else x, x)
+        view.set_fitted(self, report, x)
         self.aux_ = aux
         self.entropy_ = kind
         self.log_ = log
@@ -321,9 +318,6 @@ class _GeneralView:
     def counts(self):
         return self.oracle.action_counts
 
-    def wrap(self, strategies):
-        return StrategyProfile(strategies)
-
     def exact_is_cheap(self):
         return self.desk.is_desk_scale()
 
@@ -353,7 +347,7 @@ class _GeneralView:
 
     def amortized(self, x, y, kind):
         """The amortized ADI report under `kind`, and its unregularized total."""
-        return adi_amortized(x, y, kind), adi_amortized(x, y, Entropy.none()).total
+        return adi_amortized(x, y, kind), float(unregularized_gains(y, x).sum())
 
     def gradients(self, matrices, nablas, y, x, kind):
         return adi_gradient(matrices, nablas, y, x, kind)
@@ -362,13 +356,13 @@ class _GeneralView:
         return adi_exact(self.desk, profile, Entropy.none()).total
 
     def set_fitted(self, solver, profile, last):
-        solver.profile_ = profile
-        solver.last_profile_ = last
+        solver.last_profile_ = StrategyProfile(last)
+        solver.profile_ = StrategyProfile(profile) if profile is not last else solver.last_profile_
 
 
 class _SymmetricView(_GeneralView):
     """A symmetric game or oracle as the descent loop sees it: the iterate is
-    a one-element list holding the shared strategy, and the blocks are the
+    a one-row stack holding the shared strategy, and the blocks are the
     focal player's m x m block."""
 
     run_prefix = "adidas-sym"
@@ -384,11 +378,6 @@ class _SymmetricView(_GeneralView):
     @property
     def counts(self):
         return self.oracle.action_counts[:1]
-
-    def wrap(self, strategies):
-        """The shared strategy as a one-row stack, its bytes as given (a
-        StrategyProfile would renormalize it)."""
-        return np.asarray(strategies, dtype=float)
 
     def exact_is_cheap(self):
         return self.desk.entry_count <= DESK_SCALE_ENTRIES
@@ -418,10 +407,9 @@ class _SymmetricView(_GeneralView):
     def amortized(self, x, y, kind):
         """Every player shares the strategy and the tracker, so one player's
         gain is every player's: computed once, reported n times."""
-        (strategy,), (tracker,) = x, y
         report = adi_amortized(x, y, kind)
         report = dataclasses.replace(report, per_player=np.full(self.players, report.per_player[0]))
-        return report, _symmetric_gain(self.players, tracker, strategy)
+        return report, self.players * float(unregularized_gains(y[0], x[0]))
 
     def gradients(self, own, nablas, y, x, kind):
         return _symmetric_gradient(own, nablas[0], y[0], x[0], kind, self.players)[None]
@@ -480,7 +468,7 @@ def warmup_anneal_descend(
     view = _GeneralView(game, Entropy.none())
     view.check_exact()
     lam = 0.0
-    x = view.wrap([np.full(m, 1.0 / m) for m in view.counts])
+    x = stack_rows([np.full(m, 1.0 / m) for m in view.counts])
     for _ in range(rounds):
         lam += float(anneal_increment)
         temperature = 1.0 / lam
@@ -490,5 +478,5 @@ def warmup_anneal_descend(
         step_size = learning_rate * min(1.0, temperature)
         for _ in range(steps):
             grads = blocks_gradient(view.exact_blocks(x), x, kind)
-            x = view.wrap(descent_step(x, grads, step_size))
-    return x
+            x = descent_step(x, grads, step_size)
+    return StrategyProfile(x)

@@ -23,12 +23,12 @@ SHARED_METHODS = ("ftrl", "rm", "fp")
 class BaselineState:
     """Mutable per-method state; unused slots stay None.
 
-    `profile` holds one strategy per player, or, for the shared-strategy form
-    on a SymmetricGame, a one-element list holding the strategy every player
-    shares.
+    `profile` holds one strategy per player as the last step returned them,
+    unrenormalized: an (n, m) array or a list. For the shared-strategy form
+    on a SymmetricGame it holds one row, the strategy every player shares.
     """
 
-    profile: StrategyProfile
+    profile: list
     t: int = 0
     cumulative_regret: list = None
     counts: list = None
@@ -36,17 +36,12 @@ class BaselineState:
     inner_step: float = None
 
     @classmethod
-    def initial(cls, action_counts, wrap=StrategyProfile):
-        """Uniform start; `wrap=list` keeps the strategies as built (a
-        StrategyProfile renormalizes them), as the shared form does."""
-        profile = wrap([np.full(m, 1.0 / m) for m in action_counts])
-        return cls(
-            profile=profile,
-            t=0,
-            cumulative_regret=[np.zeros(m) for m in action_counts],
-            counts=[np.zeros(m) for m in action_counts],
-            average=[np.array(s) for s in profile],
-        )
+    def initial(cls, action_counts):
+        """Uniform start, one strategy per action count."""
+        profile = [np.full(m, 1.0 / m) for m in action_counts]
+        zeros = [np.zeros(m) for m in action_counts]
+        # regrets and counts are updated in place: each slot gets its own arrays
+        return cls(profile, 0, zeros, [z.copy() for z in zeros], [s.copy() for s in profile])
 
 
 def _gradients(game, profile):
@@ -55,6 +50,12 @@ def _gradients(game, profile):
     if len(profile) < game.players:
         return [game.deviation_payoffs(profile[0])]
     return payoff_gradients(game, profile)
+
+
+def _normalized(weights):
+    """Nonnegative weights scaled to unit mass; uniform when they are all 0."""
+    total = weights.sum()
+    return weights / total if total > 0.0 else np.full(weights.size, 1.0 / weights.size)
 
 
 def baseline_step(method, state, game, learning_rate):
@@ -67,14 +68,11 @@ def baseline_step(method, state, game, learning_rate):
     x = state.profile
     n = len(x)
     t = state.t + 1
-    # StrategyProfile renormalizes, which would change a shared strategy's bytes
-    wrap = StrategyProfile
     if n < game.players:
         if method not in SHARED_METHODS:
             raise ValueError(f"{method!r} has no shared-strategy form here")
         if not isinstance(game, SymmetricGame):
             raise ValueError("the shared-strategy form needs a SymmetricGame")
-        wrap = list
 
     if method in ("ftrl", "ed", "extragrad"):
         # ascent from x along the gradient at a midpoint: x itself (ftrl), the
@@ -87,36 +85,23 @@ def baseline_step(method, state, game, learning_rate):
                 midpoint = [_hard_argmax(g) for g in grads]
             else:
                 midpoint = descent_step(x, [-g for g in grads], inner, tangent=False)
-            grads = _gradients(game, StrategyProfile(midpoint))
+            grads = _gradients(game, midpoint)
         new = descent_step(x, [-g for g in grads], learning_rate, tangent=False)
     elif method == "rm":
         grads = _gradients(game, x)
         for i in range(n):
             state.cumulative_regret[i] += grads[i] - float(np.dot(x[i], grads[i]))
-        new = []
-        for i in range(n):
-            positive = np.clip(state.cumulative_regret[i], 0.0, None)
-            total = positive.sum()
-            if total > 0.0:
-                new.append(positive / total)
-            else:
-                new.append(np.full(x[i].size, 1.0 / x[i].size))
+        new = [_normalized(np.clip(regret, 0.0, None)) for regret in state.cumulative_regret]
     elif method == "fp":
-        empirical = []
-        for i in range(n):
-            c = state.counts[i]
-            empirical.append(
-                c / c.sum() if c.sum() > 0 else np.full(c.size, 1.0 / c.size)
-            )
-        grads = _gradients(game, wrap(empirical))
+        grads = _gradients(game, [_normalized(c) for c in state.counts])
         for i in range(n):
             state.counts[i][int(np.argmax(grads[i]))] += 1.0
-        new = [state.counts[i] / state.counts[i].sum() for i in range(n)]
+        new = [_normalized(c) for c in state.counts]
     else:  # ped: descent on the zero-entropy deviation incentive
         matrices = exact_pairwise_matrices(game, x)
         new = descent_step(x, blocks_gradient(matrices, x, Entropy.none()), learning_rate)
 
-    state.profile = wrap(new)
+    state.profile = new
     state.t = t
     state.average = [
         a + (s - a) / t for a, s in zip(state.average, state.profile)
@@ -194,7 +179,7 @@ class BaselineSolver(BaseSolver):
             if not isinstance(game, SymmetricGame):
                 raise ValueError("symmetric baselines need a SymmetricGame")
             source = game
-            state = BaselineState.initial((game.actions,), wrap=list)
+            state = BaselineState.initial((game.actions,))
         else:
             source = game.expand_to_tensor() if isinstance(game, SymmetricGame) else game
             state = BaselineState.initial(source.action_counts)
@@ -206,7 +191,7 @@ class BaselineSolver(BaseSolver):
                 if self.symmetric:
                     exact = symmetric_adi_exact(game, tracked[0])
                 else:
-                    exact = adi_exact(source, StrategyProfile(tracked), Entropy.none()).total
+                    exact = adi_exact(source, tracked, Entropy.none()).total
                 log.append(
                     iteration=t,
                     adi_estimate=exact,
@@ -217,11 +202,10 @@ class BaselineSolver(BaseSolver):
                     wall_ms=(time.perf_counter() - started) * 1000.0,
                 )
         self.state_ = state
-        final = state.average if report == "average" else list(state.profile)
         if self.symmetric:
-            self.strategy_ = np.array(final[0])
+            self.strategy_ = np.array(tracked[0])
             self.profile_ = StrategyProfile([self.strategy_] * game.players)
         else:
-            self.profile_ = StrategyProfile(final)
+            self.profile_ = StrategyProfile(tracked)
         self.log_ = log
         return self

@@ -149,7 +149,7 @@ class TestSharedStrategyForms:
 
     def test_symmetric_fp_counts(self):
         game = make_el_farol(ElFarolSpec())
-        state = BaselineState.initial((2,), wrap=list)
+        state = BaselineState.initial((2,))
         state = baseline_step("fp", state, game, 0.1)
         assert len(state.counts) == 1
         assert state.counts[0].sum() == 1.0
@@ -157,12 +157,12 @@ class TestSharedStrategyForms:
     def test_no_shared_form_for_ed(self):
         game = make_el_farol(ElFarolSpec())
         with pytest.raises(ValueError):
-            baseline_step("ed", BaselineState.initial((2,), wrap=list), game, 0.1)
+            baseline_step("ed", BaselineState.initial((2,)), game, 0.1)
 
     def test_shared_form_needs_symmetric_game(self):
         three = GameTensor(np.zeros((3, 2, 2, 2)))
         with pytest.raises(ValueError):
-            baseline_step("rm", BaselineState.initial((2,), wrap=list), three, 0.1)
+            baseline_step("rm", BaselineState.initial((2,)), three, 0.1)
 
     @pytest.mark.parametrize("method, tol", [("ftrl", 1e-12), ("rm", 1e-5), ("fp", 1e-12)])
     def test_forms_agree_on_random_symmetric_games(self, method, tol):
@@ -177,7 +177,7 @@ class TestSharedStrategyForms:
                 return np.sin(weights[own] + 1.7 * sorted_opponents @ weights[actions:])
 
             game = SymmetricGame.from_batch_function(players, actions, batch)
-            shared = BaselineState.initial((actions,), wrap=list)
+            shared = BaselineState.initial((actions,))
             general = BaselineState.initial((actions,) * players)
             dense = game.expand_to_tensor()
             for _ in range(30):
