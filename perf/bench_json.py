@@ -5,11 +5,12 @@
 
 Imports ``measure`` from the tree's own ``bench/baseline.py``, so the run
 uses that tree's ``bench/run.py`` and ``src``, and records each workload of
-this tree's ``BENCHMARK.json`` at its ``run_seconds`` with ``--trace 0``. A
-record holds the run's result line and its details (per-repetition figures,
-IterateLog CSV digests, machine and versions), in ``bench/baseline.py``'s
-form without the traced run. Run the two trees one after the other on an
-otherwise idle machine; ``bench/`` itself is not touched.
+this tree's ``BENCHMARK.json`` at its ``run_seconds``, seed 0 and
+``--trace 0``. A record holds the run's result line and its details
+(per-repetition figures, IterateLog CSV digests, machine and versions), in
+``bench/baseline.py``'s form without the traced run. Run the two trees one
+after the other on an otherwise idle machine; ``bench/`` itself is not
+touched.
 """
 
 import argparse
@@ -33,7 +34,6 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--tree", required=True, help="root of the tree to measure")
     parser.add_argument("--out", required=True, help="directory for the BENCH files")
-    parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args(argv)
     tree = pathlib.Path(args.tree).resolve()
     measure = load_measure(tree)
@@ -45,7 +45,7 @@ def main(argv=None):
         record = {
             "workload": name,
             "why": workload["why"],
-            "untraced": measure(name, args.seed, spec["run_seconds"], 0),
+            "untraced": measure(name, 0, spec["run_seconds"], 0),
         }
         path = out / f"BENCH_{name}.json"
         path.write_text(json.dumps(record, indent=1) + "\n")

@@ -75,8 +75,10 @@ def _temperature(entropy, projection):
     return 1.0 if (entropy, projection) == ("shannon", "mirror") else None
 
 
-def runs():
-    """(name, thunk returning bytes) for every run, in a fixed order."""
+def runs(fitted_bytes=_fitted_bytes, strategy_bytes=_strategy_bytes):
+    """(name, thunk returning bytes) for every run, in a fixed order. A solve
+    is encoded by `fitted_bytes(solver)`, strategies and blocks by
+    `strategy_bytes(arrays)`; ``perf/moved.py`` passes its own encoders."""
     from adinash import generators as gen
     from adinash.entropy import Entropy
     from adinash.normalform import GameTensor
@@ -90,7 +92,7 @@ def runs():
     out = []
 
     def solve(factory, game, **params):
-        return lambda: _fitted_bytes(factory(**params).fit(games[game]()))
+        return lambda: fitted_bytes(factory(**params).fit(games[game]()))
 
     def uncached(thunk):
         """`thunk` run with no symmetric pair table cached, the threshold
@@ -143,7 +145,7 @@ def runs():
 
     def pair_by_pair():
         oracle = PairByPair(gen.planted_winrates(3, 3, seed=0), seed=4)
-        return _fitted_bytes(AdidasSolver(
+        return fitted_bytes(AdidasSolver(
             entropy="shannon", iterations=40, samples=2, learning_rate=0.05,
             adi_threshold=0.05, exact_adi_every=10, seed=3,
         ).fit(oracle))
@@ -192,7 +194,7 @@ def runs():
             )))
 
     def warmup(game, **schedule):
-        return lambda: _strategy_bytes(warmup_anneal_descend(games[game](), **schedule))
+        return lambda: strategy_bytes(warmup_anneal_descend(games[game](), **schedule))
 
     out.append(("warmup/elfarol4", warmup(
         "elfarol4", anneal_rounds=3, descent_steps=20, anneal_increment=10.0, learning_rate=1.0
@@ -206,7 +208,7 @@ def runs():
     out.append(("warmup/covariant5x3", warmup(
         "covariant5x3", anneal_rounds=3, descent_steps=10, anneal_increment=1.0
     )))
-    out.append(("warmup/shapley-tsallis", lambda: _strategy_bytes(warmup_anneal_descend(
+    out.append(("warmup/shapley-tsallis", lambda: strategy_bytes(warmup_anneal_descend(
         gen.make_modified_shapley(0.5, offset=True), 3, 10, 1.0, entropy_family="tsallis"
     ))))
 
@@ -229,7 +231,7 @@ def runs():
         for _ in range(20):
             matrices = estimate_pairwise_matrices(oracle, sample_joint_action(x, rng, 1))
             blocks += [matrices.matrix(*key) for key in matrices.pairs()]
-        return _strategy_bytes(blocks) + repr(oracle.queries).encode()
+        return strategy_bytes(blocks) + repr(oracle.queries).encode()
 
     out.append(("fill/bernoulli", fills))
 
@@ -243,7 +245,7 @@ def runs():
             parts.append(oracle.symmetric_pair_payoffs(rests))
             joint = tuple(int(a) for a in rng.integers(0, 5, size=4))
             parts.append(np.array([oracle.query(stack % 4, joint)]))
-        return _strategy_bytes(parts) + repr(oracle.queries).encode()
+        return strategy_bytes(parts) + repr(oracle.queries).encode()
 
     out.append(("fill/bernoulli-stacked", stacked_fills))
     for game in ("blotto", "bernoulli"):

@@ -3,13 +3,16 @@
     python3 perf/moved.py --before /path/to/parent/src [--after src] > moved.txt
 
 Runs every ``perf/digests.py`` run once per tree, each tree in its own child
-process, and keeps what the run's digest hashes: a solve's metric CSV and
-final strategies, the warm-up's strategies, the other runs' raw payload. It
+process, and keeps what the run's digest hashes: a solve's metric CSV, final
+strategies and query count, the warm-up's and fills' arrays with any query
+count appended, the other runs' raw payload. It
 prints one line for every run whose payload differs between the trees: for
 ``adi_exact``, ``adi_estimate`` and ``adi_estimate_unreg``, the largest
 relative change over the CSV's cells (|a - b| / max(|a|, |b|), 0 where both
 are 0) and the largest absolute change, then the same for the final
-strategies, then the rows whose ``profile_hash`` differs. A declared numeric
+strategies, then the rows whose ``profile_hash`` differs, then a query count
+(the solver's ``queries_``, or the one a fill run appends) where it moved,
+and "payload differs" where none of these fields moved. A declared numeric
 change lists these lines; runs absent from the output kept their bytes.
 """
 
@@ -28,31 +31,32 @@ COLUMNS = ("adi_exact", "adi_estimate", "adi_estimate_unreg")
 
 
 def dump(src):
-    """Every run's payload under the tree at `src`, pickled to stdout."""
+    """Every run's payload under the tree at `src`, pickled to stdout: the
+    unpickled encoding and the bytes a thunk appends after it (an oracle's
+    query count)."""
     sys.path.insert(0, str(pathlib.Path(src).resolve()))
     sys.path.insert(0, str(PERF))
     import digests
 
     def fitted(solver):
         floats = np.concatenate([np.ravel(s) for s in solver.profile_])
-        return pickle.dumps(("fit", solver.log_.csv_bytes().decode(), floats))
+        queries = getattr(solver, "queries_", None)
+        return pickle.dumps(("fit", solver.log_.csv_bytes().decode(), floats, queries))
 
     def strategy_floats(strategies):
         return pickle.dumps(("floats", np.concatenate([np.ravel(s) for s in strategies])))
 
-    digests._fitted_bytes = fitted
-    digests._strategy_bytes = strategy_floats
     payloads = {}
-    for name, thunk in digests.runs():
+    for name, thunk in digests.runs(fitted, strategy_floats):
         try:
             payload = thunk()
         except Exception as err:
             payload = f"error {type(err).__name__}: {err}".encode()
-        # bytes past a pickle are ignored: a thunk may append a query count
+        stream = io.BytesIO(payload)
         try:
-            payloads[name] = pickle.loads(payload)
+            payloads[name] = (pickle.load(stream), stream.read())
         except Exception:
-            payloads[name] = ("raw", payload)
+            payloads[name] = (("raw", payload), b"")
     sys.stdout.buffer.write(pickle.dumps(payloads))
 
 
@@ -80,25 +84,42 @@ def rows(text):
 
 
 def describe(before, after):
-    """One line's worth of fields for a moved run."""
-    kind = before[0]
-    if kind != after[0] or kind == "raw":
+    """One line's worth of fields for a moved run, each a change between the
+    trees; "payload differs" where the fields show no change."""
+    (old, old_tail), (new, new_tail) = before, after
+    fields, moved = [], []
+
+    def field(label, a, b):
+        rel, dist = change(a, b)
+        moved.append(dist > 0.0)
+        fields.append(f"{label} rel {rel:.2g} abs {dist:.2g}")
+
+    def count(label, a, b):
+        moved.append(a != b)
+        if a != b:
+            fields.append(f"{label} {a} -> {b}")
+
+    kind = old[0]
+    if kind != new[0] or kind == "raw":
         return "payload differs"
     if kind == "floats":
-        if before[1].shape != after[1].shape:
+        if old[1].shape != new[1].shape:
             return "strategies differ in shape"
-        return "strategies rel %.2g abs %.2g" % change(before[1], after[1])
-    old, new = rows(before[1]), rows(after[1])
-    if len(old) != len(new):
-        return f"{len(old)} -> {len(new)} CSV rows"
-    fields = []
-    for column in COLUMNS:
-        fields.append(column + " rel %.2g abs %.2g" % change(
-            [float(r[column]) for r in old], [float(r[column]) for r in new]
-        ))
-    fields.append("strategies rel %.2g abs %.2g" % change(before[2], after[2]))
-    hashes = sum(o["profile_hash"] != n["profile_hash"] for o, n in zip(old, new))
-    fields.append(f"profile_hash {hashes}/{len(old)} rows")
+        field("strategies", old[1], new[1])
+    else:
+        old_rows, new_rows = rows(old[1]), rows(new[1])
+        if len(old_rows) != len(new_rows):
+            return f"{len(old_rows)} -> {len(new_rows)} CSV rows"
+        for column in COLUMNS:
+            field(column, [float(r[column]) for r in old_rows], [float(r[column]) for r in new_rows])
+        field("strategies", old[2], new[2])
+        hashes = sum(o["profile_hash"] != n["profile_hash"] for o, n in zip(old_rows, new_rows))
+        moved.append(hashes > 0)
+        fields.append(f"profile_hash {hashes}/{len(old_rows)} rows")
+        count("queries_", old[3], new[3])
+    count("queries", old_tail.decode(), new_tail.decode())
+    if not any(moved):
+        fields.append("payload differs")
     return "; ".join(fields)
 
 

@@ -9,10 +9,10 @@ blocks' own payoff gradients for the true gradient, or the auxiliary
 estimates y for the amortized one. Each step builds its payoff gradients once
 and hands them to both roles.
 
-Each function checks the strategies it is given (``as_profile``) and computes
-with their bytes as given: only a ``StrategyProfile`` renormalizes. An
-unregularized gain (no regularizer, or zero temperature) is max(grad) -
-grad . x clamped at 0 (``unregularized_gains``): never reported below 0.
+Each function checks the strategies it is given (``as_profile``) and uses
+their bytes: only a ``StrategyProfile`` renormalizes. An unregularized gain
+is max(grad) - grad . x clamped at 0. On a row of mass 1 - d it moves by
+about c * d when payoffs shift by c; a StrategyProfile repairs such rows.
 """
 
 from dataclasses import dataclass

@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from .simplex import _check_rows, as_distribution, check_distribution, map_rows, stack_rows
+from .simplex import _check_distribution, _check_rows, as_distribution, map_rows, stack_rows
 
 DESK_SCALE_ENTRIES = 10_000_000
 # symmetric pair tables above this many entries are not cached; each batch of
@@ -123,17 +123,22 @@ def validate_joint_action(joint, action_counts):
 
 
 class StrategyProfile:
-    """One mixed strategy per player, each validated onto its simplex and
-    renormalized: the one place drift within ``RENORMALIZE_TOL`` is repaired.
+    """One mixed strategy per player, each checked onto its simplex.
 
-    When every player has the same action count the strategies are the rows
-    of one (n, m) array, ``stack``, validated in one call; otherwise
-    ``stack`` is None.
+    ``StrategyProfile(strategies)`` divides each strategy by its sum, the one
+    place drift within ``RENORMALIZE_TOL`` is repaired. ``_checked``, which
+    ``as_profile`` calls on outside strategies, checks them the same way and
+    keeps their bytes: that profile is not renormalized. When every player
+    has the same action count the strategies are the rows of one (n, m)
+    array, ``stack``, checked in one call; otherwise ``stack`` is None.
     """
 
     def __init__(self, strategies):
-        rows = map_rows(lambda r: r / r.sum(axis=-1, keepdims=True), _checked_rows(strategies))
-        self._hold(rows)
+        self._hold(map_rows(lambda r: r / r.sum(-1, keepdims=True), _checked_rows(strategies)))
+
+    @classmethod
+    def _checked(cls, strategies):
+        return cls.__new__(cls)._hold(_checked_rows(strategies))
 
     def _hold(self, rows):
         self.stack = rows if isinstance(rows, np.ndarray) else None
@@ -170,19 +175,17 @@ class StrategyProfile:
 
 
 def _checked_rows(strategies):
-    """Per-player strategies checked as ``check_distribution`` checks one:
-    one (n, m) array when they have one length, else a list."""
+    """Strategies checked by row: one (n, m) array for one length, else a list."""
     rows = stack_rows(strategies)
     if isinstance(rows, np.ndarray):
         return _check_rows(np.asarray(rows, dtype=float))
-    return [check_distribution(s) for s in rows]
+    return [_check_distribution(s) for s in rows]
 
 
 def as_profile(x, action_counts=None):
-    """A StrategyProfile as is; per-player vectors checked as StrategyProfile
-    checks them but used as given, not renormalized."""
+    """A StrategyProfile as is; other strategies checked, bytes kept (``_checked``)."""
     if not isinstance(x, StrategyProfile):
-        x = StrategyProfile.__new__(StrategyProfile)._hold(_checked_rows(x))
+        x = StrategyProfile._checked(x)
     if action_counts is not None and x.action_counts != tuple(action_counts):
         raise ValueError(
             f"profile shapes {x.action_counts} do not match game {tuple(action_counts)}"

@@ -15,11 +15,11 @@ def as_distribution(v, size=None):
     Nonnegative entries summing to 1 within ``RENORMALIZE_TOL`` are accepted
     and renormalized exactly; anything further off is rejected.
     """
-    x = check_distribution(v, size)
+    x = _check_distribution(v, size)
     return x / x.sum(axis=-1, keepdims=True)
 
 
-def check_distribution(v, size=None):
+def _check_distribution(v, size=None):
     """A vector checked as as_distribution checks it, negative rounding
     clamped to 0, not renormalized: a nonnegative vector keeps its bytes."""
     x = np.asarray(v, dtype=float)
@@ -31,7 +31,7 @@ def check_distribution(v, size=None):
 
 
 def _check_rows(x):
-    """check_distribution on each row of a float array along its last axis,
+    """_check_distribution on each row of a float array along its last axis,
     in one pass: a vector, or an (n, m) stack of strategies. A bad stack
     raises what the first bad row alone raises."""
     # NaN and -inf fail the first test and +inf the second, so the sum of a

@@ -148,6 +148,31 @@ class TestRowsAsGiven:
         want = [np.minimum(np.searchsorted(c, u, side="right"), 3) for c, u in zip(cums, uniforms.T)]
         assert np.array_equal(draws, np.column_stack(want))
 
+    def test_drift_times_a_payoff_shift_moves_the_unregularized_gain(self):
+        # a row of mass 1 - d gains c * d more from max(g) - g . x when its
+        # gradient moves by c; a StrategyProfile repairs the drift first
+        x, shift = _drifted_rows(), 1e3
+        drift = 1.0 - x.sum(axis=1)
+        y = np.random.default_rng(2).uniform(0.0, 1.0, size=(3, 4))
+        game = make_covariant_random(3, 4, 0.0, seed=3)
+        # player i's exact gradient moves by c times the others' masses
+        others = np.prod(x.sum(axis=1)) / x.sum(axis=1)
+        moves = [
+            (adi_amortized(x, y + shift), adi_amortized(x, y), shift * drift),
+            (adi_exact(game.offset(shift), x), adi_exact(game, x), shift * others * drift),
+        ]
+        for shifted, base, want in moves:
+            assert (base.per_player > 1e-3).all()  # the clamp at 0 stays out of it
+            got = shifted.per_player - base.per_player
+            assert np.allclose(got, want, rtol=0, atol=1e-9)
+            assert np.abs(got).max() > 1e-5
+        profile = StrategyProfile(x)
+        for shifted, base in [
+            (adi_amortized(profile, y + shift), adi_amortized(profile, y)),
+            (adi_exact(game.offset(shift), profile), adi_exact(game, profile)),
+        ]:
+            assert np.allclose(shifted.per_player, base.per_player, rtol=0, atol=1e-9)
+
     @pytest.mark.parametrize(
         "bad", [[0.6, 0.5], [-0.1, 1.1], [np.nan, 1.0], [np.inf, 0.0]], ids=str
     )
