@@ -72,48 +72,40 @@ def _add_game_arguments(parser, required=True):
 
 def _add_solver_arguments(parser):
     parser.add_argument("--solver", default="adidas", choices=sorted(harness.SOLVER_FACTORIES))
-    parser.add_argument("--entropy", default="shannon", choices=["shannon", "tsallis", "none"])
-    parser.add_argument("--initial-temperature", type=float, default=None)
-    parser.add_argument("--learning-rate", type=float, default=0.01, help="strategy step size")
-    parser.add_argument("--aux-learning-rate", type=float, default=0.1, help="tracker step size")
-    parser.add_argument("--adi-threshold", type=float, default=0.001, help="anneal trigger")
-    parser.add_argument("--iterations", type=int, default=1000)
-    parser.add_argument("--samples", type=int, default=1, help="joint-play samples per iteration")
-    parser.add_argument("--exact-gradients", action="store_true")
-    parser.add_argument("--projection", default="euclidean", choices=["euclidean", "mirror"])
-    parser.add_argument("--no-tangent-projection", action="store_true")
-    parser.add_argument("--average-iterates", action="store_true")
     parser.add_argument("--seed", type=int, default=0)
+    group = parser.add_argument_group(
+        "solver parameters",
+        "a flag left out keeps the solver's own default",
+        argument_default=argparse.SUPPRESS,
+    )
+    flags = [
+        group.add_argument("--entropy", choices=["shannon", "tsallis", "none"]),
+        group.add_argument("--initial-temperature", type=float),
+        group.add_argument("--learning-rate", type=float, help="strategy step size"),
+        group.add_argument("--aux-learning-rate", type=float, help="tracker step size"),
+        group.add_argument("--adi-threshold", type=float, help="anneal trigger"),
+        group.add_argument("--iterations", type=int),
+        group.add_argument("--samples", type=int, help="joint-play samples per iteration"),
+        group.add_argument("--exact-gradients", action="store_true"),
+        group.add_argument("--projection", choices=["euclidean", "mirror"]),
+        group.add_argument(
+            "--no-tangent-projection", dest="tangent_projection", action="store_false"
+        ),
+        group.add_argument("--average-iterates", action="store_true"),
+    ]
+    parser.set_defaults(solver_flags=[flag.dest for flag in flags])
 
 
 def _solver_params(args):
-    name = args.solver
-    params = {
-        "learning_rate": args.learning_rate,
-        "iterations": args.iterations,
-        "seed": args.seed,
-    }
-    if name in ("adidas", "adidas-symmetric"):
-        params.update(
-            entropy=args.entropy,
-            initial_temperature=args.initial_temperature,
-            aux_learning_rate=args.aux_learning_rate,
-            adi_threshold=args.adi_threshold,
-            samples=args.samples,
-            exact_gradients=args.exact_gradients,
-            projection=args.projection,
-            tangent_projection=not args.no_tangent_projection,
-            average_iterates=args.average_iterates,
-        )
-    return params
+    """The solver parameters the user gave, by name; one the solver does not
+    take makes its constructor raise TypeError, a configuration error."""
+    return {name: getattr(args, name) for name in args.solver_flags if hasattr(args, name)}
 
 
 def cmd_solve(args):
     game = build_game(args)
-    params = _solver_params(args)
-    params["run_id"] = args.run_id
-    solver = harness.SOLVER_FACTORIES[args.solver](**params)
-    solver.fit(game)
+    factory = harness.SOLVER_FACTORIES[args.solver]
+    solver = factory(**_solver_params(args), seed=args.seed, run_id=args.run_id).fit(game)
     log = solver.log_
     if args.out:
         log.to_csv(args.out)
@@ -157,16 +149,14 @@ def cmd_sweep(args):
     game = build_game(args)
     overrides = parse_config_file(args.config) if args.config else {}
     grids = {k[5:]: v for k, v in overrides.items() if k.startswith("grid.")}
-    base = {
-        k: v for k, v in overrides.items() if not k.startswith("grid.") and k != "repetitions"
-    }
-    defaults = _solver_params(args)
-    defaults.pop("seed", None)
-    defaults.update(base)
+    base = _solver_params(args)
+    base.update(
+        (k, v) for k, v in overrides.items() if not k.startswith("grid.") and k != "repetitions"
+    )
     config = harness.ExperimentConfig(
         game=game,
         solver=args.solver,
-        base_params=defaults,
+        base_params=base,
         grids=grids,
         repetitions=int(overrides.get("repetitions", args.repetitions)),
         base_seed=args.seed,

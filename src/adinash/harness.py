@@ -1,6 +1,7 @@
 """Experiment orchestration: sweeps, metric capture, bias measurement, and the
 query-savings accounting used to compare solvers."""
 
+import functools
 import itertools
 import os
 from dataclasses import dataclass, field
@@ -10,18 +11,13 @@ import numpy as np
 from .entropy import Entropy
 from .normalform import as_profile, multiset_count, validate_integer
 from .sampling import new_rng
-from .solvers import AdidasSolver, BaselineSolver, SymmetricAdidasSolver
+from .solvers import METHODS, AdidasSolver, BaselineSolver, SymmetricAdidasSolver
 from .solvers.adidas import _GeneralView, blocks_gradient
 
 SOLVER_FACTORIES = {
     "adidas": AdidasSolver,
     "adidas-symmetric": SymmetricAdidasSolver,
-    "ftrl": lambda **kw: BaselineSolver(method="ftrl", **kw),
-    "rm": lambda **kw: BaselineSolver(method="rm", **kw),
-    "fp": lambda **kw: BaselineSolver(method="fp", **kw),
-    "ed": lambda **kw: BaselineSolver(method="ed", **kw),
-    "extragrad": lambda **kw: BaselineSolver(method="extragrad", **kw),
-    "ped": lambda **kw: BaselineSolver(method="ped", **kw),
+    **{method: functools.partial(BaselineSolver, method=method) for method in METHODS},
 }
 # a run's `first_below` is its first iteration with ADI under this
 SELECTION_THRESHOLD = 0.01
@@ -45,8 +41,8 @@ class ExperimentConfig:
 
     def cells(self):
         """Every combination of the grids, except where `aux_rate_ratio` times
-        the cell's learning rate would give an auxiliary rate above 1, which
-        no solver accepts: the ratio grid is capped per learning rate."""
+        the cell solver's learning rate would give an auxiliary rate above 1,
+        which no solver accepts: the ratio grid is capped per learning rate."""
         if not self.grids:
             return [{}]
         keys = sorted(self.grids)
@@ -61,7 +57,7 @@ class ExperimentConfig:
             cell
             for cell in cells
             if "aux_rate_ratio" not in cell
-            or _resolve_cell_params(self.base_params, cell)["aux_learning_rate"] <= 1.0
+            or _cell_solver(self, cell).aux_learning_rate <= 1.0
         ]
 
 
@@ -85,20 +81,6 @@ class CellSummary:
     runs: int
 
 
-def _resolve_cell_params(base_params, cell):
-    """Merge a grid cell into the base parameters.
-
-    The pseudo-parameter `aux_rate_ratio` expresses the auxiliary rate as a
-    multiple of the strategy rate, the form the ratio sweeps use.
-    """
-    params = dict(base_params)
-    params.update(cell)
-    ratio = params.pop("aux_rate_ratio", None)
-    if ratio is not None:
-        params["aux_learning_rate"] = ratio * params.get("learning_rate", 0.01)
-    return params
-
-
 def default_sweep_grids():
     """The standard sweep: strategy rates over five decades, auxiliary rate as
     a multiple of the strategy rate, anneal thresholds, both projections, and
@@ -115,38 +97,35 @@ def default_sweep_grids():
 
 
 def _cell_solver(config, cell, **run):
-    """The cell's solver, built through `SOLVER_FACTORIES`; `run` adds the
-    run's own parameters (seed, run id)."""
-    params = _resolve_cell_params(config.base_params, cell)
-    params.update(run)
-    return SOLVER_FACTORIES[config.solver](**params)
+    """The cell's solver, built through `SOLVER_FACTORIES` from the base
+    parameters, the cell and `run` (seed, run id). The pseudo-parameter
+    `aux_rate_ratio` sets the auxiliary rate as a multiple of the solver's
+    strategy rate, the form the ratio sweeps use."""
+    params = {**config.base_params, **cell, **run}
+    ratio = params.pop("aux_rate_ratio", None)
+    solver = SOLVER_FACTORIES[config.solver](**params)
+    if ratio is not None:
+        solver.set_params(aux_learning_rate=ratio * solver.learning_rate)
+    return solver
 
 
-def _run_cell(config, cell_index, cell, rep):
+def _run_job(config, job):
+    """One (cell index, cell, repetition) run. A failure is recorded in the
+    result, so the sweep goes on."""
+    index, cell, rep = job
     seed = config.base_seed + rep
-    run_id = f"cell{cell_index:03d}-rep{rep:02d}"
-    solver = _cell_solver(config, cell, seed=seed, run_id=run_id)
-    solver.fit(config.game)
-    log = solver.log_
-    path = os.path.join(config.output_dir, f"{run_id}.csv")
-    log.to_csv(path)
+    run_id = f"cell{index:03d}-rep{rep:02d}"
+    try:
+        log = _cell_solver(config, cell, seed=seed, run_id=run_id).fit(config.game).log_
+        path = os.path.join(config.output_dir, f"{run_id}.csv")
+        log.to_csv(path)
+    except Exception as err:
+        return RunResult(run_id, cell, seed, float("nan"), None, "", error=str(err))
     final, column = log.final_exact_adi(), "adi_exact"
     if np.isnan(final):
         final, column = log.final["adi_estimate"], "adi_estimate"
     below = log.first_iteration_below(SELECTION_THRESHOLD, column=column)
     return RunResult(run_id, cell, seed, final, below, path)
-
-
-def _failed_run(config, index, cell, rep, err):
-    return RunResult(
-        f"cell{index:03d}-rep{rep:02d}",
-        cell,
-        config.base_seed + rep,
-        float("nan"),
-        None,
-        "",
-        error=str(err),
-    )
 
 
 def run_experiment(config, workers=1):
@@ -170,26 +149,14 @@ def run_experiment(config, workers=1):
         for index, cell in enumerate(cells)
         for rep in range(config.repetitions)
     ]
-    results = []
+    run = functools.partial(_run_job, config)
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                pool.submit(_run_cell, config, index, cell, rep)
-                for index, cell, rep in jobs
-            ]
-            for (index, cell, rep), fut in zip(jobs, futures):
-                try:
-                    results.append(fut.result())
-                except Exception as err:  # cell failure: record, continue
-                    results.append(_failed_run(config, index, cell, rep, err))
+            results = list(pool.map(run, jobs))
     else:
-        for index, cell, rep in jobs:
-            try:
-                results.append(_run_cell(config, index, cell, rep))
-            except Exception as err:
-                results.append(_failed_run(config, index, cell, rep, err))
+        results = list(map(run, jobs))
 
     results.sort(key=lambda r: r.run_id)
     summaries = []

@@ -170,19 +170,13 @@ class AdidasSolver(BaseSolver):
 
     def _validate(self):
         """Reject bad hyperparameters, NaN and inf included, naming each."""
-        for name in ("learning_rate", "aux_learning_rate", "adi_threshold"):
-            value = getattr(self, name)
-            if not (np.isfinite(value) and value > 0.0):
-                raise ValueError(f"{name} must be positive and finite, got {value!r}")
+        self._validate_shared(("learning_rate", "aux_learning_rate", "adi_threshold"), 0)
         if not self.aux_learning_rate <= 1.0:
             raise ValueError(f"aux_learning_rate must be <= 1, got {self.aux_learning_rate!r}")
-        if self.exact_adi_every is not None:
-            validate_integer("exact_adi_every", self.exact_adi_every, 0)
         temperature = self.initial_temperature
         if temperature is not None and not np.isfinite(float(temperature)):
             raise ValueError(f"initial_temperature must be finite, got {temperature!r}")
-        for name in ("iterations", "samples"):
-            validate_integer(name, getattr(self, name), 1)
+        validate_integer("samples", self.samples, 1)
 
     def _descend(self, view_type, game_or_oracle):
         """The anneal-and-descend loop of both solvers; `view_type` supplies

@@ -13,6 +13,8 @@ import io
 
 import numpy as np
 
+from ..normalform import validate_integer
+
 
 class BaseSolver:
     """get_params/set_params over the constructor signature, sklearn-style."""
@@ -25,6 +27,18 @@ class BaseSolver:
             for name, p in sig.parameters.items()
             if name != "self" and p.kind != p.VAR_KEYWORD
         ]
+
+    def _validate_shared(self, rates, min_exact_adi_every):
+        """Check what every solver takes: each named rate positive and
+        finite, `iterations` an integer >= 1, and `exact_adi_every` None or
+        an integer >= `min_exact_adi_every`."""
+        for name in rates:
+            value = getattr(self, name)
+            if not (np.isfinite(value) and value > 0.0):
+                raise ValueError(f"{name} must be positive and finite, got {value!r}")
+        validate_integer("iterations", self.iterations, 1)
+        if self.exact_adi_every is not None:
+            validate_integer("exact_adi_every", self.exact_adi_every, min_exact_adi_every)
 
     def get_params(self):
         return {name: getattr(self, name) for name in self._param_names()}

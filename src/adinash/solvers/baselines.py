@@ -11,7 +11,7 @@ import numpy as np
 from ..adi import adi_exact, symmetric_adi_exact
 from ..entropy import Entropy, _hard_argmax
 from ..exact import exact_pairwise_matrices, payoff_gradients
-from ..normalform import GameTensor, StrategyProfile, SymmetricGame, validate_integer
+from ..normalform import GameTensor, StrategyProfile, SymmetricGame
 from .adidas import blocks_gradient, descent_step
 from .base import BaseSolver, IterateLog, profile_hash
 
@@ -147,15 +147,10 @@ class BaselineSolver(BaseSolver):
             raise ValueError(f"method must be one of {METHODS}, got {self.method!r}")
         if self.report not in (None, "average", "last"):
             raise ValueError(f"report must be None, 'average' or 'last', got {self.report!r}")
-        validate_integer("iterations", self.iterations, 1)
-        rate = self.learning_rate
-        if not (np.isfinite(rate) and rate > 0.0):
-            raise ValueError(f"learning_rate must be positive and finite, got {rate!r}")
+        self._validate_shared(("learning_rate",), 1)
         inner = self.inner_step
         if not (inner is None or inner == np.inf or (np.isfinite(inner) and inner > 0.0)):
             raise ValueError(f"inner_step must be None, inf or positive and finite, got {inner!r}")
-        if self.exact_adi_every is not None:
-            validate_integer("exact_adi_every", self.exact_adi_every, 1)
         if self.symmetric and self.method not in SHARED_METHODS:
             raise ValueError(
                 f"symmetric=True needs a method in {SHARED_METHODS}, got {self.method!r}"

@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from adinash.cli import main, parse_config_file
-from adinash.generators import planted_winrates
+from adinash.generators import ElFarolSpec, make_el_farol, make_modified_shapley, planted_winrates
 from adinash.nfg import read_nfg, write_nfg
 from adinash.normalform import GameTensor
+from adinash.solvers import BaselineSolver, SymmetricAdidasSolver
 
 
 def run_cli(capsys, *argv):
@@ -55,6 +56,39 @@ class TestSolve:
         )
         assert code == 0
         assert "strategy=" in stdout
+
+    @pytest.mark.parametrize(
+        "argv, solver, game",
+        [
+            (
+                ("--solver", "ftrl", "--game", "shapley", "--iterations", "50"),
+                BaselineSolver(method="ftrl", iterations=50),
+                make_modified_shapley(),
+            ),
+            (
+                ("--solver", "adidas-symmetric", "--game", "el-farol", "--players", "4",
+                 "--iterations", "20"),
+                SymmetricAdidasSolver(iterations=20),
+                make_el_farol(ElFarolSpec(players=4)),
+            ),
+        ],
+        ids=["ftrl", "adidas-symmetric"],
+    )
+    def test_solver_defaults_are_the_library_defaults(self, capsys, tmp_path, argv, solver, game):
+        # the CLI restated its own defaults: learning rate 0.01 for the
+        # baselines (library 0.05) and Shannon for adidas-symmetric (Tsallis)
+        out = tmp_path / "metrics.csv"
+        code, _, stderr = run_cli(capsys, "solve", *argv, "--out", str(out))
+        assert code == 0, stderr
+        assert out.read_bytes() == solver.fit(game).log_.csv_bytes()
+
+    def test_flag_the_solver_does_not_take_is_a_config_error(self, capsys):
+        # used to be dropped silently for the baselines, exiting 0
+        code, _, stderr = run_cli(
+            capsys, "solve", "--game", "shapley", "--solver", "rm", "--exact-gradients"
+        )
+        assert code == 1
+        assert "configuration error" in stderr and "exact_gradients" in stderr
 
     def test_config_error_exit_code(self, capsys):
         code, _, stderr = run_cli(

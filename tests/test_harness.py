@@ -129,13 +129,12 @@ class TestRunExperiment:
         assert grids["initial_temperature"] == [0.0, 0.01, 0.05, 0.1]
 
     def test_default_cells_are_runnable(self):
-        from adinash.harness import _resolve_cell_params
-        from adinash.solvers import AdidasSolver
+        from adinash.harness import _cell_solver
 
         config = ExperimentConfig(game=None, grids=default_sweep_grids())
         cells = config.cells()
         for cell in cells:
-            AdidasSolver(**_resolve_cell_params(config.base_params, cell))._validate()
+            _cell_solver(config, cell)._validate()
         pairs = {(c["learning_rate"], c["aux_rate_ratio"]) for c in cells}
         # ratio 100 runs up to learning rate 1e-2 (auxiliary rate 1), not at 1e-1
         assert (1e-2, 100.0) in pairs
