@@ -21,6 +21,10 @@ lines, so two trees agree exactly when their outputs are equal:
     python3 perf/digests.py --src /path/to/other/tree/src > before.txt
     diff before.txt after.txt
 
+``perf/digests.txt`` holds this tree's output, and CI diffs a run against
+it: a change that moves numbers on purpose updates that file in the same
+commit.
+
 Only parameters and call forms that every tree since the player-batched
 general loop accepts are used.
 Takes about 5-8 s on one CPU; errors are echoed to stderr.

@@ -10,7 +10,13 @@ estimates y for the amortized one. Each step builds its payoff gradients once
 and hands them to both roles.
 
 Each function checks the strategies it is given (``as_profile``) and uses
-their bytes: only a ``StrategyProfile`` renormalizes. An unregularized gain
+their bytes: only a ``StrategyProfile`` renormalizes. A profile is taken as
+it is, whichever way it was built: renormalized (``StrategyProfile(...)``),
+checked with its bytes kept (``_checked``), or stepped (``_stepped``, the
+rows of a descent step, which the descent loops hand in so that no step
+checks its own iterate). The loops call these public functions rather than
+unchecked private kernels because the benchmark's tracer records its spans
+on exactly these names as the solvers import them. An unregularized gain
 is max(grad) - grad . x clamped at 0. On a row of mass 1 - d it moves by
 about c * d when payoffs shift by c; a StrategyProfile repairs such rows.
 """

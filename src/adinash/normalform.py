@@ -123,14 +123,21 @@ def validate_joint_action(joint, action_counts):
 
 
 class StrategyProfile:
-    """One mixed strategy per player, each checked onto its simplex.
+    """One mixed strategy per player, each on its simplex.
 
-    ``StrategyProfile(strategies)`` divides each strategy by its sum, the one
-    place drift within ``RENORMALIZE_TOL`` is repaired. ``_checked``, which
-    ``as_profile`` calls on outside strategies, checks them the same way and
-    keeps their bytes: that profile is not renormalized. When every player
-    has the same action count the strategies are the rows of one (n, m)
-    array, ``stack``, checked in one call; otherwise ``stack`` is None.
+    A profile is built in one of three ways:
+
+    - ``StrategyProfile(strategies)`` checks each strategy and divides it by
+      its sum, the one place drift within ``RENORMALIZE_TOL`` is repaired;
+    - ``_checked``, which ``as_profile`` calls on outside strategies, checks
+      them the same way and keeps their bytes;
+    - ``_stepped`` holds the rows a descent step returned, unchecked: the
+      step already ensured what the check tests (``descent_step``), so the
+      check would hand back the same bytes. Only the descent loops build it.
+
+    When every player has the same action count the strategies are the rows
+    of one (n, m) array, ``stack``, checked in one call; otherwise ``stack``
+    is None.
     """
 
     def __init__(self, strategies):
@@ -139,6 +146,11 @@ class StrategyProfile:
     @classmethod
     def _checked(cls, strategies):
         return cls.__new__(cls)._hold(_checked_rows(strategies))
+
+    @classmethod
+    def _stepped(cls, rows):
+        """The rows of a descent step, an (n, m) array or a list, as given."""
+        return cls.__new__(cls)._hold(rows)
 
     def _hold(self, rows):
         self.stack = rows if isinstance(rows, np.ndarray) else None

@@ -47,12 +47,19 @@ def sample_actions(strategy, rng, count=1):
 def sample_joint_action(x, rng, samples=1):
     """A (samples, n) int array of joint actions, one independent
     categorical draw per player each, drawn one after another from one
-    vector draw: the doubles of `samples` single draws."""
+    vector draw: the doubles of `samples` single draws.
+
+    An (n, m) stack is drawn for every player at once: a row's cumulative
+    sum is nondecreasing, so the count of its entries at or below a uniform
+    is the row's ``searchsorted(side="right")``, the same action."""
     samples = validate_integer("samples", samples, 1)
     profile = as_profile(x)
     n = profile.players
     uniforms = rng.random(n * samples).reshape(samples, n)
-    return np.column_stack([_inverse_cdf(s, uniforms[:, i]) for i, s in enumerate(profile)])
+    if profile.stack is None:
+        return np.column_stack([_inverse_cdf(s, uniforms[:, i]) for i, s in enumerate(profile)])
+    cum = np.cumsum(profile.stack, axis=1)
+    return np.minimum((cum <= uniforms[..., None]).sum(-1), cum.shape[1] - 1)
 
 
 def sample_mean(stack):

@@ -96,7 +96,11 @@ def descent_step(strategies, gradients, learning_rate, projection="euclidean", t
     The gradient is tangent-projected (which can overflow on huge finite
     entries), checked finite, then stepped; a non-finite gradient or
     Euclidean step raises FloatingPointError. Ascent is descent on the
-    negated gradients with `tangent=False`.
+    negated gradients with `tangent=False`. Every returned row is finite,
+    nonnegative and of unit mass up to rounding (the Euclidean projection
+    clamps at 0 and checks the mass; the mirror step renormalizes and raises
+    unless every entry is positive), so the strategy check would return its
+    bytes as they are: the loops hold it as a ``StrategyProfile._stepped``.
     """
     x, g = stack_rows(strategies), stack_rows(gradients)
     if tangent:
@@ -190,13 +194,14 @@ class AdidasSolver(BaseSolver):
         iterations, samples = int(self.iterations), int(self.samples)
         average = self.average_iterates
         rng = new_rng(self.seed)
-        x = stack_rows([np.full(m, 1.0 / m) for m in view.counts])
+        rows = stack_rows([np.full(m, 1.0 / m) for m in view.counts])
+        x = StrategyProfile._stepped(rows)
         aux = AuxiliaryState.zeros(view.counts)
         anneal_steps = 0
         cadence = self._exact_cadence(view)
         log = IterateLog(self.run_id or f"{view.run_prefix}-{self.seed}", self.seed)
         queries_before = oracle.queries
-        report = x
+        report = rows
         started = time.perf_counter()
 
         for t in range(1, iterations + 1):
@@ -208,10 +213,11 @@ class AdidasSolver(BaseSolver):
             aux = update_aux(aux, nablas, self.aux_learning_rate)
             estimate, estimate_unreg = view.amortized(x, aux.y, kind)
             gradients = view.gradients(blocks, nablas, aux.y, x, kind)
-            x = descent_step(
+            rows = descent_step(
                 x, gradients, self.learning_rate, self.projection, self.tangent_projection
             )
-            report = map_rows(lambda m, s: m + (s - m) / t, report, x) if average else x
+            x = StrategyProfile._stepped(rows)
+            report = map_rows(lambda m, s: m + (s - m) / t, report, rows) if average else rows
 
             # anneal decision from the same evaluation that produced the step
             if self.anneal:
@@ -221,7 +227,7 @@ class AdidasSolver(BaseSolver):
 
             exact_value = None
             if cadence and (t % cadence == 0 or t == iterations) and desk is not None:
-                exact_value = view.exact_adi(report)
+                exact_value = view.exact_adi(StrategyProfile._stepped(report))
             log.append(
                 iteration=t,
                 adi_estimate=estimate.total,
@@ -233,7 +239,7 @@ class AdidasSolver(BaseSolver):
                 wall_ms=(time.perf_counter() - started) * 1000.0,
             )
 
-        view.set_fitted(self, report, x)
+        view.set_fitted(self, report, rows)
         self.aux_ = aux
         self.entropy_ = kind
         self.log_ = log
@@ -341,7 +347,7 @@ class _GeneralView:
 
     def amortized(self, x, y, kind):
         """The amortized ADI report under `kind`, and its unregularized total."""
-        return adi_amortized(x, y, kind), float(unregularized_gains(y, x).sum())
+        return adi_amortized(x, y, kind), float(unregularized_gains(y, stack_rows(x)).sum())
 
     def gradients(self, matrices, nablas, y, x, kind):
         return adi_gradient(matrices, nablas, y, x, kind)
@@ -462,7 +468,7 @@ def warmup_anneal_descend(
     view = _GeneralView(game, Entropy.none())
     view.check_exact()
     lam = 0.0
-    x = stack_rows([np.full(m, 1.0 / m) for m in view.counts])
+    x = StrategyProfile._stepped(stack_rows([np.full(m, 1.0 / m) for m in view.counts]))
     for _ in range(rounds):
         lam += float(anneal_increment)
         temperature = 1.0 / lam
@@ -472,5 +478,5 @@ def warmup_anneal_descend(
         step_size = learning_rate * min(1.0, temperature)
         for _ in range(steps):
             grads = blocks_gradient(view.exact_blocks(x), x, kind)
-            x = descent_step(x, grads, step_size)
+            x = StrategyProfile._stepped(descent_step(x, grads, step_size))
     return StrategyProfile(x)

@@ -1,7 +1,11 @@
 """Where strategies are checked: every public function checks the strategies
 it is given and computes with their bytes as given, and only a
-StrategyProfile renormalizes. The loops keep their iterates as the plain rows
-a step returns and build a StrategyProfile only for what a fit hands back."""
+StrategyProfile renormalizes. A profile is built renormalized
+(``StrategyProfile(...)``), checked with its bytes kept (``_checked``, what
+``as_profile`` does to outside strategies) or stepped (``_stepped``, the rows
+a descent step returned, unchecked). The loops hold each iterate as a stepped
+profile, so the public functions they call check nothing per step, and build
+a renormalized StrategyProfile only for what a fit hands back."""
 
 import re
 
@@ -20,7 +24,7 @@ from adinash.generators import (
 )
 from adinash.normalform import GameTensor, StrategyProfile, as_profile
 from adinash.sampling import new_rng, sample_joint_action
-from adinash.simplex import SIMPLEX_TOL, as_distribution, is_distribution
+from adinash.simplex import SIMPLEX_TOL, _check_rows, as_distribution, is_distribution
 from adinash.solvers import (
     AdidasSolver,
     BaselineSolver,
@@ -40,6 +44,19 @@ def _record_profiles(monkeypatch):
         init(self, strategies)
 
     monkeypatch.setattr(StrategyProfile, "__init__", recording)
+    return seen
+
+
+def _record_checks(monkeypatch):
+    """Patch StrategyProfile._checked to record every strategy check."""
+    seen = []
+    checked = StrategyProfile._checked.__func__
+
+    def recording(cls, strategies):
+        seen.append(strategies)
+        return checked(cls, strategies)
+
+    monkeypatch.setattr(StrategyProfile, "_checked", classmethod(recording))
     return seen
 
 
@@ -63,16 +80,24 @@ FITS = {
 }
 
 
+# the baselines still pass their own iterates to checking functions
+UNCHECKED_LOOPS = {"adidas", "adidas-averaged", "symmetric", "warmup"}
+
+
 @pytest.mark.parametrize("name", sorted(FITS))
 def test_profiles_built_per_fit_do_not_grow_with_iterations(monkeypatch, name):
-    counts = []
+    counts, checks = [], []
     for iterations in (3, 12):
         seen = _record_profiles(monkeypatch)
+        checked = _record_checks(monkeypatch)
         FITS[name](iterations)
         counts.append(len(seen))
+        checks.append(len(checked))
         monkeypatch.undo()
     assert counts[0] == counts[1]
     assert counts[0] >= 1
+    if name in UNCHECKED_LOOPS:
+        assert checks[0] == checks[1]
 
 
 @settings(max_examples=25, deadline=None)
@@ -109,6 +134,10 @@ def test_unwrapped_iterates_stay_on_the_simplex(seed, projection, ragged, averag
     for rows in steps + wrapped:
         assert [len(r) for r in rows] == list(game.action_counts)
         assert all(is_distribution(r, SIMPLEX_TOL) for r in rows)
+    # the loops hold each step's rows unchecked: the check returns their bytes
+    for rows in steps:
+        checked = _check_rows(rows) if isinstance(rows, np.ndarray) else map(_check_rows, rows)
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(checked, rows))
 
 
 def _drifted_rows():
@@ -118,6 +147,23 @@ def _drifted_rows():
     x = rng.dirichlet(np.ones(4), size=3) * (1.0 + np.array([1e-7, -1e-7, 5e-8]))[:, None]
     assert not np.array_equal(StrategyProfile(x).stack, x)
     return x
+
+
+class _FixedUniforms:
+    """A generator stand-in whose ``random`` returns the given uniforms."""
+
+    def __init__(self, uniforms):
+        self.uniforms = np.array(uniforms, dtype=float).reshape(-1)
+
+    def random(self, size):
+        assert size == self.uniforms.size
+        return self.uniforms.copy()
+
+
+def _searchsorted_draws(x, uniforms):
+    """Each player's inverse-CDF draws, one player at a time."""
+    draws = [np.searchsorted(c, u, side="right") for c, u in zip(np.cumsum(x, axis=1), uniforms.T)]
+    return np.minimum(np.column_stack(draws), x.shape[1] - 1)
 
 
 class TestRowsAsGiven:
@@ -144,9 +190,19 @@ class TestRowsAsGiven:
         assert np.array_equal(adi_amortized(x, y).per_player, unregularized_gains(y, x))
         draws = sample_joint_action(x, new_rng(5), 200)
         uniforms = new_rng(5).random(3 * 200).reshape(200, 3)
-        cums = np.cumsum(x, axis=1)
-        want = [np.minimum(np.searchsorted(c, u, side="right"), 3) for c, u in zip(cums, uniforms.T)]
-        assert np.array_equal(draws, np.column_stack(want))
+        assert np.array_equal(draws, _searchsorted_draws(x, uniforms))
+        # zero entries, uniforms on the cumulative sums' steps, and a last
+        # row whose cumulative sum ends at 1 - 5e-7, below the uniforms past it
+        x = np.array([[0.0, 0.5, 0.0, 0.5], [0.25, 0.0, 0.0, 0.75], [0.2, 0.3, 0.5 - 5e-7, 0.0]])
+        uniforms = np.array([
+            [0.0, 0.0, 0.0],
+            [0.5, 0.25, 0.2],
+            [0.75, 0.25, 0.5],
+            [1 - 1e-12, 0.9999999, 0.9999999],
+        ])
+        draws = sample_joint_action(x, _FixedUniforms(uniforms), len(uniforms))
+        assert draws.tolist() == [[1, 0, 0], [3, 3, 1], [3, 3, 2], [3, 3, 3]]
+        assert np.array_equal(draws, _searchsorted_draws(x, uniforms))
 
     def test_drift_times_a_payoff_shift_moves_the_unregularized_gain(self):
         # a row of mass 1 - d gains c * d more from max(g) - g . x when its
