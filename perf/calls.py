@@ -53,11 +53,9 @@ def count_calls(tree, workload):
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--tree", default=str(CHANGE), help="root of the tree to count")
-    parser.add_argument("--workload", action="append", choices=sorted(WORKLOADS),
-                        help="count only these workloads (default: all)")
     args = parser.parse_args(argv)
     tree = pathlib.Path(args.tree).resolve()
-    for name in args.workload or sorted(WORKLOADS):
+    for name in sorted(WORKLOADS):
         calls, steps = count_calls(tree, WORKLOADS[name])
         print(f"{name}  {calls / steps:.2f}  {calls}  {steps}")
 

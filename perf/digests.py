@@ -21,9 +21,10 @@ lines, so two trees agree exactly when their outputs are equal:
     python3 perf/digests.py --src /path/to/other/tree/src > before.txt
     diff before.txt after.txt
 
-``perf/digests.txt`` holds this tree's output, and CI diffs a run against
-it: a change that moves numbers on purpose updates that file in the same
-commit.
+``perf/digests.txt`` records this tree's output, and its git history the
+output before and after each change. CI diffs a run against the parent
+commit's ``src`` run on the same machine, unless the commit updates
+``perf/digests.txt``: a change that moves numbers on purpose does so.
 
 Only parameters and call forms that every tree since the player-batched
 general loop accepts are used.
