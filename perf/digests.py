@@ -6,7 +6,8 @@ also on a game with unequal action counts, on the benchmark's covariant
 4x6 game and on a Bernoulli oracle that overrides ``pair_payoffs``, whose
 blocks are read pair by pair in query order; the six baselines on six games, ``ped`` on five players, and the
 shared-strategy form; the exact warm-up; the gradient-bias table; block
-fills of a Bernoulli oracle, single and stacked; the Blotto(10,3,4) table;
+fills of a Bernoulli oracle, single and stacked; the tables of Blotto(10,3,4),
+El Farol(10) and the planted 7x5 winrates;
 with ``normalform.PAIR_TABLE_ENTRIES`` at 0 so that no pair table is
 built and every block read takes the uncached branch, sampled symmetric
 solves and the stacked fill; and a sampled symmetric solve of El Farol(70),
@@ -260,6 +261,9 @@ def runs(fitted_bytes=_fitted_bytes, strategy_bytes=_strategy_bytes):
         ))))
     out.append(("uncached/fill/bernoulli-stacked", uncached(stacked_fills)))
     out.append(("table/blotto10", lambda: gen.make_blotto(gen.BlottoSpec(10, 3, 4)).table.tobytes()))
+    # the other two benchmark games built through from_batch_function
+    out.append(("table/elfarol10", lambda: gen.make_el_farol().table.tobytes()))
+    out.append(("table/planted7x5", lambda: gen.planted_winrates(7, 5, seed=0).table.tobytes()))
     out.append(("symmetric/elfarol70/shannon/sampled/euclidean", solve(
         SymmetricAdidasSolver, "elfarol70", entropy="shannon", iterations=40, samples=5,
         learning_rate=0.05, adi_threshold=0.05, exact_adi_every=10, seed=7,
