@@ -44,8 +44,10 @@ def blotto_allocations(coins, fields):
 def make_blotto(spec=BlottoSpec()):
     """Colonel Blotto over coin allocations; net fields won, ties split evenly.
 
-    Returns the multiset-compressed symmetric game; `expand_to_tensor` gives
-    the dense tensor at desk scale.
+    A payoff is the mean over fields of +1 for a field won, -1 for a field
+    lost and 2 / (1 + t) - 1 for a field tied with t opponents, added in
+    field order. Returns the multiset-compressed symmetric game;
+    `expand_to_tensor` gives the dense tensor at desk scale.
     """
     m = spec.action_count
     # the stored table: one row per allocation, one column per opponent multiset
@@ -53,29 +55,39 @@ def make_blotto(spec=BlottoSpec()):
     if entries > 400_000_000:
         raise ValueError(f"{spec} needs {entries} table entries, over the 400000000 budget")
     actions = blotto_allocations(spec.coins, spec.fields)
+    # a field's outcome is a code: 0 lost, 1 won, 1 + t tied with t
+    # opponents, so a code can reach `players`; scores[code] is its payoff
+    code_type = np.min_scalar_type(spec.players)
+    ties = np.arange(1, spec.players)
+    scores = np.concatenate([[-1.0, 1.0], 2.0 * (1.0 / (1.0 + ties)) - 1.0])
+    held = np.arange(spec.coins + 1)[:, None]
 
-    # the opponents' field maxima and tie shares depend only on the opponents;
-    # from_batch_function passes the same array for every own action, so the
-    # last one's statistics are kept, keyed by identity
+    # the outcome codes depend only on the opponents; from_batch_function
+    # passes the same array for every own action, so the last array's codes
+    # are kept, keyed by identity
     memo = {"opponents": None}
 
-    def opponent_stats(opponents):
+    def outcome_codes(opponents):
+        """codes[f, v, j]: the outcome of v coins in field f against the
+        opponents of row j."""
         if memo["opponents"] is not opponents:
-            opp_alloc = actions[opponents]  # (N, n-1, fields)
-            opp_max = opp_alloc.max(axis=1)
-            ties = (opp_alloc == opp_max[:, None, :]).sum(axis=1)
-            memo.update(opponents=opponents, stats=(opp_max, 1.0 / (1.0 + ties)))
-        return memo["stats"]
+            codes = np.empty((spec.fields, spec.coins + 1, len(opponents)), dtype=code_type)
+            for f in range(spec.fields):
+                field = actions[:, f][opponents]  # (N, n-1)
+                top = field.max(axis=1)
+                tied = (field == top[:, None]).sum(axis=1, dtype=code_type)
+                codes[f] = np.where(held == top, 1 + tied, held > top)
+            memo.update(opponents=opponents, codes=codes)
+        return memo["codes"]
 
     def batch_payoff(own, opponents):
-        own_alloc = actions[own]  # (N, fields)
-        opp_max, tie_share = opponent_stats(opponents)
-        share = np.where(
-            own_alloc > opp_max,
-            1.0,
-            np.where(own_alloc == opp_max, tie_share, 0.0),
-        )
-        return (2.0 * share - 1.0).mean(axis=1)
+        codes = outcome_codes(opponents)
+        # the field scores added in field order, then divided by the fields
+        total = scores[codes[0, actions[own, 0]]]
+        for f in range(1, spec.fields):
+            total += scores[codes[f, actions[own, f]]]
+        total /= spec.fields
+        return total
 
     return SymmetricGame.from_batch_function(spec.players, m, batch_payoff)
 
@@ -167,7 +179,7 @@ def planted_winrates(players, actions, seed=0):
     quality = np.sort(rng.random(actions)) * 2.0
 
     def winrate(own, opponents):
-        qs = quality[np.column_stack([own, opponents])]
+        qs = quality[np.column_stack([np.full(len(opponents), own), opponents])]
         shares = np.exp(qs - qs.max(axis=1, keepdims=True))
         return shares[:, 0] / shares.sum(axis=1)
 

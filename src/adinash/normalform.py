@@ -131,9 +131,10 @@ class StrategyProfile:
       its sum, the one place drift within ``RENORMALIZE_TOL`` is repaired;
     - ``_checked``, which ``as_profile`` calls on outside strategies, checks
       them the same way and keeps their bytes;
-    - ``_stepped`` holds the rows a descent step returned, unchecked: the
-      step already ensured what the check tests (``descent_step``), so the
-      check would hand back the same bytes. Only the descent loops build it.
+    - ``_stepped`` holds the rows a solver step built, unchecked: the step
+      already ensured what the check tests (``descent_step``, the baselines'
+      normalized weights), so the check would hand back the same bytes. Only
+      the solver loops build it.
 
     When every player has the same action count the strategies are the rows
     of one (n, m) array, ``stack``, checked in one call; otherwise ``stack``
@@ -270,11 +271,16 @@ class SymmetricGame:
     """
 
     def __init__(self, players, actions, table):
+        self._hold(players, actions, np.array(table, dtype=float, order="C"))
+
+    def _hold(self, players, actions, table):
+        """Check a C-ordered float ``table`` and keep it, made read-only, as
+        the game's own: the constructor passes its copy, ``from_batch_function``
+        the table it filled."""
         self.players = int(players)
         self.actions = int(actions)
         if self.players < 2:
             raise ValueError(f"symmetric game needs at least two players, got {self.players}")
-        table = np.array(table, dtype=float, order="C")
         expected = (self.actions, multiset_count(self.actions, self.players - 1))
         if table.shape != expected:
             raise ValueError(
@@ -289,21 +295,31 @@ class SymmetricGame:
         self._rows = None
         self._weights = None
         self._pair_cache = None
+        return self
 
     # -- construction -----------------------------------------------------
 
     @classmethod
     def from_batch_function(cls, players, actions, batch_fn):
-        """Build from a vectorized ``batch_fn(own (K',), opponents (K', n-1)) -> (K',)``,
-        called once per own action over every opponent multiset (rows sorted
-        ascending, in table column order). Every call is passed the same
-        ``opponents`` array, so ``batch_fn`` may keep what it derives from it
-        (``make_blotto`` does); it must not write to it."""
+        """Build from a vectorized ``batch_fn(own, opponents (K', n-1)) -> (K',)``,
+        called once per own action ``own``, an int, in order 0, 1, ..., m - 1,
+        over every opponent multiset (rows sorted ascending, in table column
+        order). A return of another shape raises ValueError naming the own
+        action. Every call is passed the same ``opponents`` array, so
+        ``batch_fn`` may keep what it derives from it (``make_blotto`` does);
+        it must not write to it. The game keeps the table filled here, checked
+        as the constructor checks it, without the constructor's copy."""
         opponents = _multiset_rows(actions, players - 1)
         table = np.empty((actions, opponents.shape[0]))
         for a in range(actions):
-            table[a] = batch_fn(np.full(opponents.shape[0], a), opponents)
-        game = cls(players, actions, table)
+            row = np.asarray(batch_fn(a, opponents))
+            if row.shape != table.shape[1:]:
+                raise ValueError(
+                    f"batch_fn returned shape {row.shape} for own action {a}, want "
+                    f"{table.shape[1:]}: one payoff per opponent multiset"
+                )
+            table[a] = row
+        game = cls.__new__(cls)._hold(players, actions, table)
         game._rows = opponents
         return game
 

@@ -30,11 +30,17 @@ def new_rng(seed):
     return np.random.Generator(np.random.Philox(key=int(seed)))
 
 
+def _below_total(cum, uniforms):
+    """The uniforms, those at or past their row's total (a checked row may
+    sum to a little under 1) taken just below it: they then draw the last
+    action the cumulative sum rises at, never one without mass."""
+    return np.minimum(uniforms, np.nextafter(cum[..., -1], -np.inf))
+
+
 def _inverse_cdf(strategy, uniforms):
     """The action each uniform draw picks from `strategy`, as an int array."""
     cum = np.cumsum(strategy)
-    draws = np.searchsorted(cum, uniforms, side="right")
-    return np.minimum(draws, cum.size - 1)
+    return np.searchsorted(cum, _below_total(cum, uniforms), side="right")
 
 
 def sample_actions(strategy, rng, count=1):
@@ -51,7 +57,8 @@ def sample_joint_action(x, rng, samples=1):
 
     An (n, m) stack is drawn for every player at once: a row's cumulative
     sum is nondecreasing, so the count of its entries at or below a uniform
-    is the row's ``searchsorted(side="right")``, the same action."""
+    is the row's ``searchsorted(side="right")``, the same action. A uniform
+    at or past a row's total draws the row's last action with mass."""
     samples = validate_integer("samples", samples, 1)
     profile = as_profile(x)
     n = profile.players
@@ -59,7 +66,7 @@ def sample_joint_action(x, rng, samples=1):
     if profile.stack is None:
         return np.column_stack([_inverse_cdf(s, uniforms[:, i]) for i, s in enumerate(profile)])
     cum = np.cumsum(profile.stack, axis=1)
-    return np.minimum((cum <= uniforms[..., None]).sum(-1), cum.shape[1] - 1)
+    return (cum <= _below_total(cum, uniforms)[..., None]).sum(-1)
 
 
 def sample_mean(stack):

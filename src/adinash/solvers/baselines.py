@@ -12,6 +12,7 @@ from ..adi import adi_exact, symmetric_adi_exact
 from ..entropy import Entropy, _hard_argmax
 from ..exact import exact_pairwise_matrices, payoff_gradients
 from ..normalform import GameTensor, StrategyProfile, SymmetricGame
+from ..simplex import stack_rows
 from .adidas import blocks_gradient, descent_step
 from .base import BaseSolver, IterateLog, profile_hash
 
@@ -24,8 +25,10 @@ class BaselineState:
     """Mutable per-method state; unused slots stay None.
 
     `profile` holds one strategy per player as the last step returned them,
-    unrenormalized: an (n, m) array or a list. For the shared-strategy form
-    on a SymmetricGame it holds one row, the strategy every player shares.
+    unrenormalized, as a ``StrategyProfile._stepped``; the initial and any
+    caller-set strategies are checked where they are used. For the
+    shared-strategy form on a SymmetricGame it holds one row, the strategy
+    every player shares.
     """
 
     profile: list
@@ -50,6 +53,11 @@ def _gradients(game, profile):
     if len(profile) < game.players:
         return [game.deviation_payoffs(profile[0])]
     return payoff_gradients(game, profile)
+
+
+def _stepped(rows):
+    """Rows a step built, on the simplex up to rounding, held unchecked."""
+    return StrategyProfile._stepped(stack_rows(rows))
 
 
 def _normalized(weights):
@@ -85,7 +93,7 @@ def baseline_step(method, state, game, learning_rate):
                 midpoint = [_hard_argmax(g) for g in grads]
             else:
                 midpoint = descent_step(x, [-g for g in grads], inner, tangent=False)
-            grads = _gradients(game, midpoint)
+            grads = _gradients(game, _stepped(midpoint))
         new = descent_step(x, [-g for g in grads], learning_rate, tangent=False)
     elif method == "rm":
         grads = _gradients(game, x)
@@ -93,7 +101,7 @@ def baseline_step(method, state, game, learning_rate):
             state.cumulative_regret[i] += grads[i] - float(np.dot(x[i], grads[i]))
         new = [_normalized(np.clip(regret, 0.0, None)) for regret in state.cumulative_regret]
     elif method == "fp":
-        grads = _gradients(game, [_normalized(c) for c in state.counts])
+        grads = _gradients(game, _stepped([_normalized(c) for c in state.counts]))
         for i in range(n):
             state.counts[i][int(np.argmax(grads[i]))] += 1.0
         new = [_normalized(c) for c in state.counts]
@@ -101,7 +109,7 @@ def baseline_step(method, state, game, learning_rate):
         matrices = exact_pairwise_matrices(game, x)
         new = descent_step(x, blocks_gradient(matrices, x, Entropy.none()), learning_rate)
 
-    state.profile = new
+    state.profile = _stepped(new)
     state.t = t
     state.average = [
         a + (s - a) / t for a, s in zip(state.average, state.profile)
@@ -186,7 +194,7 @@ class BaselineSolver(BaseSolver):
                 if self.symmetric:
                     exact = symmetric_adi_exact(game, tracked[0])
                 else:
-                    exact = adi_exact(source, tracked, Entropy.none()).total
+                    exact = adi_exact(source, _stepped(tracked), Entropy.none()).total
                 log.append(
                     iteration=t,
                     adi_estimate=exact,

@@ -2,7 +2,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from adinash.adi import adi_exact
@@ -80,6 +80,10 @@ class TestBlotto:
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(1, 6), st.integers(2, 4), st.integers(2, 4))
+    # past 127 players an outcome code no longer fits an int8
+    @example(1, 2, 127)
+    @example(1, 2, 128)
+    @example(1, 2, 130)
     def test_table_equals_the_per_own_action_rule(self, coins, fields, players):
         # opponent statistics are computed once per build, byte for byte;
         # players = 2 has one opponent per row
@@ -100,12 +104,32 @@ class TestBlotto:
         expected = blotto_table_per_own_action(spec)
         opponents = np.array(list(enumerate_multisets(10, 2)), dtype=np.int64)
         for a in (0, 4, 9):
-            own = np.full(opponents.shape[0], a)
-            assert batch_payoff(own, opponents).tobytes() == expected[a].tobytes()
+            assert batch_payoff(a, opponents).tobytes() == expected[a].tobytes()
             # a different array with equal rows, then a reordered one
-            assert batch_payoff(own, opponents.copy()).tobytes() == expected[a].tobytes()
+            assert batch_payoff(a, opponents.copy()).tobytes() == expected[a].tobytes()
             flipped = opponents[::-1].copy()
-            assert batch_payoff(own, flipped).tobytes() == expected[a][::-1].tobytes()
+            assert batch_payoff(a, flipped).tobytes() == expected[a][::-1].tobytes()
+
+    def test_field_scores_add_in_field_order(self):
+        # from 8 fields numpy's mean adds pairwise, so the rule is stated
+        # here as a plain sum in field order, then divided by the fields
+        spec = BlottoSpec(2, 9, 3)
+        actions = blotto_allocations(spec.coins, spec.fields)
+        opponents = np.array(list(enumerate_multisets(len(actions), 2)), dtype=np.int64)
+        opp_alloc = actions[opponents]
+        opp_max = opp_alloc.max(axis=1)
+        ties = (opp_alloc == opp_max[:, None, :]).sum(axis=1)
+        table = make_blotto(spec).table
+        for a in (0, 17, len(actions) - 1):
+            share = np.where(
+                actions[a] > opp_max, 1.0, np.where(actions[a] == opp_max, 1.0 / (1.0 + ties), 0.0)
+            )
+            scores = 2.0 * share - 1.0
+            total = scores[:, 0].copy()
+            for f in range(1, spec.fields):
+                total += scores[:, f]
+            assert (total / spec.fields).tobytes() == table[a].tobytes()
+        assert np.allclose(table, blotto_table_per_own_action(spec), rtol=0.0, atol=1e-15)
 
     def test_size_budget(self):
         with pytest.raises(ValueError):

@@ -208,8 +208,8 @@ class TestGameTensor:
 def _random_symmetric(rng, players, actions):
     def payoff(own, opponents):
         values = []
-        for a, opp in zip(own.tolist(), opponents.tolist()):
-            key = (a, *sorted(opp))
+        for opp in opponents.tolist():
+            key = (own, *sorted(opp))
             values.append(np.random.default_rng(hash(key) % (2**32)).uniform(-1, 1))
         return np.array(values)
 
@@ -304,7 +304,7 @@ class TestSymmetricGame:
             return float(own - 0.25 * sum(opponents))
 
         def batch(own, opponents):
-            return own.astype(float) - 0.25 * opponents.sum(axis=1)
+            return float(own) - 0.25 * opponents.sum(axis=1)
 
         b = SymmetricGame.from_batch_function(3, 4, batch)
         # row = own action, column = opponent multiset in lexicographic order
@@ -312,16 +312,50 @@ class TestSymmetricGame:
         assert np.allclose(b.table, want)
 
     def test_batch_function_rows_are_the_weight_rows(self):
-        seen = []
+        seen, owns = [], []
 
         def batch(own, opponents):
             seen.append(opponents)
+            owns.append(own)
             return own + opponents.sum(axis=1)
 
         game = SymmetricGame.from_batch_function(4, 3, batch)
         # the opponent rows are enumerated once: the weights keep that array
         rows, _ = game._opponent_weights()
         assert all(rows is opponents for opponents in seen) and len(seen) == 3
+        # each own action once, in order, as an int
+        assert owns == [0, 1, 2] and all(type(a) is int for a in owns)
+
+    @pytest.mark.parametrize(
+        "bad, shape",
+        [
+            (lambda own, opponents: 1.0, r"\(\)"),
+            (lambda own, opponents: np.zeros(len(opponents) - 1), r"\(9,\)"),
+            (lambda own, opponents: np.zeros((len(opponents), 1)), r"\(10, 1\)"),
+        ],
+    )
+    def test_batch_function_return_shape_is_checked(self, bad, shape):
+        # one payoff per opponent multiset, or an error naming batch_fn, the
+        # own action and the shape it returned
+        calls = []
+
+        def batch(own, opponents):
+            calls.append(own)
+            return opponents.sum(axis=1) * 1.0 if own < 2 else bad(own, opponents)
+
+        with pytest.raises(ValueError, match=rf"batch_fn returned shape {shape} for own action 2"):
+            SymmetricGame.from_batch_function(4, 3, batch)
+        assert calls == [0, 1, 2]
+
+    def test_batch_function_table_is_checked_and_read_only(self):
+        def nan_at_one(own, opponents):
+            return np.full(len(opponents), np.nan if own == 1 else 0.5)
+
+        with pytest.raises(ValueError, match="non-finite"):
+            SymmetricGame.from_batch_function(3, 2, nan_at_one)
+        game = SymmetricGame.from_batch_function(3, 2, lambda own, opponents: own + 0.0 * opponents[:, 0])
+        with pytest.raises(ValueError):
+            game.table[0, 0] = 1.0
 
     def test_mixed_opponent_deviation_payoffs(self):
         # heterogeneous (non-shared) opponent strategies, sparse support

@@ -23,7 +23,7 @@ from adinash.generators import (
     make_el_farol,
 )
 from adinash.normalform import GameTensor, StrategyProfile, as_profile
-from adinash.sampling import new_rng, sample_joint_action
+from adinash.sampling import new_rng, sample_actions, sample_joint_action
 from adinash.simplex import SIMPLEX_TOL, _check_rows, as_distribution, is_distribution
 from adinash.solvers import (
     AdidasSolver,
@@ -80,10 +80,6 @@ FITS = {
 }
 
 
-# the baselines still pass their own iterates to checking functions
-UNCHECKED_LOOPS = {"adidas", "adidas-averaged", "symmetric", "warmup"}
-
-
 @pytest.mark.parametrize("name", sorted(FITS))
 def test_profiles_built_per_fit_do_not_grow_with_iterations(monkeypatch, name):
     counts, checks = [], []
@@ -96,8 +92,7 @@ def test_profiles_built_per_fit_do_not_grow_with_iterations(monkeypatch, name):
         monkeypatch.undo()
     assert counts[0] == counts[1]
     assert counts[0] >= 1
-    if name in UNCHECKED_LOOPS:
-        assert checks[0] == checks[1]
+    assert checks[0] == checks[1]
 
 
 @settings(max_examples=25, deadline=None)
@@ -161,9 +156,11 @@ class _FixedUniforms:
 
 
 def _searchsorted_draws(x, uniforms):
-    """Each player's inverse-CDF draws, one player at a time."""
+    """Each player's inverse-CDF draws, one player at a time; a uniform past
+    a row's total takes the row's last action with positive mass."""
     draws = [np.searchsorted(c, u, side="right") for c, u in zip(np.cumsum(x, axis=1), uniforms.T)]
-    return np.minimum(np.column_stack(draws), x.shape[1] - 1)
+    last = [np.flatnonzero(row)[-1] for row in x]
+    return np.minimum(np.column_stack(draws), last)
 
 
 class TestRowsAsGiven:
@@ -192,7 +189,8 @@ class TestRowsAsGiven:
         uniforms = new_rng(5).random(3 * 200).reshape(200, 3)
         assert np.array_equal(draws, _searchsorted_draws(x, uniforms))
         # zero entries, uniforms on the cumulative sums' steps, and a last
-        # row whose cumulative sum ends at 1 - 5e-7, below the uniforms past it
+        # row whose cumulative sum ends at 1 - 5e-7, below the uniforms past
+        # it: those draw its last action with mass, 2, not the empty 3
         x = np.array([[0.0, 0.5, 0.0, 0.5], [0.25, 0.0, 0.0, 0.75], [0.2, 0.3, 0.5 - 5e-7, 0.0]])
         uniforms = np.array([
             [0.0, 0.0, 0.0],
@@ -201,8 +199,9 @@ class TestRowsAsGiven:
             [1 - 1e-12, 0.9999999, 0.9999999],
         ])
         draws = sample_joint_action(x, _FixedUniforms(uniforms), len(uniforms))
-        assert draws.tolist() == [[1, 0, 0], [3, 3, 1], [3, 3, 2], [3, 3, 3]]
+        assert draws.tolist() == [[1, 0, 0], [3, 3, 1], [3, 3, 2], [3, 3, 2]]
         assert np.array_equal(draws, _searchsorted_draws(x, uniforms))
+        assert sample_actions(x[2], _FixedUniforms(uniforms[:, 2]), 4).tolist() == [0, 1, 2, 2]
 
     def test_drift_times_a_payoff_shift_moves_the_unregularized_gain(self):
         # a row of mass 1 - d gains c * d more from max(g) - g . x when its
