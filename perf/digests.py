@@ -25,7 +25,8 @@ lines, so two trees agree exactly when their outputs are equal:
 ``perf/digests.txt`` records this tree's output, and its git history the
 output before and after each change. CI diffs a run against the parent
 commit's ``src`` run on the same machine, unless the commit updates
-``perf/digests.txt``: a change that moves numbers on purpose does so.
+``perf/digests.txt``: a change that moves numbers on purpose does so, and
+CI then prints ``perf/moved.py``'s list of the runs that moved.
 
 Only parameters and call forms that every tree since the player-batched
 general loop accepts are used.

@@ -249,7 +249,13 @@ class AdidasSolver(BaseSolver):
 
     def _exact_cadence(self, view):
         if self.exact_adi_every is not None:
-            return int(self.exact_adi_every)
+            cadence = int(self.exact_adi_every)
+            if cadence and view.desk is not None and not view.exact_fits():
+                raise ValueError(
+                    f"exact_adi_every needs exact ADI, which expands this game to "
+                    f"{view.desk.dense_entry_count} entries, over DESK_SCALE_ENTRIES"
+                )
+            return cadence
         if view.desk is not None and view.exact_is_cheap():
             return max(1, int(self.iterations) // 100)
         return 0
@@ -326,16 +332,20 @@ class _GeneralView:
         if self.desk is None:
             raise ValueError(self.needs_desk)
 
+    def exact_fits(self):
+        """Whether `exact` can be built: a SymmetricGame must expand densely."""
+        return not isinstance(self.desk, SymmetricGame) or self.desk.is_desk_scale()
+
     @functools.cached_property
-    def tensor(self):
-        """The desk game as a tensor, expanded once for exact blocks; exact
-        ADI keeps reading the desk game itself."""
+    def exact(self):
+        """The one source of exact blocks and exact ADI: the desk game, with a
+        SymmetricGame expanded once."""
         if isinstance(self.desk, SymmetricGame):
             return self.desk.expand_to_tensor()
         return self.desk
 
     def exact_blocks(self, x):
-        return exact_pairwise_matrices(self.tensor, x)
+        return exact_pairwise_matrices(self.exact, x)
 
     def sampled_blocks(self, x, rng, samples):
         """Blocks averaged over `samples` joint actions drawn from x in one
@@ -353,7 +363,7 @@ class _GeneralView:
         return adi_gradient(matrices, nablas, y, x, kind)
 
     def exact_adi(self, profile):
-        return adi_exact(self.desk, profile, Entropy.none()).total
+        return adi_exact(self.exact, profile, Entropy.none()).total
 
     def set_fitted(self, solver, profile, last):
         solver.last_profile_ = StrategyProfile(last)
@@ -381,6 +391,9 @@ class _SymmetricView(_GeneralView):
 
     def exact_is_cheap(self):
         return self.desk.entry_count <= DESK_SCALE_ENTRIES
+
+    def exact_fits(self):
+        return True
 
     def check_exact(self):
         super().check_exact()

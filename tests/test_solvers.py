@@ -178,6 +178,44 @@ class TestAdidasSolver:
             assert np.array_equal(got, want)
         assert fitted.queries_ == 0
 
+    def test_exact_adi_of_a_symmetric_game_reads_its_expansion(self, monkeypatch):
+        # exact ADI comes from the expanded tensor the exact blocks read, never
+        # from enumerating opponent supports on the compressed game
+        from adinash import exact
+        from adinash.solvers import adidas
+
+        def enumerate_supports(*args):
+            raise AssertionError("exact ADI enumerated the compressed game")
+
+        profiles = []
+
+        def recorded(game, profile, kind):
+            profiles.append(profile)
+            return adi_exact(game, profile, kind)
+
+        monkeypatch.setattr(exact, "_symmetric_deviation_payoffs", enumerate_supports)
+        monkeypatch.setattr(adidas, "adi_exact", recorded)
+        game = make_el_farol(ElFarolSpec(players=5))
+        fitted = AdidasSolver(iterations=20, samples=1, seed=0, exact_adi_every=20).fit(game)
+        dense = adi_exact(game.expand_to_tensor(), profiles[-1], Entropy.none()).total
+        assert fitted.log_.final["adi_exact"] == dense
+
+    def test_exact_adi_past_desk_scale_is_rejected_before_a_step(self, monkeypatch):
+        from adinash.solvers import adidas
+
+        def no_step(*args):
+            raise AssertionError("the fit took a step")
+
+        game = make_el_farol(ElFarolSpec(players=30))
+        monkeypatch.setattr(adidas, "descent_step", no_step)
+        with pytest.raises(ValueError, match="exact_adi_every"):
+            AdidasSolver(iterations=2, exact_adi_every=1).fit(game)
+        monkeypatch.undo()
+        # by default such a fit logs no exact ADI, and a cadence of 0 asks for none
+        for every in (None, 0):
+            fitted = AdidasSolver(iterations=2, exact_adi_every=every).fit(game)
+            assert np.isnan(fitted.log_.final_exact_adi())
+
     @pytest.mark.parametrize(
         "source",
         [
