@@ -283,9 +283,12 @@ class SymmetricAdidasSolver(AdidasSolver):
 
 
 class _GeneralView:
-    """A general game or oracle as the descent loop, the warm-up and the bias
-    table see it: one strategy per player and every ordered pair's block. It
-    is the one place that turns a game or oracle into blocks."""
+    """A general game or oracle as the descent loop, the warm-up, the bias
+    table and the baselines see it: one strategy per player and every ordered
+    pair's block. It is the one place that turns a game or oracle into what a
+    solver evaluates: sampled blocks from the oracle, and exact blocks and
+    exact ADI from one source, `exact`. It also sets a solver's fitted
+    profiles."""
 
     run_prefix = "adidas"
     games = (GameTensor, SymmetricGame)
@@ -312,7 +315,7 @@ class _GeneralView:
             raise self.rejection(game_or_oracle)
         self.players = self.oracle.players
         if self.players < 2:
-            raise ValueError(f"ADIDAS needs at least two players, got players={self.players}")
+            raise ValueError(f"a solver needs at least two players, got players={self.players}")
 
     def accepts_oracle(self, source):
         return isinstance(source, PayoffOracle)

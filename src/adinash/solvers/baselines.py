@@ -8,12 +8,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..adi import adi_exact, symmetric_adi_exact
 from ..entropy import Entropy, _hard_argmax
 from ..exact import exact_pairwise_matrices, payoff_gradients
 from ..normalform import GameTensor, StrategyProfile, SymmetricGame
 from ..simplex import stack_rows
-from .adidas import blocks_gradient, descent_step
+from .adidas import _GeneralView, _SymmetricView, blocks_gradient, descent_step
 from .base import BaseSolver, IterateLog, profile_hash
 
 METHODS = ("ftrl", "rm", "fp", "ed", "extragrad", "ped")
@@ -125,6 +124,13 @@ class BaselineSolver(BaseSolver):
     picks "average" for rm / fp and "last" otherwise. `symmetric=True` runs
     the shared-strategy form of ftrl / rm / fp on a SymmetricGame, the mode
     used when a symmetric equilibrium is required.
+
+    The game reaches the steps through the ADIDAS solvers' view with no
+    entropy: the symmetric view's game when `symmetric` is set, else the
+    general view's `exact` (a SymmetricGame expanded once). The view gives
+    the action counts, the exact ADI, and the fitted attributes: `profile_`
+    and `last_profile_`, plus `strategy_` and `last_strategy_` when
+    `symmetric` is set.
     """
 
     def __init__(
@@ -168,6 +174,8 @@ class BaselineSolver(BaseSolver):
         self._validate()
         if not isinstance(game, (GameTensor, SymmetricGame)):
             raise TypeError("baselines run on desk-scale games")
+        view = (_SymmetricView if self.symmetric else _GeneralView)(game, Entropy.none())
+        source = view.desk if self.symmetric else view.exact
         report = self.report or ("average" if self.method in ("rm", "fp") else "last")
         iterations = int(self.iterations)
         cadence = (
@@ -178,23 +186,13 @@ class BaselineSolver(BaseSolver):
         log = IterateLog(self.run_id or f"{self.method}-{self.seed}", self.seed)
         started = time.perf_counter()
 
-        if self.symmetric:
-            if not isinstance(game, SymmetricGame):
-                raise ValueError("symmetric baselines need a SymmetricGame")
-            source = game
-            state = BaselineState.initial((game.actions,))
-        else:
-            source = game.expand_to_tensor() if isinstance(game, SymmetricGame) else game
-            state = BaselineState.initial(source.action_counts)
+        state = BaselineState.initial(view.counts)
         state.inner_step = self.inner_step
         for t in range(1, iterations + 1):
             state = baseline_step(self.method, state, source, self.learning_rate)
             tracked = state.average if report == "average" else list(state.profile)
             if t % cadence == 0 or t == iterations:
-                if self.symmetric:
-                    exact = symmetric_adi_exact(game, tracked[0])
-                else:
-                    exact = adi_exact(source, _stepped(tracked), Entropy.none()).total
+                exact = view.exact_adi(_stepped(tracked))
                 log.append(
                     iteration=t,
                     adi_estimate=exact,
@@ -205,10 +203,6 @@ class BaselineSolver(BaseSolver):
                     wall_ms=(time.perf_counter() - started) * 1000.0,
                 )
         self.state_ = state
-        if self.symmetric:
-            self.strategy_ = np.array(tracked[0])
-            self.profile_ = StrategyProfile([self.strategy_] * game.players)
-        else:
-            self.profile_ = StrategyProfile(tracked)
+        view.set_fitted(self, tracked, state.profile)
         self.log_ = log
         return self

@@ -233,9 +233,49 @@ class TestValidation:
         with pytest.raises(ValueError, match=name):
             BaselineSolver(**params).fit(game)
 
+    def test_rejects_what_is_not_a_game(self, matching_pennies):
+        from adinash.oracles import TensorOracle
+
+        with pytest.raises(TypeError, match="desk-scale"):
+            BaselineSolver().fit(TensorOracle(matching_pennies))
+
+
     def test_infinite_inner_step_is_the_hard_midpoint(self, matching_pennies):
         hard = BaselineSolver(method="extragrad", iterations=20).fit(matching_pennies)
         inf = BaselineSolver(
             method="extragrad", iterations=20, inner_step=float("inf")
         ).fit(matching_pennies)
         assert inf.log_.csv_bytes() == hard.log_.csv_bytes()
+
+
+class TestFittedAttributes:
+    def test_report_and_last_iterate(self, matching_pennies):
+        rm = BaselineSolver(method="rm", iterations=7).fit(matching_pennies)
+        for got, want in zip(rm.last_profile_, StrategyProfile(rm.state_.profile)):
+            assert np.array_equal(got, want)
+        for got, want in zip(rm.profile_, StrategyProfile(rm.state_.average)):
+            assert np.array_equal(got, want)
+        ftrl = BaselineSolver(method="ftrl", iterations=7).fit(matching_pennies)
+        for got, want in zip(ftrl.profile_, ftrl.last_profile_):
+            assert np.array_equal(got, want)
+
+    def test_shared_strategy_and_its_last_iterate(self):
+        game = make_el_farol(ElFarolSpec(players=4))
+        rm = BaselineSolver(method="rm", iterations=7, symmetric=True).fit(game)
+        assert np.array_equal(rm.strategy_, rm.state_.average[0])
+        assert np.array_equal(rm.last_strategy_, rm.state_.profile[0])
+        assert len(rm.profile_) == 4
+
+    def test_a_symmetric_game_is_expanded_once(self, monkeypatch):
+        # the steps and the exact ADI read the one expansion the view holds
+        calls = []
+        original = SymmetricGame.expand_to_tensor
+
+        def counted(self):
+            calls.append(self)
+            return original(self)
+
+        monkeypatch.setattr(SymmetricGame, "expand_to_tensor", counted)
+        game = make_el_farol(ElFarolSpec(players=4))
+        BaselineSolver(method="ped", iterations=5, exact_adi_every=1).fit(game)
+        assert len(calls) == 1
