@@ -5,7 +5,7 @@ entropy, exact and sampled blocks and both projections; the general solver
 also on a game with unequal action counts, on the benchmark's covariant
 4x6 game and on a Bernoulli oracle that overrides ``pair_payoffs``, whose
 blocks are read pair by pair in query order; the six baselines on six games, ``ped`` on five players, and the
-shared-strategy form; the exact warm-up; the gradient-bias table; block
+shared-strategy form; the exact warm-up; the gradient-bias table, Tsallis rows included; block
 fills of a Bernoulli oracle, single and stacked; the tables of Blotto(10,3,4),
 El Farol(10) and the planted 7x5 winrates;
 with ``normalform.PAIR_TABLE_ENTRIES`` at 0 so that no pair table is
@@ -34,6 +34,7 @@ Takes about 5-8 s on one CPU; errors are echoed to stderr.
 """
 
 import argparse
+import dataclasses
 import hashlib
 import pathlib
 import sys
@@ -219,16 +220,19 @@ def runs(fitted_bytes=_fitted_bytes, strategy_bytes=_strategy_bytes):
         gen.make_modified_shapley(0.5, offset=True), 3, 10, 1.0, entropy_family="tsallis"
     ))))
 
-    kinds = [Entropy.none(), Entropy("shannon", 0.1), Entropy("shannon", 1.0)]
-    for game in ("shapley", "covariant3x3", "elfarol4", "bernoulli"):
-        def bias(game=game):
+    shannon = [Entropy.none(), Entropy("shannon", 0.1), Entropy("shannon", 1.0)]
+    tsallis = [Entropy("tsallis", 0.5), Entropy("tsallis", 1.0)]
+    tables = [(game, "", shannon) for game in ("shapley", "covariant3x3", "elfarol4", "bernoulli")]
+    tables += [(game, "/tsallis", tsallis) for game in ("shapley", "covariant3x3")]
+    for game, suffix, kinds in tables:
+        def bias(game=game, kinds=kinds):
             built = games[game]()
-            counts = built.action_counts
-            x = [np.full(m, 1.0 / m) for m in counts]
+            x = [np.full(m, 1.0 / m) for m in built.action_counts]
             rows = measure_gradient_bias(built, x, kinds, [0, 1, 3], trials=5, seed=8)
-            return repr(rows).encode()
+            # the eight fields every tree's BiasRow has, in order
+            return repr([dataclasses.astuple(row)[:8] for row in rows]).encode()
 
-        out.append((f"bias/{game}", bias))
+        out.append((f"bias/{game}{suffix}", bias))
 
     def fills():
         oracle = games["bernoulli"]()
