@@ -184,13 +184,13 @@ def cmd_bias(args):
     )
     print(
         "family,temperature,samples,distance,angle_degrees,exact_norm,"
-        "distance_to_unregularized,angle_to_unregularized"
+        "distance_to_unregularized,angle_to_unregularized,offset"
     )
     for r in rows:
         print(
             f"{r.family},{r.temperature!r},{r.samples},{r.distance!r},"
             f"{r.angle_degrees!r},{r.exact_norm!r},"
-            f"{r.distance_to_unregularized!r},{r.angle_to_unregularized!r}"
+            f"{r.distance_to_unregularized!r},{r.angle_to_unregularized!r},{r.offset!r}"
         )
     return 0
 

@@ -220,6 +220,7 @@ class BiasRow:
     exact_norm: float
     distance_to_unregularized: float
     angle_to_unregularized: float
+    offset: float
 
 
 def _compare(mean, reference):
@@ -239,20 +240,25 @@ def measure_gradient_bias(game, x, kinds, sample_counts, trials, seed=0):
     zero-temperature gradient, whose comparison trades estimator bias against
     target distortion and so has an interior optimum over the temperature
     grid. A sample count of 0 requests the exact-block path (zero bias).
-    Blocks come from the solver's general view of `game`, with no Tsallis
-    offset: exact blocks from the desk game (the mean game of a Bernoulli
-    oracle), samples from the game's oracle.
+    A kind's blocks come from the solver's general view of `game` under that
+    kind, so a Tsallis row and both its references read the game offset as
+    the solver offsets it (the row reports the offset): exact blocks from the
+    desk game (the mean game of a Bernoulli oracle), samples from its oracle.
     """
     validate_integer("trials", trials, 1)
     for count in sample_counts:
         validate_integer("sample_counts", count, 0)
-    view = _GeneralView(game, Entropy.none())
-    profile = as_profile(x, view.counts)
     rng = new_rng(seed)
-    exact_blocks = view.exact_blocks(profile)
-    cold = np.concatenate(blocks_gradient(exact_blocks, profile, Entropy.none()))
+    references = {}  # offset -> view, profile, exact blocks, zero-temperature gradient
     rows = []
     for kind in kinds:
+        view = _GeneralView(game, kind)
+        if view.offset not in references:
+            profile = as_profile(x, view.counts)
+            blocks = view.exact_blocks(profile)
+            cold = np.concatenate(blocks_gradient(blocks, profile, Entropy.none()))
+            references[view.offset] = view, profile, blocks, cold
+        view, profile, exact_blocks, cold = references[view.offset]
         exact_full = np.concatenate(blocks_gradient(exact_blocks, profile, kind))
         for count in sample_counts:
             if count == 0:
@@ -275,6 +281,7 @@ def measure_gradient_bias(game, x, kinds, sample_counts, trials, seed=0):
                     exact_norm=float(np.linalg.norm(exact_full)),
                     distance_to_unregularized=cold_distance,
                     angle_to_unregularized=cold_angle,
+                    offset=view.offset,
                 )
             )
     return rows

@@ -262,6 +262,25 @@ class TestReportAndBias:
         assert np.isfinite(float(rows[1][distance]))
 
 
+    def test_tsallis_bias_table_reports_its_offset(self, capsys):
+        # the covariant game has negative payoffs: it exited 1 with
+        # "tsallis gradient needs nonnegative payoff gradients"
+        code, stdout, stderr = run_cli(
+            capsys,
+            "bias",
+            "--game", "covariant", "--players", "3", "--actions", "3",
+            "--entropy", "tsallis",
+            "--temperatures", "0.5",
+            "--sample-counts", "0", "1",
+            "--trials", "2",
+        )
+        assert code == 0, stderr
+        header, *rows = [line.split(",") for line in stdout.splitlines()]
+        assert header[-1] == "offset"
+        assert all(float(row[-1]) > 0.0 for row in rows)
+        assert float(rows[0][header.index("distance")]) == 0.0
+
+
 class TestSweep:
     def test_sweep_with_config_file(self, capsys, tmp_path):
         cfg = tmp_path / "sweep.cfg"

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from adinash.entropy import Entropy
+from adinash.exact import exact_pairwise_matrices
 from adinash.generators import make_modified_shapley
 from adinash.harness import (
     ExperimentConfig,
@@ -257,6 +258,24 @@ class TestGradientBias:
             ("shannon", 0.0),
             ("shannon", 1.0),
         }
+
+
+    def test_tsallis_rows_read_the_offset_game(self):
+        # a Tsallis row and its references come from the game the solver
+        # descends: offset to nonnegative payoffs; other rows see no offset
+        from adinash.generators import make_covariant_random
+        from adinash.solvers.adidas import blocks_gradient, tsallis_offset
+
+        game = make_covariant_random(3, 3, 0.0, seed=1)
+        x = StrategyProfile.uniform(game.action_counts)
+        kinds = [Entropy.shannon(0.1), Entropy.tsallis(0.5)]
+        shannon, tsallis = measure_gradient_bias(game, x, kinds, [0], trials=1)
+        assert shannon.offset == 0.0
+        assert tsallis.offset == tsallis_offset(game) > 0.0
+        shifted = game.offset(tsallis.offset)
+        exact = blocks_gradient(exact_pairwise_matrices(shifted, x), x, Entropy.tsallis(0.5))
+        assert tsallis.exact_norm == float(np.linalg.norm(np.concatenate(exact)))
+        assert tsallis.distance == 0.0
 
 
 class TestSavingsReport:
