@@ -7,6 +7,7 @@ accounting). Exit codes: 0 success, 1 configuration error, 2 numeric failure.
 """
 
 import argparse
+import dataclasses
 import sys
 
 import numpy as np
@@ -182,16 +183,11 @@ def cmd_bias(args):
     rows = harness.measure_gradient_bias(
         game, x, kinds, args.sample_counts, args.trials, seed=args.seed
     )
-    print(
-        "family,temperature,samples,distance,angle_degrees,exact_norm,"
-        "distance_to_unregularized,angle_to_unregularized,offset"
-    )
+    # one column per BiasRow field; str of a float is its repr
+    names = [field.name for field in dataclasses.fields(harness.BiasRow)]
+    print(",".join(names))
     for r in rows:
-        print(
-            f"{r.family},{r.temperature!r},{r.samples},{r.distance!r},"
-            f"{r.angle_degrees!r},{r.exact_norm!r},"
-            f"{r.distance_to_unregularized!r},{r.angle_to_unregularized!r},{r.offset!r}"
-        )
+        print(",".join(str(getattr(r, name)) for name in names))
     return 0
 
 

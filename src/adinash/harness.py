@@ -249,16 +249,13 @@ def measure_gradient_bias(game, x, kinds, sample_counts, trials, seed=0):
     for count in sample_counts:
         validate_integer("sample_counts", count, 0)
     rng = new_rng(seed)
-    references = {}  # offset -> view, profile, exact blocks, zero-temperature gradient
-    rows = []
+    views, rows = {}, []  # one view per distinct offset
     for kind in kinds:
         view = _GeneralView(game, kind)
-        if view.offset not in references:
-            profile = as_profile(x, view.counts)
-            blocks = view.exact_blocks(profile)
-            cold = np.concatenate(blocks_gradient(blocks, profile, Entropy.none()))
-            references[view.offset] = view, profile, blocks, cold
-        view, profile, exact_blocks, cold = references[view.offset]
+        view = views.setdefault(view.offset, view)
+        profile = as_profile(x, view.counts)
+        exact_blocks = view.exact_blocks(profile)
+        cold = np.concatenate(blocks_gradient(exact_blocks, profile, Entropy.none()))
         exact_full = np.concatenate(blocks_gradient(exact_blocks, profile, kind))
         for count in sample_counts:
             if count == 0:
@@ -269,21 +266,11 @@ def measure_gradient_bias(game, x, kinds, sample_counts, trials, seed=0):
                     blocks = view.sampled_blocks(profile, rng, count)
                     acc += np.concatenate(blocks_gradient(blocks, profile, kind))
                 mean = acc / trials
-            distance, angle = _compare(mean, exact_full)
-            cold_distance, cold_angle = _compare(mean, cold)
-            rows.append(
-                BiasRow(
-                    family=kind.family,
-                    temperature=kind.temperature,
-                    samples=count,
-                    distance=distance,
-                    angle_degrees=angle,
-                    exact_norm=float(np.linalg.norm(exact_full)),
-                    distance_to_unregularized=cold_distance,
-                    angle_to_unregularized=cold_angle,
-                    offset=view.offset,
-                )
-            )
+            norm = float(np.linalg.norm(exact_full))
+            rows.append(BiasRow(
+                kind.family, kind.temperature, count, *_compare(mean, exact_full), norm,
+                *_compare(mean, cold), view.offset,
+            ))
     return rows
 
 

@@ -188,7 +188,7 @@ class AdidasSolver(BaseSolver):
         self._validate()
         kind = _resolve_entropy(self.entropy, self.initial_temperature)
         view = view_type(game_or_oracle, kind)
-        oracle, desk = view.oracle, view.desk
+        oracle = view.oracle
         if self.exact_gradients:
             view.check_exact()
         iterations, samples = int(self.iterations), int(self.samples)
@@ -226,7 +226,7 @@ class AdidasSolver(BaseSolver):
                 )
 
             exact_value = None
-            if cadence and (t % cadence == 0 or t == iterations) and desk is not None:
+            if cadence and (t % cadence == 0 or t == iterations):
                 exact_value = view.exact_adi(StrategyProfile._stepped(report))
             log.append(
                 iteration=t,
@@ -248,17 +248,19 @@ class AdidasSolver(BaseSolver):
         return self
 
     def _exact_cadence(self, view):
-        if self.exact_adi_every is not None:
-            cadence = int(self.exact_adi_every)
-            if cadence and view.desk is not None and not view.exact_fits():
-                raise ValueError(
-                    f"exact_adi_every needs exact ADI, which expands this game to "
-                    f"{view.desk.dense_entry_count} entries, over DESK_SCALE_ENTRIES"
-                )
-            return cadence
-        if view.desk is not None and view.exact_is_cheap():
-            return max(1, int(self.iterations) // 100)
-        return 0
+        """Steps between exact-ADI evaluations, 0 for none (always without a
+        desk game): `exact_adi_every` if given, else 1% where it is cheap."""
+        every = self.exact_adi_every
+        if view.desk is None:
+            return 0
+        if every is None:
+            return max(1, int(self.iterations) // 100) if view.exact_is_cheap() else 0
+        if every and not view.exact_fits():
+            raise ValueError(
+                f"exact_adi_every needs exact ADI, which expands this game to "
+                f"{view.desk.dense_entry_count} entries, over DESK_SCALE_ENTRIES"
+            )
+        return int(every)
 
 
 class SymmetricAdidasSolver(AdidasSolver):
@@ -286,9 +288,8 @@ class _GeneralView:
     """A general game or oracle as the descent loop, the warm-up, the bias
     table and the baselines see it: one strategy per player and every ordered
     pair's block. It is the one place that turns a game or oracle into what a
-    solver evaluates: sampled blocks from the oracle, and exact blocks and
-    exact ADI from one source, `exact`. It also sets a solver's fitted
-    profiles."""
+    solver evaluates: sampled blocks from the oracle, exact blocks and exact
+    ADI from one source, `exact`, and the fitted attributes."""
 
     run_prefix = "adidas"
     games = (GameTensor, SymmetricGame)
@@ -473,7 +474,8 @@ def warmup_anneal_descend(
     size is learning_rate * min(1, temperature): the loss curvature grows as
     1/temperature, so a fixed step leaves the stability region as the path
     cools. Steps are Euclidean and tangent-projected. Desk-scale games only;
-    no Tsallis offset is applied.
+    no Tsallis offset is applied. A count that is not an integer >= 0, or a
+    rate that is not positive and finite, raises ValueError naming it.
 
     Steps through the general view, even for a SymmetricGame: the symmetric
     view's gradients differ in the last bits, and at large step sizes the
@@ -481,6 +483,9 @@ def warmup_anneal_descend(
     """
     rounds = validate_integer("anneal_rounds", anneal_rounds, 0)
     steps = validate_integer("descent_steps", descent_steps, 0)
+    for name, rate in (("anneal_increment", anneal_increment), ("learning_rate", learning_rate)):
+        if not (np.isfinite(rate) and rate > 0.0):
+            raise ValueError(f"{name} must be positive and finite, got {rate!r}")
     view = _GeneralView(game, Entropy.none())
     view.check_exact()
     lam = 0.0

@@ -125,12 +125,10 @@ class BaselineSolver(BaseSolver):
     the shared-strategy form of ftrl / rm / fp on a SymmetricGame, the mode
     used when a symmetric equilibrium is required.
 
-    The game reaches the steps through the ADIDAS solvers' view with no
-    entropy: the symmetric view's game when `symmetric` is set, else the
-    general view's `exact` (a SymmetricGame expanded once). The view gives
-    the action counts, the exact ADI, and the fitted attributes: `profile_`
-    and `last_profile_`, plus `strategy_` and `last_strategy_` when
-    `symmetric` is set.
+    The game comes through the ADIDAS solvers' views with no entropy: the
+    steps read the symmetric view's game, or the general view's `exact`, and
+    the view gives the counts, the exact ADI and the fitted attributes (with
+    `last_profile_`, and `strategy_` / `last_strategy_` when symmetric).
     """
 
     def __init__(
@@ -177,15 +175,10 @@ class BaselineSolver(BaseSolver):
         view = (_SymmetricView if self.symmetric else _GeneralView)(game, Entropy.none())
         source = view.desk if self.symmetric else view.exact
         report = self.report or ("average" if self.method in ("rm", "fp") else "last")
-        iterations = int(self.iterations)
-        cadence = (
-            int(self.exact_adi_every)
-            if self.exact_adi_every is not None
-            else max(1, iterations // 100)
-        )
+        iterations, every = int(self.iterations), self.exact_adi_every
+        cadence = max(1, iterations // 100) if every is None else int(every)
         log = IterateLog(self.run_id or f"{self.method}-{self.seed}", self.seed)
         started = time.perf_counter()
-
         state = BaselineState.initial(view.counts)
         state.inner_step = self.inner_step
         for t in range(1, iterations + 1):

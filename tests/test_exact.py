@@ -14,7 +14,12 @@ from adinash.exact import (
     payoff_gradient,
     payoff_gradients,
 )
-from adinash.generators import ElFarolSpec, make_covariant_random, make_el_farol
+from adinash.generators import (
+    ElFarolSpec,
+    make_covariant_random,
+    make_el_farol,
+    planted_winrates,
+)
 from adinash.normalform import GameTensor, StrategyProfile
 from adinash.oracles import SymmetricOracle, TensorOracle
 from adinash.sampling import estimate_pairwise_matrices
@@ -129,6 +134,20 @@ class TestPayoffGradient:
         x = random_profile(np.random.default_rng(10), game)
         for i, grad in enumerate(payoff_gradients(game, x)):
             assert np.array_equal(grad, payoff_gradient(game, x, i))
+
+    @pytest.mark.parametrize("shared", [True, False], ids=["shared", "per-player"])
+    def test_symmetric_game_matches_its_expansion(self, shared):
+        # a shared profile takes the deviation-payoff path, a mixed per-player
+        # profile the enumeration of opponent supports
+        game = planted_winrates(4, 3, seed=0)
+        rng = np.random.default_rng(12)
+        rows = [rng.dirichlet(np.ones(3)) for _ in range(1 if shared else 4)]
+        x = StrategyProfile(rows * 4 if shared else rows)
+        dense = game.expand_to_tensor()
+        want = payoff_gradients(dense, x)
+        assert np.abs(np.array(payoff_gradients(game, x)) - want).max() <= 1e-12
+        for i in range(game.players):
+            assert abs(expected_utility(game, x, i) - expected_utility(dense, x, i)) <= 1e-12
 
 
 class TestPairwiseJacobian:

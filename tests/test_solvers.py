@@ -544,14 +544,28 @@ class TestWarmup:
             warmup_anneal_descend(TensorOracle(matching_pennies), 1, 1, 1.0)
 
     @pytest.mark.parametrize(
-        "rounds,steps,name",
-        [(2.5, 3, "anneal_rounds"), (2, 3.7, "descent_steps"), (-1, 3, "anneal_rounds"),
-         (True, 3, "anneal_rounds"), (2, float("nan"), "descent_steps")],
+        "rounds,steps,name,rates",
+        [
+            pytest.param(*case, {}, id="-".join(map(str, case)))
+            for case in [
+                (2.5, 3, "anneal_rounds"), (2, 3.7, "descent_steps"), (-1, 3, "anneal_rounds"),
+                (True, 3, "anneal_rounds"), (2, float("nan"), "descent_steps"),
+            ]
+        ]
+        + [
+            pytest.param(2, 3, name, {name: value}, id=f"{name}={value}")
+            for name in ("anneal_increment", "learning_rate")
+            for value in (0.0, -1.0, float("nan"), float("inf"))
+        ],
     )
-    def test_rejects_non_integer_schedule_by_name(self, rounds, steps, name):
-        # (2.5, 3.7) used to run silently as (2, 3)
+    def test_rejects_non_integer_schedule_by_name(self, rounds, steps, name, rates):
+        # (2.5, 3.7) used to run silently as (2, 3); an increment of 0 raised
+        # ZeroDivisionError, of NaN or -1 an error about the Shannon
+        # temperature, a NaN rate FloatingPointError, and a rate of -1 ran
         with pytest.raises(ValueError, match=name):
-            warmup_anneal_descend(make_modified_shapley(), rounds, steps, 1.0)
+            warmup_anneal_descend(make_modified_shapley(), rounds, steps, **{
+                "anneal_increment": 1.0, **rates
+            })
 
     def test_zero_rounds_returns_uniform(self, matching_pennies):
         profile = warmup_anneal_descend(
