@@ -11,10 +11,13 @@ El Farol(10) and the planted 7x5 winrates;
 with ``normalform.PAIR_TABLE_ENTRIES`` at 0 so that no pair table is
 built and every block read takes the uncached branch, sampled symmetric
 solves and the stacked fill; and a sampled symmetric solve of El Farol(70),
-past the 66 players where a two-action rank table once overflowed int64).
+past the 66 players where a two-action rank table once overflowed int64;
+the Gambit ``.nfg`` text written for four games, one hand-written
+three-player file read back and two malformed files.
 A run's digest is the sha256
 of its metric-CSV bytes, final strategies and query count (the table's
-bytes, for the table), or of the error it raised. Output is one
+bytes, for the table; the text, or the payoffs, title and names, for
+``.nfg``), or of the error it raised. Output is one
 ``<sha256>  <run>`` line per run and then ``<sha256>  total`` over those
 lines, so two trees agree exactly when their outputs are equal:
 
@@ -42,6 +45,14 @@ import sys
 import numpy as np
 
 REPO_SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
+
+# three players with (2, 3, 2) actions: 36 payoffs in mixed notation,
+# separated by spaces, tabs and line ends
+RAGGED_NFG = (
+    'NFG 1 R "three players, (2, 3, 2)"\n{ "Ann" "Bo b" "Cy" }\t{ 2 3 2 }\n\n'
+    "1 -2 3.5\t4 5e-1 -6\n7 8 9.25 10 -11 12\r\n13 14 15 -1.5e2 17 18\n"
+    "19 20 21 22 23 0.125 25 26 27 28 -29 30\n31 32 33 +34 35 36\n"
+)
 
 
 def _games(gen, GameTensor, new_rng):
@@ -88,6 +99,7 @@ def runs(fitted_bytes=_fitted_bytes, strategy_bytes=_strategy_bytes):
     is encoded by `fitted_bytes(solver)`, strategies and blocks by
     `strategy_bytes(arrays)`; ``perf/moved.py`` passes its own encoders."""
     from adinash import generators as gen
+    from adinash import nfg
     from adinash.entropy import Entropy
     from adinash.normalform import GameTensor
     from adinash.oracles import BernoulliOracle
@@ -273,6 +285,22 @@ def runs(fitted_bytes=_fitted_bytes, strategy_bytes=_strategy_bytes):
         SymmetricAdidasSolver, "elfarol70", entropy="shannon", iterations=40, samples=5,
         learning_rate=0.05, adi_threshold=0.05, exact_adi_every=10, seed=7,
     )))
+
+    for game in ("shapley", "covariant3x3", "ragged234", "elfarol4_dense"):
+        out.append((f"nfg/dumps/{game}", lambda game=game: nfg.dumps(games[game]()).encode()))
+
+    def nfg_loads(text):
+        def run():
+            game, title, names = nfg.loads(text)
+            return strategy_bytes([game.payoffs]) + repr((title, names)).encode()
+
+        return run
+
+    out.append(("nfg/loads/ragged", nfg_loads(RAGGED_NFG)))
+    out.append(("nfg/loads/bad-payoff", nfg_loads(
+        'NFG 1 R "bad" { "a" "b" } { 2 2 }\n\n1 -1 -1 1 x1 1 1 -1\n'
+    )))
+    out.append(("nfg/loads/unterminated-title", nfg_loads('NFG 1 R "open title { 2 2 }\n')))
     return out
 
 
