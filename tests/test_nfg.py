@@ -90,6 +90,22 @@ class TestParsing:
             loads('NFG 1 R "x" { "a" "b" } { 2 } 1 1')
 
 
+class TestWriting:
+    def test_golden_text_of_a_three_player_game(self):
+        # payoffs[i, a, b, c] = 1 + 12 i + 6 a + 2 b + c: every payoff distinct,
+        # listed with the first player's action fastest and the players innermost
+        game = GameTensor(np.arange(1.0, 37.0).reshape(3, 2, 3, 2))
+        golden = (
+            'NFG 1 R "golden" { "a" "b" "c" } { 2 3 2 }\n\n'
+            "1 13 25 7 19 31 3 15 27 9 21 33 5 17 29 11 23 35 "
+            "2 14 26 8 20 32 4 16 28 10 22 34 6 18 30 12 24 36\n"
+        )
+        assert dumps(game, "golden", ["a", "b", "c"]) == golden
+        back, title, names = loads(golden)
+        assert np.array_equal(back.payoffs, game.payoffs)
+        assert (title, names) == ("golden", ["a", "b", "c"])
+
+
 @st.composite
 def small_tensors(draw):
     """2-3 players, 1-3 actions each, any finite payoffs."""
