@@ -1,13 +1,22 @@
 """Gambit .nfg interchange (payoff version, header "NFG 1 R").
 
-Payoffs are listed with the first player's action varying fastest; each
-outcome contributes one payoff per player in player order. Writing uses
-shortest round-trip decimal reprs, so tensor -> file -> tensor is exact.
+The payoff list is the (players, *action counts) payoff tensor in Fortran
+order: the player index varies fastest, then the first player's action, then
+the second's, so outcomes run first-action-fastest with one payoff per player,
+in player order, inside each. Reading and writing are each one reshape in
+that order. Writing uses shortest round-trip decimal reprs, so tensor ->
+file -> tensor is exact.
 """
+
+import re
 
 import numpy as np
 
 from .normalform import GameTensor
+
+# a token: a quoted string (group 1 is empty when the closing quote is
+# missing) or a run of non-space characters that does not start with a quote
+_TOKEN = re.compile(r'"[^"]*("?)|[^\s"]\S*')
 
 
 class NfgParseError(ValueError):
@@ -18,121 +27,83 @@ class NfgParseError(ValueError):
         self.offset = offset
 
 
-class _Tokenizer:
-    """Whitespace tokenizer that remembers where each token started."""
+def _text(token):
+    """A token's text and offset; a quote left open is an error."""
+    if token[1] == "":
+        raise NfgParseError("unterminated string", token.start())
+    return token[0], token.start()
 
-    def __init__(self, text):
-        self.text = text
-        self.pos = 0
 
-    def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
+def _parsed(parse, what, text, offset):
+    """`parse(text)`, or an error at `offset` naming `what`."""
+    try:
+        return parse(text)
+    except ValueError:
+        raise NfgParseError(f"expected {what}, found {text!r}", offset) from None
 
-    def next(self, what="token"):
-        """The next token and the byte offset where it starts."""
-        self.skip_ws()
-        if self.pos >= len(self.text):
-            raise NfgParseError(f"unexpected end of input, wanted {what}", self.pos)
-        start = self.pos
-        if self.text[self.pos] == '"':
-            self.pos += 1
-            while self.pos < len(self.text) and self.text[self.pos] != '"':
-                self.pos += 1
-            if self.pos >= len(self.text):
-                raise NfgParseError("unterminated string", start)
-            self.pos += 1
-            return self.text[start:self.pos], start
-        while self.pos < len(self.text) and not self.text[self.pos].isspace():
-            self.pos += 1
-        return self.text[start:self.pos], start
 
-    def expect(self, literal):
-        tok, offset = self.next(repr(literal))
-        if tok != literal:
-            raise NfgParseError(f"expected {literal!r}, found {tok!r}", offset)
+def _unquoted(text):
+    if not text.startswith('"'):
+        raise ValueError(text)
+    return text[1:-1]
 
-    def string(self):
-        tok, offset = self.next("quoted string")
-        if not (tok.startswith('"') and tok.endswith('"')):
-            raise NfgParseError(f"expected quoted string, found {tok!r}", offset)
-        return tok[1:-1]
 
-    def number(self):
-        tok, offset = self.next("number")
-        try:
-            return float(tok)
-        except ValueError:
-            raise NfgParseError(f"expected payoff number, found {tok!r}", offset) from None
-
-    def at_end(self):
-        self.skip_ws()
-        return self.pos >= len(self.text)
+def _count(text):
+    if int(text) < 0:
+        raise ValueError(text)
+    return int(text)
 
 
 def loads(text):
     """Parse .nfg text into (GameTensor, title, player names)."""
-    tok = _Tokenizer(text)
-    tok.expect("NFG")
-    version, offset = tok.next("version")
-    if version != "1":
-        raise NfgParseError("only NFG version 1 is supported", offset)
-    precision, offset = tok.next("precision")
-    if precision != "R":
-        raise NfgParseError("only the rational/real payoff format 'R' is supported", offset)
-    title = tok.string()
-    tok.expect("{")
-    names = []
-    while True:
-        t, offset = tok.next("player name or }")
-        if t == "}":
-            break
-        if not (t.startswith('"') and t.endswith('"')):
-            raise NfgParseError(f"expected quoted player name, found {t!r}", offset)
-        names.append(t[1:-1])
-    tok.expect("{")
-    counts = []
-    while True:
-        t, offset = tok.next("action count or }")
-        if t == "}":
-            break
-        try:
-            counts.append(int(t))
-        except ValueError:
-            raise NfgParseError(f"expected action count, found {t!r}", offset) from None
+    tokens = list(_TOKEN.finditer(text))
+    at = 0
+
+    def take(what):
+        nonlocal at
+        if at == len(tokens):
+            raise NfgParseError(f"unexpected end of input, wanted {what}", len(text))
+        at += 1
+        return _text(tokens[at - 1])
+
+    def expect(literal, what=None, message=None):
+        found, offset = take(what or repr(literal))
+        if found != literal:
+            raise NfgParseError(message or f"expected {literal!r}, found {found!r}", offset)
+
+    def listed(what, parse, found):
+        expect("{")
+        items = []
+        while (item := take(f"{what} or }}"))[0] != "}":
+            items.append(_parsed(parse, found, *item))
+        return items
+
+    expect("NFG")
+    expect("1", "version", "only NFG version 1 is supported")
+    expect("R", "precision", "only the rational/real payoff format 'R' is supported")
+    title = _parsed(_unquoted, "quoted string", *take("quoted string"))
+    names = listed("player name", _unquoted, "quoted player name")
+    counts = listed("action count", _count, "action count")
+    end = tokens[at - 1].end()
     if len(counts) != len(names):
-        raise NfgParseError(
-            f"{len(names)} players but {len(counts)} action counts", tok.pos
-        )
+        raise NfgParseError(f"{len(names)} players but {len(counts)} action counts", end)
     if not names:
-        raise NfgParseError("no players declared", tok.pos)
+        raise NfgParseError("no players declared", end)
 
-    n = len(names)
-    outcomes = int(np.prod(counts))
+    n, outcomes = len(names), int(np.prod(counts))
     expected = n * outcomes
-    values = np.zeros(expected)
-    for k in range(expected):
-        if tok.at_end():
-            raise NfgParseError(
-                f"payoff list ended early: expected {expected} values "
-                f"(players x outcomes = {n} x {outcomes}), found {k}",
-                tok.pos,
-            )
-        values[k] = tok.number()
-    if not tok.at_end():
+    shape = f"(players x outcomes = {n} x {outcomes})"
+    payload = tokens[at:at + expected]
+    values = np.array([_parsed(float, "payoff number", *_text(t)) for t in payload], dtype=float)
+    if len(values) < expected:
         raise NfgParseError(
-            f"trailing data after {expected} payoffs "
-            f"(players x outcomes = {n} x {outcomes})",
-            tok.pos,
+            f"payoff list ended early: expected {expected} values {shape}, found {len(values)}",
+            len(text),
         )
-
-    # value layout: outcomes in first-action-fastest order, players innermost
-    per_outcome = values.reshape(outcomes, n)
-    payoffs = np.zeros((n, *counts))
-    shape_fortran = tuple(counts)
-    for i in range(n):
-        payoffs[i] = per_outcome[:, i].reshape(shape_fortran, order="F")
-    return GameTensor(payoffs), title, names
+    if at + expected < len(tokens):
+        offset = tokens[at + expected].start()
+        raise NfgParseError(f"trailing data after {expected} payoffs {shape}", offset)
+    return GameTensor(values.reshape((n, *counts), order="F")), title, names
 
 
 def dumps(game, title="game", player_names=None):
@@ -143,17 +114,8 @@ def dumps(game, title="game", player_names=None):
         raise ValueError(f"need {n} player names, got {len(names)}")
     head_names = " ".join(f'"{name}"' for name in names)
     head_counts = " ".join(str(m) for m in game.action_counts)
-    lines = [f'NFG 1 R "{title}" {{ {head_names} }} {{ {head_counts} }}', ""]
-    flat = [
-        game.payoffs[i].reshape(-1, order="F")
-        for i in range(n)
-    ]
-    chunks = []
-    for k in range(int(np.prod(game.action_counts))):
-        for i in range(n):
-            chunks.append(_format_payoff(flat[i][k]))
-    lines.append(" ".join(chunks))
-    return "\n".join(lines) + "\n"
+    payoffs = " ".join(map(_format_payoff, game.payoffs.reshape(-1, order="F")))
+    return f'NFG 1 R "{title}" {{ {head_names} }} {{ {head_counts} }}\n\n{payoffs}\n'
 
 
 def _format_payoff(v):
