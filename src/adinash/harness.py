@@ -252,6 +252,7 @@ def measure_gradient_bias(game, x, kinds, sample_counts, trials, seed=0):
     views, rows = {}, []  # one view per distinct offset
     for kind in kinds:
         view = _GeneralView(game, kind)
+        view.check_exact("measure_gradient_bias")
         view = views.setdefault(view.offset, view)
         profile = as_profile(x, view.counts)
         exact_blocks = view.exact_blocks(profile)

@@ -505,7 +505,10 @@ class SymmetricGame:
     def expand_to_tensor(self):
         """Dense GameTensor; desk-scale games only."""
         if not self.is_desk_scale():
-            raise ValueError("game too large to expand densely")
+            raise ValueError(
+                f"game too large to expand densely: {self.dense_entry_count} entries, "
+                f"over DESK_SCALE_ENTRIES = {DESK_SCALE_ENTRIES}"
+            )
         m, n = self.actions, self.players
         joints = np.indices((m,) * n).reshape(n, -1).T
         first = self.lookup(joints[:, 0], joints[:, 1:]).reshape((m,) * n)

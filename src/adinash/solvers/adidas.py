@@ -190,7 +190,7 @@ class AdidasSolver(BaseSolver):
         view = view_type(game_or_oracle, kind)
         oracle = view.oracle
         if self.exact_gradients:
-            view.check_exact()
+            view.check_exact("exact_gradients")
         iterations, samples = int(self.iterations), int(self.samples)
         average = self.average_iterates
         rng = new_rng(self.seed)
@@ -255,11 +255,8 @@ class AdidasSolver(BaseSolver):
             return 0
         if every is None:
             return max(1, int(self.iterations) // 100) if view.exact_is_cheap() else 0
-        if every and not view.exact_fits():
-            raise ValueError(
-                f"exact_adi_every needs exact ADI, which expands this game to "
-                f"{view.desk.dense_entry_count} entries, over DESK_SCALE_ENTRIES"
-            )
+        if every:
+            view.check_fits("exact_adi_every needs exact ADI")
         return int(every)
 
 
@@ -331,14 +328,20 @@ class _GeneralView:
     def exact_is_cheap(self):
         return self.desk.is_desk_scale()
 
-    def check_exact(self):
-        """Raise unless exact blocks can be built."""
+    def check_exact(self, who):
+        """Raise, naming `who`, unless exact blocks can be built."""
         if self.desk is None:
             raise ValueError(self.needs_desk)
+        self.check_fits(f"{who} needs exact blocks")
 
-    def exact_fits(self):
-        """Whether `exact` can be built: a SymmetricGame must expand densely."""
-        return not isinstance(self.desk, SymmetricGame) or self.desk.is_desk_scale()
+    def check_fits(self, need):
+        """Raise, starting with `need`, unless `exact` can be built: a
+        SymmetricGame must expand densely."""
+        if isinstance(self.desk, SymmetricGame) and not self.desk.is_desk_scale():
+            raise ValueError(
+                f"{need}, which expands this game to {self.desk.dense_entry_count} "
+                f"entries, over DESK_SCALE_ENTRIES = {DESK_SCALE_ENTRIES}"
+            )
 
     @functools.cached_property
     def exact(self):
@@ -396,14 +399,14 @@ class _SymmetricView(_GeneralView):
     def exact_is_cheap(self):
         return self.desk.entry_count <= DESK_SCALE_ENTRIES
 
-    def exact_fits(self):
-        return True
+    def check_fits(self, need):
+        """Exact blocks and exact ADI read the symmetric game itself."""
 
-    def check_exact(self):
-        super().check_exact()
+    def check_exact(self, who):
+        super().check_exact(who)
         if not self.desk.pair_table_fits():
             raise ValueError(
-                f"exact_gradients reads the pair table, {self.desk.pair_table_entries} entries "
+                f"{who} reads the pair table, {self.desk.pair_table_entries} entries "
                 f"here, over PAIR_TABLE_ENTRIES = {normalform.PAIR_TABLE_ENTRIES}"
             )
 
@@ -487,7 +490,7 @@ def warmup_anneal_descend(
         if not (np.isfinite(rate) and rate > 0.0):
             raise ValueError(f"{name} must be positive and finite, got {rate!r}")
     view = _GeneralView(game, Entropy.none())
-    view.check_exact()
+    view.check_exact("warmup_anneal_descend")
     lam = 0.0
     x = StrategyProfile._stepped(stack_rows([np.full(m, 1.0 / m) for m in view.counts]))
     for _ in range(rounds):

@@ -173,6 +173,7 @@ class BaselineSolver(BaseSolver):
         if not isinstance(game, (GameTensor, SymmetricGame)):
             raise TypeError("baselines run on desk-scale games")
         view = (_SymmetricView if self.symmetric else _GeneralView)(game, Entropy.none())
+        view.check_fits("BaselineSolver steps on the dense game")
         source = view.desk if self.symmetric else view.exact
         report = self.report or ("average" if self.method in ("rm", "fp") else "last")
         iterations, every = int(self.iterations), self.exact_adi_every

@@ -12,6 +12,7 @@ from adinash.generators import (
     make_modified_shapley,
     planted_winrates,
 )
+from adinash.harness import measure_gradient_bias
 from adinash.normalform import GameTensor, StrategyProfile, SymmetricGame
 from adinash.oracles import SymmetricOracle, TensorOracle
 from adinash.simplex import is_distribution
@@ -215,6 +216,34 @@ class TestAdidasSolver:
         for every in (None, 0):
             fitted = AdidasSolver(iterations=2, exact_adi_every=every).fit(game)
             assert np.isnan(fitted.log_.final_exact_adi())
+
+    @pytest.mark.parametrize(
+        "who, run",
+        [
+            ("exact_gradients", lambda game: AdidasSolver(
+                iterations=2, exact_gradients=True, exact_adi_every=0
+            ).fit(game)),
+            ("BaselineSolver", lambda game: BaselineSolver(method="rm", iterations=2).fit(game)),
+            ("warmup_anneal_descend", lambda game: warmup_anneal_descend(game, 1, 1, 1.0)),
+            ("measure_gradient_bias", lambda game: measure_gradient_bias(
+                game, [np.full(2, 0.5)] * 30, [Entropy.none()], [0], trials=1
+            )),
+        ],
+        ids=["exact-gradients", "baseline", "warmup", "bias"],
+    )
+    def test_dense_expansion_past_desk_scale_is_named_before_a_step(self, monkeypatch, who, run):
+        from adinash.solvers import adidas, baselines
+
+        def no_step(*args):
+            raise AssertionError("a step or an expansion was attempted")
+
+        monkeypatch.setattr(adidas, "descent_step", no_step)
+        monkeypatch.setattr(baselines, "baseline_step", no_step)
+        monkeypatch.setattr(SymmetricGame, "expand_to_tensor", no_step)
+        # El Farol(30) expands to 30 * 2**30 entries
+        expands = "which expands this game to 32212254720 entries, over DESK_SCALE_ENTRIES"
+        with pytest.raises(ValueError, match=rf"^{who} .*, {expands}"):
+            run(make_el_farol(ElFarolSpec(players=30)))
 
     @pytest.mark.parametrize(
         "source",
