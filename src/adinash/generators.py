@@ -1,6 +1,7 @@
 """Benchmark game generators: Colonel Blotto, the El Farol bar stage game, a
 modified Shapley's bimatrix, covariant random games, and Bernoulli meta-games."""
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -27,18 +28,12 @@ class BlottoSpec:
 
 
 def blotto_allocations(coins, fields):
-    """All ways to split `coins` over `fields`, lexicographic, as an array."""
-    allocations = []
-
-    def rec(prefix, remaining, slots):
-        if slots == 1:
-            allocations.append(prefix + [remaining])
-            return
-        for v in range(remaining + 1):
-            rec(prefix + [v], remaining - v, slots - 1)
-
-    rec([], coins, fields)
-    return np.array(allocations, dtype=np.int64)
+    """All ways to split `coins` over `fields`, lexicographic, as an array:
+    the gaps between sorted cut points in [0, coins], taken in lexicographic
+    order."""
+    cuts = itertools.combinations_with_replacement(range(coins + 1), fields - 1)
+    cuts = np.array(list(cuts), dtype=np.int64)
+    return np.diff(cuts, prepend=0, append=coins, axis=1)
 
 
 def make_blotto(spec=BlottoSpec()):
