@@ -1,3 +1,4 @@
+import itertools
 from unittest import mock
 
 import numpy as np
@@ -57,6 +58,14 @@ class TestBlotto:
         alloc = blotto_allocations(7, 3)
         assert np.all(alloc.sum(axis=1) == 7)
         assert np.all(alloc >= 0)
+
+    @pytest.mark.parametrize("coins,fields", [(7, 3), (4, 2), (3, 4), (2, 1)])
+    def test_allocations_are_every_split_in_lexicographic_order(self, coins, fields):
+        # itertools.product enumerates in lexicographic order
+        splits = [a for a in itertools.product(range(coins + 1), repeat=fields) if sum(a) == coins]
+        alloc = blotto_allocations(coins, fields)
+        assert alloc.dtype == np.int64
+        assert np.array_equal(alloc, np.array(splits))
 
     def test_two_player_zero_sum(self):
         game = make_blotto(BlottoSpec(4, 2, 2)).expand_to_tensor()
