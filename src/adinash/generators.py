@@ -29,8 +29,8 @@ class BlottoSpec:
 
 def blotto_allocations(coins, fields):
     """All ways to split `coins` over `fields`, lexicographic, as an array:
-    the gaps between sorted cut points in [0, coins], taken in lexicographic
-    order."""
+    the gaps between sorted cut points in [0, coins], whose lexicographic
+    order is the allocations' own."""
     cuts = itertools.combinations_with_replacement(range(coins + 1), fields - 1)
     cuts = np.array(list(cuts), dtype=np.int64)
     return np.diff(cuts, prepend=0, append=coins, axis=1)
