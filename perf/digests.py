@@ -6,7 +6,8 @@ also on a game with unequal action counts, on the benchmark's covariant
 4x6 game and on a Bernoulli oracle that overrides ``pair_payoffs``, whose
 blocks are read pair by pair in query order; the six baselines on six games, ``ped`` on five players, and the
 shared-strategy form; the exact warm-up; the gradient-bias table, Tsallis rows included; block
-fills of a Bernoulli oracle, single and stacked; the tables of Blotto(10,3,4),
+fills of a Bernoulli oracle, single and stacked, at the benchmark's planted 7x5
+shape and on planted 4x21; the tables of Blotto(10,3,4),
 El Farol(10) and the planted 7x5 winrates;
 with ``normalform.PAIR_TABLE_ENTRIES`` at 0 so that no pair table is
 built and every block read takes the uncached branch, sampled symmetric
@@ -271,6 +272,28 @@ def runs(fitted_bytes=_fitted_bytes, strategy_bytes=_strategy_bytes):
         return strategy_bytes(parts) + repr(oracle.queries).encode()
 
     out.append(("fill/bernoulli-stacked", stacked_fills))
+
+    def bench_fills():
+        # the benchmark's read: 50 rests of planted 7x5, three times
+        oracle = gen.make_bernoulli_metagame(gen.planted_winrates(7, 5, seed=0), seed=3)
+        rng = new_rng(11)
+        parts = [oracle.symmetric_pair_payoffs(rng.integers(0, 5, size=(50, 5))) for _ in range(3)]
+        return strategy_bytes(parts) + repr(oracle.queries).encode()
+
+    out.append(("fill/bernoulli-bench", bench_fills))
+
+    def wide_fills():
+        # 441-entry blocks in stacks of 1-4, each stack followed by a single query
+        oracle = gen.make_bernoulli_metagame(gen.planted_winrates(4, 21, seed=2), seed=5)
+        rng = new_rng(12)
+        parts = []
+        for stack in range(8):
+            parts.append(oracle.symmetric_pair_payoffs(rng.integers(0, 21, size=(1 + stack % 4, 2))))
+            joint = tuple(int(a) for a in rng.integers(0, 21, size=4))
+            parts.append(np.array([oracle.query(stack % 4, joint)]))
+        return strategy_bytes(parts) + repr(oracle.queries).encode()
+
+    out.append(("fill/bernoulli-wide", wide_fills))
     for game in ("blotto", "bernoulli"):
         out.append((f"uncached/symmetric/{game}/shannon/sampled/euclidean", uncached(solve(
             SymmetricAdidasSolver, game, entropy="shannon", iterations=40, samples=5,
