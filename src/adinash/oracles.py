@@ -8,7 +8,7 @@ stream, so a run's draws depend only on the order of its queries.
 
 import numpy as np
 
-from .normalform import GameTensor, SymmetricGame, validate_joint_action
+from .normalform import GameTensor, SymmetricGame, validate_integer, validate_joint_action
 
 
 class PayoffOracle:
@@ -172,34 +172,34 @@ class BernoulliOracle(SymmetricOracle):
             raise ValueError("winrates must lie in [0, 1]")
         super().__init__(winrates)
         self.seed = int(seed)
-        self._generator = None
+        self._stream = None
 
     def mean_game(self):
         """The expected-payoff game; exact ADI against it scores the true winrates."""
         return self.game
 
     def _read(self, probs):
-        """One Bernoulli(p) draw per winrate. Each (m, m) block draws from its
-        own Philox stream at the query count where the block starts, so a
-        stack of blocks draws what the same blocks read one by one would.
+        """One Bernoulli(p) draw per winrate. Each (m, m) block draws the
+        uniforms ``Generator(Philox(key=seed, counter=start)).random`` gives,
+        with `start` the query count where the block starts, so a stack of
+        blocks draws what the same blocks read one by one would.
 
-        One Philox is kept and moved to each block's start: its state is what
-        ``Philox(key=seed, counter=start)`` holds when built, an empty buffer
-        at that counter."""
+        Philox steps its counter before each group of 4 outputs, so one stream
+        set to the read's first counter holds block b's outputs at positions
+        [4 b size, 4 b size + size): the read takes 4 raw outputs per winrate
+        and keeps the first `size` of each block's 4 size. A uniform is the top
+        53 bits of an output times 2**-53, as ``Generator.random`` makes it."""
         start = self._count(probs.size)
-        blocks = probs.reshape(-1, *probs.shape[-2:])
-        size = blocks[0].size
-        draws = np.empty(blocks.shape)
-        if self._generator is None:
-            self._generator = np.random.Generator(np.random.Philox(key=self.seed))
-        stream = self._generator.bit_generator
-        state = stream.state
-        state.update(buffer_pos=4, has_uint32=0, uinteger=0)
-        for b, block in enumerate(blocks):
-            state["state"]["counter"] = np.array([start + b * size, 0, 0, 0], dtype=np.uint64)
-            stream.state = state
-            self._generator.random(block.shape, out=draws[b])
-        return (draws < blocks).astype(float).reshape(probs.shape)
+        size = int(np.prod(probs.shape[-2:]))
+        if self._stream is None:
+            self._stream = np.random.Philox(key=self.seed)
+        state = self._stream.state
+        state["state"]["counter"] = np.array([start, 0, 0, 0], dtype=np.uint64)
+        # every read takes whole groups of 4, so the output buffer is empty here
+        self._stream.state = state
+        raw = self._stream.random_raw(4 * probs.size).reshape(-1, 4 * size)[:, :size]
+        draws = (raw >> 11) * 2.0**-53
+        return (draws.reshape(probs.shape) < probs).astype(float)
 
     # its own entry, not the base's: bench/tracer.py patches each class's
     # method, and delegating would count every block twice

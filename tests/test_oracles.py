@@ -129,10 +129,7 @@ class TestBernoulliOracle:
         table = planted_winrates(4, 3, seed=5)
         oracles = {9: BernoulliOracle(table, seed=9), 21: BernoulliOracle(table, seed=21)}
         rng = np.random.default_rng(2)
-
-        def fresh(seed, start, probs):
-            stream = np.random.Philox(key=seed, counter=start)
-            return (np.random.Generator(stream).random(probs.shape) < probs).astype(float)
+        fresh = _fresh_draws
 
         for step in range(30):
             seed = (9, 21)[step % 2]
@@ -152,6 +149,80 @@ class TestBernoulliOracle:
                     expected = fresh(seed, start + 9 * b, probs[b])
                     assert blocks[b].tobytes() == expected.tobytes()
                 assert oracle.queries == start + 9 * rests.shape[0]
+
+    @pytest.mark.parametrize("m", [2, 5, 21])
+    def test_one_stream_read_matches_fresh_philox_per_block(self, m):
+        # m^2 = 4, 25 and 441: a whole number of Philox groups once, and
+        # twice a block that ends inside a group; a query first moves the
+        # read's start off a multiple of 4
+        table = planted_winrates(3, m, seed=6)
+        oracle = BernoulliOracle(table, seed=13)
+        oracle.query(0, (0, 0, 0))
+        rests = np.random.default_rng(3).integers(0, m, size=(12, 1))
+        _assert_fresh_blocks(oracle, table, rests)
+
+    def test_one_stream_read_at_the_benchmark_shape(self):
+        # 50 rests of planted 7x5 per read, as the benchmark's sampled step
+        # reads them, over three reads
+        table = planted_winrates(7, 5, seed=0)
+        oracle = BernoulliOracle(table, seed=3)
+        rng = np.random.default_rng(4)
+        for _ in range(3):
+            _assert_fresh_blocks(oracle, table, rng.integers(0, 5, size=(50, 5)))
+        assert oracle.queries == 3 * 50 * 25
+
+    def test_consecutive_reads_from_starts_off_a_multiple_of_four(self):
+        # 9-entry blocks in stacks of 1-5: the starts run 0, 9, 27, 54, ...
+        table = planted_winrates(4, 3, seed=7)
+        oracle = BernoulliOracle(table, seed=17)
+        rng = np.random.default_rng(5)
+        starts = []
+        for stack in range(10):
+            starts.append(oracle.queries)
+            _assert_fresh_blocks(oracle, table, rng.integers(0, 3, size=(1 + stack % 5, 2)))
+        assert any(start % 4 for start in starts)
+
+    def test_uniforms_are_generator_random_bit_for_bit(self):
+        # two players: the block is the winrate table itself, so a table set
+        # to the expected uniforms never wins and one a bit above always does
+        u = _fresh_uniforms(23, 1, (5, 5))
+        for winrates, won in ((u, 0.0), (np.nextafter(u, 1.0), 1.0)):
+            oracle = BernoulliOracle(SymmetricGame(2, 5, winrates), seed=23)
+            oracle.query(0, (0, 0))
+            assert np.all(oracle.symmetric_pair_payoffs([]) == won)
+
+    def test_scalar_query_is_the_first_draw_of_a_fresh_philox(self):
+        table = planted_winrates(4, 3, seed=8)
+        oracle = BernoulliOracle(table, seed=19)
+        rng = np.random.default_rng(6)
+        for step in range(40):
+            if step % 4 == 3:
+                oracle.symmetric_pair_payoffs(rng.integers(0, 3, size=(1 + step % 3, 2)))
+            joint = tuple(int(a) for a in rng.integers(0, 3, size=4))
+            start = oracle.queries
+            p = table.payoff(joint[2], joint[:2] + joint[3:])
+            assert oracle.query(2, joint) == _fresh_draws(19, start, np.array([p]))[0]
+
+
+def _fresh_uniforms(seed, start, shape):
+    return np.random.Generator(np.random.Philox(key=seed, counter=start)).random(shape)
+
+
+def _fresh_draws(seed, start, probs):
+    """The Bernoulli draws of a Generator over ``Philox(key=seed, counter=start)``."""
+    return (_fresh_uniforms(seed, start, probs.shape) < probs).astype(float)
+
+
+def _assert_fresh_blocks(oracle, table, rests):
+    """Read the stack of `rests` and check each block against a fresh Philox
+    at the query count where the block starts."""
+    start = oracle.queries
+    blocks = oracle.symmetric_pair_payoffs(rests)
+    probs = table.pair_block_at(rests)
+    size = probs[0].size
+    for b in range(len(rests)):
+        assert blocks[b].tobytes() == _fresh_draws(oracle.seed, start + b * size, probs[b]).tobytes()
+    assert oracle.queries == start + size * len(rests)
 
 
 def test_as_oracle_dispatch(biased_game):
