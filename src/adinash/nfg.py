@@ -49,7 +49,7 @@ def _unquoted(text):
 
 
 def _count(text):
-    if int(text) < 0:
+    if int(text) < 1:
         raise ValueError(text)
     return int(text)
 

@@ -171,7 +171,7 @@ class BernoulliOracle(SymmetricOracle):
         if winrates.table.min() < 0.0 or winrates.table.max() > 1.0:
             raise ValueError("winrates must lie in [0, 1]")
         super().__init__(winrates)
-        self.seed = int(seed)
+        self.seed = validate_integer("seed", seed, 0, 2**128)
         self._stream = None
 
     def mean_game(self):

@@ -207,6 +207,14 @@ class TestNfg:
         code, _, stderr = run_cli(capsys, "nfg", "info", "--path", str(bad))
         assert code == 1
 
+    def test_solving_a_file_with_no_actions_is_config_error(self, capsys, tmp_path):
+        # a count of 0 once parsed and then failed as a float division by zero
+        bad = tmp_path / "empty.nfg"
+        bad.write_text('NFG 1 R "t" { "a" "b" } { 0 2 }\n')
+        code, _, stderr = run_cli(capsys, "solve", "--game", "nfg", "--path", str(bad))
+        assert code == 1
+        assert "configuration error" in stderr and "action count" in stderr
+
 
 class TestReportAndBias:
     def test_report_values(self, capsys):

@@ -63,6 +63,7 @@ class TestParsing:
             ('NFG 1 R "t" { "a" ^b }', "expected quoted player name"),
             ('NFG 1 R "t" { "a" "b" ^', "wanted player name or }"),
             ('NFG 1 R "t" { "a" "b" } { 2 ^x }', "expected action count"),
+            ('NFG 1 R "t" { "a" "b" } { ^0 2 }', "expected action count, found '0'"),
             ('NFG 1 R "t" { "a" "b" } { 1 1 ^', "wanted action count or }"),
             ('NFG 1 R "t" { "a" } { 2 2 }^ 1 1', "1 players but 2 action counts"),
             ('NFG 1 R "t" { } { }^', "no players declared"),

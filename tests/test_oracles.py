@@ -84,6 +84,27 @@ class TestBernoulliOracle:
         with pytest.raises(ValueError):
             BernoulliOracle(bad, seed=0)
 
+    @pytest.mark.parametrize(
+        "seed, message",
+        [
+            (1.5, "seed must be an integer, got 1.5"),
+            (True, "seed must be an integer, got True"),
+            ("3", "seed must be an integer, got '3'"),
+            (-1, r"seed must be in \[0, \d+\), got -1"),
+            (2**128, r"seed must be in \[0, \d+\), got \d+"),
+        ],
+        ids=["float", "bool", "str", "negative", "past-philox-key"],
+    )
+    def test_rejects_a_bad_seed_when_built(self, seed, message):
+        with pytest.raises(ValueError, match=message):
+            BernoulliOracle(planted_winrates(3, 2, seed=0), seed=seed)
+
+    def test_accepts_every_philox_key(self):
+        for seed in (0, np.int64(7), 2**128 - 1):
+            oracle = BernoulliOracle(planted_winrates(3, 2, seed=0), seed=seed)
+            oracle.symmetric_pair_payoffs([1])
+            assert oracle.seed == seed and type(oracle.seed) is int
+
     def test_not_deterministic_flag(self):
         oracle = BernoulliOracle(planted_winrates(3, 2, seed=0), seed=0)
         assert oracle.deterministic is False
