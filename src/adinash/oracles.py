@@ -6,6 +6,8 @@ oracles derive each draw from (seed, query index) on a counter-based Philox
 stream, so a run's draws depend only on the order of its queries.
 """
 
+import math
+
 import numpy as np
 
 from .normalform import GameTensor, SymmetricGame, validate_integer, validate_joint_action
@@ -190,7 +192,7 @@ class BernoulliOracle(SymmetricOracle):
         and keeps the first `size` of each block's 4 size. A uniform is the top
         53 bits of an output times 2**-53, as ``Generator.random`` makes it."""
         start = self._count(probs.size)
-        size = int(np.prod(probs.shape[-2:]))
+        size = math.prod(probs.shape[-2:])
         if self._stream is None:
             self._stream = np.random.Philox(key=self.seed)
         state = self._stream.state
