@@ -150,7 +150,6 @@ class TestBernoulliOracle:
         table = planted_winrates(4, 3, seed=5)
         oracles = {9: BernoulliOracle(table, seed=9), 21: BernoulliOracle(table, seed=21)}
         rng = np.random.default_rng(2)
-        fresh = _fresh_draws
 
         for step in range(30):
             seed = (9, 21)[step % 2]
@@ -160,14 +159,14 @@ class TestBernoulliOracle:
                 joint = tuple(int(a) for a in rng.integers(0, 3, size=4))
                 sample = oracle.query(1, joint)
                 p = table.payoff(joint[1], joint[:1] + joint[2:])
-                assert sample == fresh(seed, start, np.array([p]))[0]
+                assert sample == _fresh_draws(seed, start, np.array([p]))[0]
                 assert oracle.queries == start + 1
             else:
                 rests = rng.integers(0, 3, size=(int(rng.integers(1, 5)), 2))
                 blocks = oracle.symmetric_pair_payoffs(rests)
                 probs = table.pair_block_at(rests)
                 for b in range(rests.shape[0]):
-                    expected = fresh(seed, start + 9 * b, probs[b])
+                    expected = _fresh_draws(seed, start + 9 * b, probs[b])
                     assert blocks[b].tobytes() == expected.tobytes()
                 assert oracle.queries == start + 9 * rests.shape[0]
 
