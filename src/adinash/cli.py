@@ -36,7 +36,7 @@ def build_game(args):
         spec = BlottoSpec(args.coins, args.fields, args.players)
         return make_blotto(spec)
     if name == "el-farol":
-        return make_el_farol(ElFarolSpec(players=args.players or 10))
+        return make_el_farol(ElFarolSpec(players=args.players))
     if name == "shapley":
         return make_modified_shapley(args.beta, offset=args.offset)
     if name == "covariant":

@@ -4,12 +4,12 @@ pairwise bimatrix blocks shared by every solver. Desk-scale tensors only.
 On a GameTensor each of these is a chain: one player's payoff tensor
 contracted with the strategies of the players it marginalizes out, in player
 order (all but the kept players: two for a block, the player for a payoff
-gradient, none for a utility). `_contract_chains`, the one kernel, runs every
-chain of a call as one batched contraction per step, split by owner to stay
-within DESK_SCALE_ENTRIES entries, with the bytes of per-chain np.tensordot
-chains: the annealed warm-up amplifies last-bit differences into a different
-path. It returns one array per call, the (n(n-1), m, m) blocks or (n, m)
-gradients when every player has m actions; a list only when end shapes differ.
+gradient, none for a utility). `_contract_chains`, the one kernel, gives the
+bytes of per-chain np.tensordot chains: the annealed warm-up amplifies last-bit
+differences into a different path. With m actions per player it runs a call's
+chains as one batched contraction per level, each level one (rows, m, ..., m)
+array, split by owner within DESK_SCALE_ENTRIES entries, into one array: the
+(n(n-1), m, m) blocks or (n, m) gradients. A ragged game reads the tensordot list.
 """
 
 import collections
@@ -47,60 +47,47 @@ def _owner_chunks(counts, chains, budget):
 
 
 def _chunk_plan(counts, chains, lo, hi):
-    """Steps that contract the chains owned by players in [lo, hi).
+    """Steps that contract the chains owned by players in [lo, hi) of a game
+    whose players all have m actions.
 
     A state is an owner's tensor after its first t contractions; chains of
-    one owner that contract the same players first share it. Level t holds
-    its states in blocks, one (rows, *shape) array per remaining shape; level
-    0 is the owners' payoff tensors. Step t makes level t+1: states whose
-    parents sit in the same block and whose next axis has the same position
-    there form one group, contracted by one batched matmul into a row range
-    of an output block. The plan ends with each chain's (position, block, row).
+    one owner that contract the same players first share it. Level t is one
+    (rows, m, ..., m) array of states, level 0 the owners' payoff tensors.
+    Chains contract in ascending player order, so a state's next player p
+    sits at axis p - t. Step t makes level t+1: the states whose next axis
+    is the same form one group, contracted by one batched matmul into a row
+    range. The plan ends with each chain's position and its last-level row.
     """
-    mine = [(owner, order) for owner, order in chains if lo <= owner < hi]
-    where = {(owner, ()): (0, owner - lo) for owner, _ in mine}
-    shapes, steps = [tuple(counts)], []
-    for t in range(len(mine[0][1])):
-        groups = {}
-        for owner, order in mine:
-            done, who = order[:t], order[t]
-            block, row = where[(owner, done)]
-            remaining = [p for p in range(len(counts)) if p not in done]
-            members = groups.setdefault((block, remaining.index(who)), {})
-            members[(owner, order[: t + 1])] = (row, who)
-        out_shapes, fill, step, where = [], [], [], {}
-        for (block, pos), members in sorted(groups.items()):
-            shape = shapes[block][:pos] + shapes[block][pos + 1 :]
-            if shape not in out_shapes:
-                out_shapes.append(shape)
-                fill.append(0)
-            dst = out_shapes.index(shape)
-            start = fill[dst]
-            fill[dst] += len(members)
-            ordered = sorted(members.items(), key=lambda item: item[1])
-            rows = np.array([row for _, (row, _) in ordered])
-            axes = len(shapes[block])
-            perm = (0, *(1 + a for a in range(axes) if a != pos), 1 + pos)
-            players = np.array([p for _, (_, p) in ordered])
-            step.append((block, rows, perm, players, dst, start, start + len(members)))
-            for k, (state, _) in enumerate(ordered):
-                where[state] = (dst, start + k)
-        steps.append((tuple(zip(fill, out_shapes)), tuple(step)))
-        shapes = out_shapes
-    return lo, hi, steps, np.array([(k, *where[c]) for k, c in enumerate(chains) if c in where])
+    mine = [(k, owner, order) for k, (owner, order) in enumerate(chains) if lo <= owner < hi]
+    row = {(owner, ()): owner - lo for _, owner, _ in mine}
+    steps = []
+    for t in range(len(chains[0][1])):
+        groups = collections.defaultdict(dict)
+        for _, owner, order in mine:
+            groups[order[t] - t][(owner, order[: t + 1])] = (row[(owner, order[:t])], order[t])
+        step, row = [], {}
+        for axis, members in sorted(groups.items()):
+            states = sorted(members, key=members.get)
+            parents, players = zip(*map(members.get, states))
+            perm = (0, *(a for a in range(1, len(counts) - t + 1) if a != axis + 1), axis + 1)
+            stop = len(row) + len(states)
+            step.append((np.array(parents), perm, np.array(players), len(row), stop))
+            row.update(zip(states, range(len(row), stop)))
+        steps.append((len(row), tuple(step)))
+    ks, rows = zip(*((k, row[(owner, order)]) for k, owner, order in mine))
+    return lo, hi, tuple(steps), np.array(ks), np.array(rows)
 
 
 @functools.cache
 def _chain_plan(counts, chains, budget):
-    ends = {tuple(c for p, c in enumerate(counts) if p not in order) for _, order in chains}
-    plan = [_chunk_plan(counts, chains, lo, hi) for lo, hi in _owner_chunks(counts, chains, budget)]
-    return ends.pop() if len(ends) == 1 else None, plan
+    return [_chunk_plan(counts, chains, lo, hi) for lo, hi in _owner_chunks(counts, chains, budget)]
 
 
 def _contract_chains(game, profile, chains):
     """Every chain (owner, contracted players) of a GameTensor at once: the
     owner's payoff tensor contracted with x_p for each contracted p, other axes
-    in player order; one (len(chains), *shape) array, or a list when end shapes differ.
+    in player order. One (len(chains), m, ..., m) array when every player has
+    m actions; otherwise, or for no chains, the list of np.tensordot chains.
 
     Each contraction is the one np.tensordot makes on a single chain: the
     contracted axis moved last, the tensor reshaped C-ordered to (rows, m),
@@ -109,28 +96,30 @@ def _contract_chains(game, profile, chains):
     bit; chains that share their first contractions share those results.
     """
     counts = tuple(game.action_counts)
-    vectors = np.zeros((len(counts), max(counts)))
-    for p, strategy in enumerate(profile):
-        vectors[p, : len(strategy)] = strategy
-    end, plans = _chain_plan(counts, chains, DESK_SCALE_ENTRIES)
-    out = [None] * len(chains) if end is None else np.empty((len(chains), *end))
-    for lo, hi, steps, finals in plans:
-        blocks = [game.payoffs[lo:hi]]
-        for out_shapes, step in steps:
-            outs = [np.empty((rows, *shape)) for rows, shape in out_shapes]
-            for block, rows, perm, players, dst, start, stop in step:
-                stack = blocks[block][rows]
-                width = stack.shape[perm[-1]]
-                moved = stack.transpose(perm).reshape(stop - start, -1, width)
-                target = outs[dst][start:stop].reshape(stop - start, -1, 1)
-                np.matmul(moved, vectors[players, :width, None], out=target)
-            blocks = outs
-        if end is None:
-            for k, block, row in finals:
-                out[k] = blocks[block][row]
-        else:
-            out[finals[:, 0]] = blocks[0][finals[:, 2]]
+    if not chains or len(set(counts)) > 1:
+        return [_tensordot_chain(game.payoffs[owner], profile, order) for owner, order in chains]
+    m = counts[0]
+    columns = stack_rows(profile)[:, :, None]
+    out = np.empty((len(chains), *(m,) * (len(counts) - len(chains[0][1]))))
+    for lo, hi, steps, ks, rows in _chain_plan(counts, chains, DESK_SCALE_ENTRIES):
+        state = game.payoffs[lo:hi]
+        for size, step in steps:
+            level = np.empty((size, *state.shape[2:]))
+            for parents, perm, players, start, stop in step:
+                moved = state[parents].transpose(perm).reshape(stop - start, -1, m)
+                target = level[start:stop].reshape(stop - start, -1, 1)
+                np.matmul(moved, columns[players], out=target)
+            state = level
+        out[ks] = state[rows]
     return out
+
+
+def _tensordot_chain(tensor, profile, order):
+    """`tensor` contracted with profile[p] for each p of `order`, ascending,
+    one np.tensordot each."""
+    for removed, p in enumerate(order):
+        tensor = np.tensordot(tensor, profile[p], axes=([p - removed], [0]))
+    return tensor
 
 
 def expected_utility(game, x, player):

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .normalform import GameTensor, SymmetricGame, multiset_count
+from .normalform import GameTensor, SymmetricGame, multiset_count, validate_integer
 from .oracles import BernoulliOracle
 from .sampling import new_rng
 
@@ -96,6 +96,7 @@ class ElFarolSpec:
     bad_night: float = 0.0
 
     def __post_init__(self):
+        validate_integer("players", self.players, 2)
         if not self.bad_night < self.stay_payoff < self.good_night:
             raise ValueError("need bad < stay < good payoffs")
 

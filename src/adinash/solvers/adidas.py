@@ -91,7 +91,8 @@ def tsallis_offset(game):
 
 def descent_step(strategies, gradients, learning_rate, projection="euclidean", tangent=True):
     """One descent step per strategy, as the caller's next iterate: one
-    (n, m) array when the strategies have one length, else a list.
+    (n, m) array when the strategies have one length, else a list. Any
+    `projection` but "mirror" steps Euclidean; `AdidasSolver` checks its own.
 
     The gradient is tangent-projected (which can overflow on huge finite
     entries), checked finite, then stepped; a non-finite gradient or
@@ -107,14 +108,12 @@ def descent_step(strategies, gradients, learning_rate, projection="euclidean", t
         g = map_rows(tangent_project, g)
     if not _finite(g):
         raise FloatingPointError("non-finite gradient")
-    if projection == "euclidean":
-        stepped = map_rows(lambda s, d: s - learning_rate * d, x, g)
-        if not _finite(stepped):
-            raise FloatingPointError(f"step at learning rate {learning_rate!r} overflowed")
-        return map_rows(simplex_project_euclidean, stepped)
     if projection == "mirror":
         return map_rows(lambda s, d: mirror_step_entropic(s, d, learning_rate), x, g)
-    raise ValueError(f"unknown projection {projection!r}")
+    stepped = map_rows(lambda s, d: s - learning_rate * d, x, g)
+    if not _finite(stepped):
+        raise FloatingPointError(f"step at learning rate {learning_rate!r} overflowed")
+    return map_rows(simplex_project_euclidean, stepped)
 
 
 def _finite(rows):
@@ -181,6 +180,13 @@ class AdidasSolver(BaseSolver):
         if temperature is not None and not np.isfinite(float(temperature)):
             raise ValueError(f"initial_temperature must be finite, got {temperature!r}")
         validate_integer("samples", self.samples, 1)
+        if self.projection not in ("euclidean", "mirror"):
+            raise ValueError(f"projection must be 'euclidean' or 'mirror', got {self.projection!r}")
+        flags = ("exact_gradients", "tangent_projection", "average_iterates", "anneal")
+        values = (self.exact_gradients, self.tangent_projection, self.average_iterates, self.anneal)
+        for name, value in zip(flags, values):
+            if type(value) not in (bool, np.bool_):
+                raise ValueError(f"{name} must be a bool, got {value!r}")
 
     def _descend(self, view_type, game_or_oracle):
         """The anneal-and-descend loop of both solvers; `view_type` supplies

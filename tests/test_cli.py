@@ -105,6 +105,14 @@ class TestSolve:
         assert code == 1
         assert "configuration error" in stderr
 
+    def test_el_farol_with_too_few_players_is_config_error(self, capsys):
+        # --players 0 solved El Farol(10) and exited 0
+        code, _, stderr = run_cli(
+            capsys, "solve", "--game", "el-farol", "--players", "0", "--iterations", "1"
+        )
+        assert code == 1
+        assert "configuration error" in stderr and "players must be >= 2" in stderr
+
     def test_baseline_without_iterations_is_config_error(self, capsys):
         # used to die with an uncaught IndexError from the empty log
         code, _, stderr = run_cli(

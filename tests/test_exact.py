@@ -56,10 +56,15 @@ def same_layout(got, want):
 
 @st.composite
 def ragged_games_and_profiles(draw):
-    """2-5 players with 1-4 actions each, and a profile of Euclidean
-    projections of random points, so many entries are exactly zero."""
-    players = draw(st.integers(2, 5))
-    counts = draw(st.lists(st.integers(1, 4), min_size=players, max_size=players))
+    """1-5 players with 1-4 actions each, one count shared by every player
+    about half the time (the batched plan; other games read the tensordot
+    chains), and a profile of Euclidean projections of random points, so
+    many entries are exactly zero."""
+    players = draw(st.integers(1, 5))
+    if draw(st.booleans()):
+        counts = [draw(st.integers(1, 4))] * players
+    else:
+        counts = draw(st.lists(st.integers(1, 4), min_size=players, max_size=players))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     game = GameTensor(rng.uniform(-1, 1, size=(players, *counts)))
     x = [simplex_project_euclidean(rng.normal(size=m)) for m in counts]

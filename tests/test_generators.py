@@ -182,9 +182,15 @@ class TestElFarol:
             for perm in (tuple(reversed(opponents)), tuple(sorted(opponents))):
                 assert game.payoff(GO, perm) == base
 
-    def test_parameter_validation(self):
-        with pytest.raises(ValueError):
-            ElFarolSpec(stay_payoff=3.0)  # must sit between bad and good
+    @pytest.mark.parametrize(
+        "params,match",
+        # stay must sit between bad and good
+        [({"stay_payoff": 3.0}, "bad < stay < good")]
+        + [({"players": players}, "players") for players in (0, 1, -2, 2.5, True)],
+    )
+    def test_parameter_validation(self, params, match):
+        with pytest.raises(ValueError, match=match):
+            ElFarolSpec(**params)
 
 
 class TestModifiedShapley:

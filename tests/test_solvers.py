@@ -287,6 +287,12 @@ class TestAdidasSolver:
             ("samples", 1.5),
             ("samples", True),
             ("exact_adi_every", 2.5),
+        ]
+        + [("projection", "sinkhorn"), ("projection", None)]
+        + [
+            (name, value)
+            for name in ("exact_gradients", "tangent_projection", "average_iterates", "anneal")
+            for value in ("no", 1, None)
         ],
     )
     def test_rejects_bad_hyperparameter_by_name(self, solver_type, name, value):
@@ -294,11 +300,25 @@ class TestAdidasSolver:
         # or fail deep inside the loop; aux_learning_rate=2 failed at the
         # first aux update without naming it, exact_adi_every=-1 ran an
         # exact evaluation every iteration, and non-integer counts were
-        # truncated (iterations=2.5 ran 2 iterations)
+        # truncated (iterations=2.5 ran 2 iterations); an unknown projection
+        # failed only inside the first step, after its queries, and
+        # anneal="no" annealed
         game = make_el_farol(ElFarolSpec(players=3))
         solver = solver_type(**{"entropy": "shannon", "iterations": 5, name: value})
         with pytest.raises(ValueError, match=name):
             solver.fit(game)
+        oracle = SymmetricOracle(game)
+        with pytest.raises(ValueError, match=name):
+            solver.fit(oracle)
+        assert oracle.queries == 0
+
+    def test_numpy_bools_are_bools(self):
+        game = make_el_farol(ElFarolSpec(players=3))
+        flags = dict(tangent_projection=np.True_, average_iterates=np.False_, anneal=np.False_)
+        plain = {name: bool(value) for name, value in flags.items()}
+        got = AdidasSolver(iterations=5, exact_gradients=np.True_, **flags).fit(game)
+        want = AdidasSolver(iterations=5, exact_gradients=True, **plain).fit(game)
+        assert got.profile_.stack.tobytes() == want.profile_.stack.tobytes()
 
     def test_get_set_params_roundtrip(self):
         solver = AdidasSolver(learning_rate=0.3, samples=7)
