@@ -136,9 +136,7 @@ def response_terms(nabla, y, x, kind):
     x = np.asarray(x, dtype=float)
     temperature = kind.temperature
     if kind.family == "tsallis":
-        if (y < 0.0).any():
-            raise ValueError("tsallis gradient needs nonnegative payoff gradients")
-        br = best_response(y, kind)
+        br = best_response(y, kind)  # raises on a negative y
         scale = br.scale if y.ndim == 1 else br.scale[:, None]
         br_sparse = 1.0 - (br.dist ** (temperature + 1.0)).sum(axis=-1, keepdims=True)
         x_sparse = 1.0 - (x ** (temperature + 1.0)).sum(axis=-1, keepdims=True)
@@ -172,9 +170,10 @@ def adi_gradient(matrices, nablas, grads, x, kind):
     """Gradient of the `kind`-regularized deviation incentive per player: an
     (n, m) stack when every player has the same action count, else a list.
 
-    `nablas` are the payoff gradients of the pairwise blocks at x
-    (`matrices.payoff_gradient(x)`), which feed the policy terms; `grads`
-    feeds the responses (the same nablas, or the auxiliary y).
+    `matrices` is a `PairwiseMatrices`, or a `SharedBlock` with x the one
+    shared strategy. `nablas` are the payoff gradients of the pairwise blocks
+    at x (`matrices.payoff_gradient(x)`), which feed the policy terms;
+    `grads` feeds the responses (the same nablas, or the auxiliary y).
     """
     rows = stack_rows(as_profile(x))
     nablas, grads = stack_rows(nablas), stack_rows(grads)

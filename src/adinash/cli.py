@@ -159,7 +159,7 @@ def cmd_sweep(args):
         solver=args.solver,
         base_params=base,
         grids=grids,
-        repetitions=int(overrides.get("repetitions", args.repetitions)),
+        repetitions=overrides.get("repetitions", args.repetitions),
         base_seed=args.seed,
         output_dir=args.out or "runs",
     )

@@ -329,6 +329,22 @@ class PairwiseMatrices:
         return out
 
 
+class SharedBlock:
+    """The focal (m, m) block, rows the owner's actions, that every ordered
+    pair of a symmetric game's n players shares. It answers the two products
+    of `PairwiseMatrices` for one shared strategy, on one-row stacks: the
+    partner view is the transpose, and n - 1 identical opponents add up."""
+
+    def __init__(self, block, players):
+        self.block, self.players = block, players
+
+    def payoff_gradient(self, x):
+        return (self.block @ x[0])[None]
+
+    def response_gradients(self, policy, effect):
+        return (-policy[0] + (self.players - 1) * (self.block.T @ effect[0]))[None]
+
+
 def exact_pairwise_matrices(game, x):
     """All pairwise blocks computed by exact marginalization, in one batched
     contraction."""

@@ -97,6 +97,8 @@ class ElFarolSpec:
 
     def __post_init__(self):
         validate_integer("players", self.players, 2)
+        if not np.isfinite(self.crowding):
+            raise ValueError(f"crowding must be finite, got {self.crowding!r}")
         if not self.bad_night < self.stay_payoff < self.good_night:
             raise ValueError("need bad < stay < good payoffs")
 
@@ -139,9 +141,8 @@ def make_modified_shapley(beta=0.5, offset=False):
 def make_covariant_random(players, actions, correlation, seed=0):
     """Random game with N(0, 1) payoffs correlated `correlation` across players
     at every outcome. Deterministic in the seed (Philox stream)."""
-    n = players
-    if n < 2:
-        raise ValueError("need at least two players")
+    n = validate_integer("players", players, 2)
+    actions = validate_integer("actions", actions, 1)
     low = -1.0 / (n - 1)
     if not low <= correlation <= 1.0:
         raise ValueError(f"correlation must lie in [{low}, 1]")

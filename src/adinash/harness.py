@@ -140,6 +140,8 @@ def run_experiment(config, workers=1):
     """
     if config.solver not in SOLVER_FACTORIES:
         raise ValueError(f"unknown solver {config.solver!r}")
+    validate_integer("repetitions", config.repetitions, 1)
+    validate_integer("workers", workers, 1)
     cells = config.cells()
     for cell in cells:
         _cell_solver(config, cell)
@@ -296,7 +298,8 @@ def query_savings_report(players, actions, symmetric=False):
     enumeration budget: (1/n) m^(n-2) for general tensors, or the multiset
     count over m^2 when a symmetric equilibrium is wanted.
     """
-    n, m = int(players), int(actions)
+    n = validate_integer("players", players, 2)
+    m = validate_integer("actions", actions, 1)
     if symmetric:
         entries = multiset_count(m, n)
         per_gradient = m * m

@@ -219,6 +219,9 @@ class GameTensor:
             )
         if not np.all(np.isfinite(arr)):
             raise ValueError("payoff tensor has non-finite entries")
+        for player, count in enumerate(arr.shape[1:]):
+            if count == 0:
+                raise ValueError(f"player {player} has no actions")
         arr = arr.copy()
         arr.flags.writeable = False
         self.payoffs = arr

@@ -7,23 +7,22 @@ whenever the amortized estimate drops under the threshold. Payoff-gradient
 estimates are amortized across iterations through the auxiliary variables y.
 """
 
-import dataclasses
 import functools
 import time
 
 import numpy as np
 
 from ..adi import (
+    AdiReport,
     adi_amortized,
     adi_exact,
     adi_gradient,
-    response_terms,
     symmetric_adi_exact,
     unregularized_gains,
 )
 # best_response has no caller here; bench/tracer.py patches this binding
 from ..entropy import Entropy, best_response  # noqa: F401
-from ..exact import exact_pairwise_matrices
+from ..exact import SharedBlock, exact_pairwise_matrices
 from .. import normalform
 from ..normalform import (
     DESK_SCALE_ENTRIES,
@@ -215,10 +214,10 @@ class AdidasSolver(BaseSolver):
                 blocks = view.exact_blocks(x)
             else:
                 blocks = view.sampled_blocks(x, rng, samples)
-            nablas = view.payoff_gradients(blocks, x)
+            nablas = blocks.payoff_gradient(x)
             aux = update_aux(aux, nablas, self.aux_learning_rate)
             estimate, estimate_unreg = view.amortized(x, aux.y, kind)
-            gradients = view.gradients(blocks, nablas, aux.y, x, kind)
+            gradients = adi_gradient(blocks, nablas, aux.y, x, kind)
             rows = descent_step(
                 x, gradients, self.learning_rate, self.projection, self.tangent_projection
             )
@@ -365,15 +364,9 @@ class _GeneralView:
         draw, entrywise in sample order (`sample_mean`)."""
         return estimate_pairwise_matrices(self.oracle, sample_joint_action(x, rng, samples))
 
-    def payoff_gradients(self, matrices, x):
-        return matrices.payoff_gradient(x)
-
     def amortized(self, x, y, kind):
         """The amortized ADI report under `kind`, and its unregularized total."""
         return adi_amortized(x, y, kind), float(unregularized_gains(y, stack_rows(x)).sum())
-
-    def gradients(self, matrices, nablas, y, x, kind):
-        return adi_gradient(matrices, nablas, y, x, kind)
 
     def exact_adi(self, profile):
         return adi_exact(self.exact, profile, Entropy.none()).total
@@ -386,7 +379,7 @@ class _GeneralView:
 class _SymmetricView(_GeneralView):
     """A symmetric game or oracle as the descent loop sees it: the iterate is
     a one-row stack holding the shared strategy, and the blocks are the
-    focal player's m x m block."""
+    focal player's m x m block as a `SharedBlock`."""
 
     run_prefix = "adidas-sym"
     games = (SymmetricGame,)
@@ -417,7 +410,7 @@ class _SymmetricView(_GeneralView):
             )
 
     def exact_blocks(self, x):
-        return self.desk.pair_payoff_matrix(x[0])
+        return SharedBlock(self.desk.pair_payoff_matrix(x[0]), self.players)
 
     def sampled_blocks(self, x, rng, samples):
         """The focal block averaged over `samples` rests drawn from x: one
@@ -425,20 +418,14 @@ class _SymmetricView(_GeneralView):
         order."""
         rests = sample_actions(x[0], rng, samples * (self.players - 2))
         rests = rests.reshape(samples, self.players - 2)
-        return sample_mean(self.oracle.symmetric_pair_payoffs(rests))
-
-    def payoff_gradients(self, own, x):
-        return (own @ x[0])[None]
+        return SharedBlock(sample_mean(self.oracle.symmetric_pair_payoffs(rests)), self.players)
 
     def amortized(self, x, y, kind):
         """Every player shares the strategy and the tracker, so one player's
         gain is every player's: computed once, reported n times."""
         report = adi_amortized(x, y, kind)
-        report = dataclasses.replace(report, per_player=np.full(self.players, report.per_player[0]))
+        report = AdiReport(np.full(self.players, report.per_player[0]), report.regularized)
         return report, self.players * float(unregularized_gains(y[0], x[0]))
-
-    def gradients(self, own, nablas, y, x, kind):
-        return _symmetric_gradient(own, nablas[0], y[0], x[0], kind, self.players)[None]
 
     def exact_adi(self, strategies):
         return symmetric_adi_exact(self.desk, strategies[0])
@@ -447,17 +434,6 @@ class _SymmetricView(_GeneralView):
         solver.strategy_ = np.array(strategies[0])
         solver.last_strategy_ = np.array(last[0])
         solver.profile_ = StrategyProfile([solver.strategy_] * self.players)
-
-
-def _symmetric_gradient(own, nabla, y, x, kind, players):
-    """Deviation-incentive gradient for one shared strategy.
-
-    `own` is the focal player's block (rows: own actions) and `nabla` its
-    payoff gradient `own @ x`; the partner view is the block's transpose, and
-    the cross term is multiplied by the (n - 1) identical opponents.
-    """
-    policy, effect = response_terms(nabla, y, x, kind)
-    return -policy + (players - 1) * (own.T @ effect)
 
 
 def blocks_gradient(matrices, x, kind):

@@ -37,7 +37,11 @@ SOLVER_LAYERS = SHARED_LAYERS | {
     "solvers.log_append",
     "solvers.profile_hash",
 }
-SYMMETRIC_LAYERS = SOLVER_LAYERS | {"normalform.deviation_payoffs", "normalform.pair_block_at"}
+SYMMETRIC_LAYERS = SOLVER_LAYERS | {
+    "adi.adi_gradient",
+    "normalform.deviation_payoffs",
+    "normalform.pair_block_at",
+}
 # (layers with at least one call, oracle queries) of one tiny cold solve:
 # 30 iterations at query_bound(tiny=True) each, and no oracle in the warm-up
 TINY_RUNS = {

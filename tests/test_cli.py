@@ -113,6 +113,14 @@ class TestSolve:
         assert code == 1
         assert "configuration error" in stderr and "players must be >= 2" in stderr
 
+    def test_covariant_without_actions_is_config_error(self, capsys):
+        # built a game with no actions and exited 2 on a division by zero
+        code, _, stderr = run_cli(
+            capsys, "solve", "--game", "covariant", "--players", "2", "--actions", "0"
+        )
+        assert code == 1
+        assert "configuration error" in stderr and "actions must be >= 1" in stderr
+
     def test_baseline_without_iterations_is_config_error(self, capsys):
         # used to die with an uncaught IndexError from the empty log
         code, _, stderr = run_cli(
@@ -232,6 +240,15 @@ class TestReportAndBias:
         assert code == 0
         assert "ratio=583443.0" in stdout
 
+    @pytest.mark.parametrize(
+        "players,actions,name", [("0", "3", "players"), ("3", "0", "actions")]
+    )
+    def test_report_rejects_bad_shape_by_name(self, capsys, players, actions, name):
+        # both exited 2 on a division by zero
+        code, _, stderr = run_cli(capsys, "report", "--players", players, "--actions", actions)
+        assert code == 1
+        assert "configuration error" in stderr and f"{name} must be" in stderr
+
     def test_bias_table(self, capsys):
         code, stdout, _ = run_cli(
             capsys,
@@ -332,6 +349,28 @@ class TestSweep:
         assert code == 1
         assert "configuration error" in stderr and "bernoulli_repeats" in stderr
         assert not out.exists()  # raised before any cell ran
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (("--repetitions", "0"), "repetitions must be >= 1"),
+            (("--repetitions", "-3"), "repetitions must be >= 1"),
+            (("--workers", "0"), "workers must be >= 1"),
+            ("repetitions = 2.5\n", "repetitions must be an integer"),
+        ],
+    )
+    def test_sweep_rejects_bad_run_counts_by_name(self, capsys, tmp_path, argv, message):
+        # --repetitions 0 ran nothing and exited 0 with runs=0; a config
+        # file's 2.5 repetitions ran 2
+        if isinstance(argv, str):
+            cfg = tmp_path / "sweep.cfg"
+            cfg.write_text(argv)
+            argv = ("--config", str(cfg))
+        out = tmp_path / "runs"
+        code, _, stderr = run_cli(capsys, "sweep", "--game", "shapley", *argv, "--out", str(out))
+        assert code == 1
+        assert "configuration error" in stderr and message in stderr
+        assert not out.exists()  # raised before any job ran
 
     def test_failure_while_a_cell_runs_is_recorded_and_exits_2(self, capsys, tmp_path):
         # learning_rate is checked when the solver fits, so only its cell fails

@@ -186,7 +186,9 @@ class TestElFarol:
         "params,match",
         # stay must sit between bad and good
         [({"stay_payoff": 3.0}, "bad < stay < good")]
-        + [({"players": players}, "players") for players in (0, 1, -2, 2.5, True)],
+        + [({"players": players}, "players") for players in (0, 1, -2, 2.5, True)]
+        # a NaN capacity sent every goer home to bad_night, an infinite one to good_night
+        + [({"crowding": crowding}, "crowding") for crowding in (np.nan, np.inf, -np.inf)],
     )
     def test_parameter_validation(self, params, match):
         with pytest.raises(ValueError, match=match):
@@ -240,6 +242,15 @@ class TestCovariantRandom:
     def test_correlation_bounds(self):
         with pytest.raises(ValueError):
             make_covariant_random(3, 2, -0.6, seed=0)  # below -1/(n-1)
+
+    @pytest.mark.parametrize(
+        "players,actions,match",
+        [(1, 3, "players"), (2.0, 3, "players"), (2, 0, "actions"), (2, -1, "actions"),
+         (2, 1.5, "actions")],
+    )
+    def test_shape_validation_names_the_parameter(self, players, actions, match):
+        with pytest.raises(ValueError, match=match):
+            make_covariant_random(players, actions, 0.0)
 
     def test_standardized_marginals(self):
         game = make_covariant_random(2, 80, 0.5, seed=11)

@@ -293,6 +293,16 @@ class TestSavingsReport:
         assert rep.ratio_floor == 2013
         assert rep.ratio >= 2_000
 
+    @pytest.mark.parametrize(
+        "players,actions,match",
+        [(2.5, 3, "players"), (1, 3, "players"), (0, 3, "players"), (3, 0, "actions"),
+         (3, 2.0, "actions")],
+    )
+    def test_rejects_bad_shape_by_name(self, players, actions, match):
+        # 2.5 players reported 2, and 0 of either divided by zero
+        with pytest.raises(ValueError, match=match):
+            query_savings_report(players, actions)
+
     def test_two_player_ratio(self):
         rep = query_savings_report(2, 5)
         assert rep.ratio == pytest.approx(0.5)  # (1/n) m^(n-2) at n=2

@@ -190,6 +190,11 @@ class TestGameTensor:
         with pytest.raises(ValueError):
             GameTensor(np.zeros((3, 2, 2)))  # player axis says 3, only 2 action axes
 
+    @pytest.mark.parametrize("shape,player", [((2, 0, 3), 0), ((2, 3, 0), 1), ((1, 0), 0)])
+    def test_rejects_a_player_without_actions(self, shape, player):
+        with pytest.raises(ValueError, match=f"player {player} has no actions"):
+            GameTensor(np.zeros(shape))
+
     def test_rejects_nonfinite(self):
         t = np.zeros((2, 2, 2))
         t[0, 0, 0] = np.inf

@@ -466,8 +466,8 @@ class TestSymmetricGeneralAgreement:
         # from a shared strategy, the single-strategy gradient must equal any
         # player's gradient under the full pairwise assembly
         from adinash.adi import adi_gradient
-        from adinash.exact import exact_pairwise_matrices
-        from adinash.solvers.adidas import _symmetric_gradient, tsallis_offset
+        from adinash.exact import SharedBlock, exact_pairwise_matrices
+        from adinash.solvers.adidas import blocks_gradient, tsallis_offset
 
         if entropy == "tsallis":
             game = game.offset(tsallis_offset(game))
@@ -481,9 +481,11 @@ class TestSymmetricGeneralAgreement:
             grads = [blocks.payoff_gradient(profile)[i] for i in range(n)]
             general = adi_gradient(blocks, grads, grads, profile, kind)
             own = game.pair_payoff_matrix(x)
-            shared = _symmetric_gradient(own, own @ x, grads[0], x, kind, n)
+            shared = adi_gradient(SharedBlock(own, n), [own @ x], grads[:1], [x], kind)[0]
+            (warmup,) = blocks_gradient(SharedBlock(own, n), [x], kind)
             for g in general:
                 assert np.allclose(shared, g, atol=1e-9)
+                assert np.allclose(warmup, g, atol=1e-9)
 
     @pytest.mark.parametrize("entropy,temp", AGREEMENT_ENTROPIES)
     def test_shared_gradient_matches_general_pipeline(self, entropy, temp):
