@@ -2,48 +2,40 @@
 
 The loss sums, over players, the gain from unilaterally deviating to a
 (possibly entropy-regularized) best response; it is zero exactly at a Nash of
-the regularized game. Gradients take the pairwise blocks, the payoff
-gradients built from those blocks, and the gradients that feed the responses
-as inputs, so the exact and sampled pipelines share one code path: pass the
-blocks' own payoff gradients for the true gradient, or the auxiliary
-estimates y for the amortized one. Each step builds its payoff gradients once
-and hands them to both roles.
+the regularized game. The estimate takes each player's best response once
+and reports it (``AdiReport.responses``); the gradient takes those responses
+and the blocks' payoff gradients, so the exact and sampled pipelines share
+one path, and a step builds its payoff gradients and responses once each.
 
 Each function checks the strategies it is given (``as_profile``) and uses
-their bytes: only a ``StrategyProfile`` renormalizes. A profile is taken as
-it is, whichever way it was built: renormalized (``StrategyProfile(...)``),
-checked with its bytes kept (``_checked``), or stepped (``_stepped``, the
-rows of a descent step, which the descent loops hand in so that no step
-checks its own iterate). The loops call these public functions rather than
-unchecked private kernels because the benchmark's tracer records its spans
-on exactly these names as the solvers import them. An unregularized gain
-is max(grad) - grad . x clamped at 0. On a row of mass 1 - d it moves by
-about c * d when payoffs shift by c; a StrategyProfile repairs such rows.
+their bytes: a profile is taken as it was built, renormalized
+(``StrategyProfile(...)``), checked with its bytes kept (``_checked``), or
+stepped (``_stepped``, a loop's iterate, so that no step checks its own).
+The loops call these public functions because the benchmark's tracer
+records its spans on these names as the solvers import them. An
+unregularized gain is max(grad) - grad . x clamped at 0; on a row of mass
+1 - d it moves by about c * d when payoffs shift by c, which a
+StrategyProfile repairs.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .entropy import (
-    LOGIT_FLOOR,
-    Entropy,
-    best_response,
-    entropy_value,
-    _hard_argmax,
-    _softmax,
-)
+from .entropy import LOGIT_FLOOR, Entropy, best_response, entropy_value
 from .exact import expected_utility, payoff_gradients
 from .normalform import as_profile
-from .simplex import map_rows, row_dot, stack_rows
+from .simplex import map_rows, row_dot, stack_like, stack_rows
 
 
 @dataclass(frozen=True)
 class AdiReport:
-    """Per-player deviation incentives and their sum."""
+    """Per-player deviation incentives and their sum, with the best responses
+    they were taken at: one `BestResponse` for a stack, else one per row."""
 
     per_player: np.ndarray
     regularized: bool
+    responses: object
 
     @property
     def total(self):
@@ -52,10 +44,6 @@ class AdiReport:
     @property
     def mean(self):
         return float(self.per_player.mean())
-
-    @property
-    def max(self):
-        return float(self.per_player.max())
 
 
 def adi_exact(game, x, kind=Entropy.none()):
@@ -72,31 +60,23 @@ def adi_amortized(x, aux, kind=Entropy.none()):
     """Deviation incentive with the auxiliary estimates y in place of the
     exact payoff gradients, including inside the best response."""
     profile = as_profile(x)
-    if len(aux) != profile.players:
-        raise ValueError(f"aux has {len(aux)} vectors, want one per player ({profile.players})")
-    if not (isinstance(aux, np.ndarray) and aux.shape == np.shape(profile.stack)):
-        for k, strategy in enumerate(profile):
-            if np.shape(aux[k]) != strategy.shape:
-                raise ValueError(
-                    f"aux vector {k} has shape {np.shape(aux[k])}, want {strategy.shape}"
-                )
-    return _gains(profile, aux, kind)
+    return _gains(profile, stack_like("aux", aux, stack_rows(profile)), kind)
 
 
 def _gains(profile, grads, kind):
     """Each player's gain from the `kind` best response to its payoff
     gradient over its current strategy, regularizer values included; on one
     (n, m) stack when every player has the same action count."""
+    rows, grads = stack_rows(profile), stack_rows(grads)
+    responses = map_rows(lambda g: best_response(g, kind), grads)
+    if kind.family == "none" or kind.temperature == 0.0:
+        return AdiReport(unregularized_gains(grads, rows), False, responses)
 
-    def gain(x, grad):
-        br = best_response(grad, kind)
+    def gain(x, grad, br):
         value = row_dot(grad, br.dist - x) + entropy_value(br.dist, kind, br.scale)
         return value - entropy_value(x, kind, br.scale)
 
-    rows, grads = stack_rows(profile), stack_rows(grads)
-    if kind.family == "none" or kind.temperature == 0.0:
-        return AdiReport(unregularized_gains(grads, rows), regularized=False)
-    return AdiReport(np.array(map_rows(gain, rows, grads), dtype=float), regularized=True)
+    return AdiReport(np.array(map_rows(gain, rows, grads, responses), dtype=float), True, responses)
 
 
 def unregularized_gains(grads, x):
@@ -113,39 +93,37 @@ def symmetric_adi_exact(game, strategy):
     return game.players * float(unregularized_gains(game.deviation_payoffs(strategy), strategy))
 
 
-def response_terms(nabla, y, x, kind):
+def response_terms(nabla, response, x, kind):
     """One player's (policy, effect) terms of the deviation-incentive
     gradient, or every row's terms of (n, m) stacks of players.
 
     `nabla` is the player's payoff gradient rebuilt from the pairwise blocks,
-    `y` the gradient that feeds the response (exact, or the auxiliary
-    estimate), `x` the player's strategy. The gradient is -policy plus, for
-    every partner, the partner's block transposed onto the partner's effect.
+    `response` its `kind` `BestResponse` to the exact gradient or to the
+    auxiliary estimate, taken by the caller, and `x` its strategy. The
+    gradient is -policy plus, for every partner, the partner's block
+    transposed onto the partner's effect.
 
     Shannon: below the temperature cutoff, and for `none`, the response
-    Jacobian vanishes and the hard zero-temperature limit applies. Tsallis
-    requires a nonnegative `y` (offset the game first). Both sparsity
-    corrections ride the scale's derivative direction BR^(1-p): the
-    response's and the current strategy's regularizer values differ only
-    through that shared scale, so the x-side term carries BR^(1-p) as well.
-    At power 0 the corrections vanish and the policy term reduces to
-    nabla - ||nabla||_inf, whose constant part the tangent projection removes.
+    Jacobian vanishes and the hard zero-temperature limit applies. Both
+    Tsallis sparsity corrections ride the scale's derivative direction
+    BR^(1-p): the response's and the current strategy's regularizer values
+    differ only through that shared scale, so the x-side term carries
+    BR^(1-p) as well. At power 0 the corrections vanish and the policy term
+    reduces to nabla - ||nabla||_inf, whose constant part the tangent
+    projection removes.
     """
     nabla = np.asarray(nabla, dtype=float)
-    y = np.asarray(y, dtype=float)
     x = np.asarray(x, dtype=float)
+    br = response.dist
     temperature = kind.temperature
     if kind.family == "tsallis":
-        br = best_response(y, kind)  # raises on a negative y
-        scale = br.scale if y.ndim == 1 else br.scale[:, None]
-        br_sparse = 1.0 - (br.dist ** (temperature + 1.0)).sum(axis=-1, keepdims=True)
+        scale = response.scale if br.ndim == 1 else response.scale[:, None]
+        br_sparse = 1.0 - (br ** (temperature + 1.0)).sum(axis=-1, keepdims=True)
         x_sparse = 1.0 - (x ** (temperature + 1.0)).sum(axis=-1, keepdims=True)
-        effect = (br.dist - x) + (br_sparse - x_sparse) / (
-            temperature + 1.0
-        ) * br.dist ** (1.0 - temperature)
-        return nabla - scale * x**temperature, effect
+        sparse = (br_sparse - x_sparse) / (temperature + 1.0) * br ** (1.0 - temperature)
+        return nabla - scale * x**temperature, (br - x) + sparse
+    effect = br - x
     if not kind.is_hard:
-        br = _softmax(y / temperature)
         # (diag(br) - outer(br, br)) / temperature, one Jacobian per row
         br_jac = np.zeros((*br.shape, br.shape[-1]))
         diagonal = np.arange(br.shape[-1])
@@ -155,9 +133,7 @@ def response_terms(nabla, y, x, kind):
         with np.errstate(divide="ignore"):
             log_br = np.clip(np.log(br), LOGIT_FLOOR, 0.0)
         pull = nabla - temperature * (log_br + 1.0)
-        effect = (br - x) + np.matmul(br_jac, pull[..., None])[..., 0]
-    else:
-        effect = _hard_argmax(y) - x
+        effect += np.matmul(br_jac, pull[..., None])[..., 0]
     policy = np.array(nabla)
     if temperature > 0.0:
         with np.errstate(divide="ignore"):
@@ -166,21 +142,26 @@ def response_terms(nabla, y, x, kind):
     return policy, effect
 
 
-def adi_gradient(matrices, nablas, grads, x, kind):
+def adi_gradient(matrices, nablas, responses, x, kind):
     """Gradient of the `kind`-regularized deviation incentive per player: an
     (n, m) stack when every player has the same action count, else a list.
 
     `matrices` is a `PairwiseMatrices`, or a `SharedBlock` with x the one
     shared strategy. `nablas` are the payoff gradients of the pairwise blocks
     at x (`matrices.payoff_gradient(x)`), which feed the policy terms;
-    `grads` feeds the responses (the same nablas, or the auxiliary y).
+    `responses` are the best responses to them or to the auxiliary y, as
+    `AdiReport.responses` holds them. Rows unlike x's raise ValueError.
     """
-    rows = stack_rows(as_profile(x))
-    nablas, grads = stack_rows(nablas), stack_rows(grads)
-    if isinstance(rows, np.ndarray):
-        policy, effect = response_terms(nablas, grads, rows, kind)
+    profile = as_profile(x)
+    rows = stack_rows(profile)
+    nablas = stack_like("nablas", nablas, rows)
+    if profile.stack is not None:
+        if responses.dist.shape != rows.shape:
+            stack_like("responses", responses.dist, rows)
+        policy, effect = response_terms(nablas, responses, rows, kind)
     else:
-        terms = [response_terms(*row, kind) for row in zip(nablas, grads, rows)]
+        stack_like("responses", [r.dist for r in responses], rows)
+        terms = [response_terms(*row, kind) for row in zip(nablas, responses, rows)]
         policy, effect = map(list, zip(*terms))
     return matrices.response_gradients(policy, effect)
 

@@ -76,12 +76,6 @@ class BestResponse:
     scale: float = 0.0
 
 
-def _softmax(z):
-    """softmax over the last axis, as scipy.special.softmax computes it."""
-    shifted = np.exp(z - np.max(z, axis=-1, keepdims=True))
-    return shifted / np.sum(shifted, axis=-1, keepdims=True)
-
-
 def _hard_argmax(y):
     """Mass split uniformly over the maximizers of y, or of each row."""
     y = np.asarray(y, dtype=float)
@@ -136,7 +130,10 @@ def best_response(y, kind):
         dist[zero] = 1.0 / y.shape[-1]
         return BestResponse(dist, s)
     if kind.family == "shannon" and not kind.is_hard:
-        return BestResponse(_softmax(y / kind.temperature), 0.0)
+        # softmax over the last axis, as scipy.special.softmax computes it
+        z = y / kind.temperature
+        z = np.exp(z - np.max(z, axis=-1, keepdims=True))
+        return BestResponse(z / np.sum(z, axis=-1, keepdims=True), 0.0)
     return BestResponse(_hard_argmax(y), 0.0)
 
 

@@ -9,7 +9,7 @@ import numpy as np
 from .exact import PairwiseMatrices, ordered_pairs
 from .normalform import as_profile, validate_integer
 from .oracles import SymmetricOracle, TensorOracle
-from .simplex import map_rows, stack_rows
+from .simplex import map_rows, stack_like, stack_rows
 
 
 @dataclass
@@ -142,12 +142,12 @@ def update_aux(state, grad_estimates, aux_learning_rate):
     """Track the payoff gradient: y <- y - alpha (y - grad), alpha = max(1/t, lr).
 
     A convex combination toward the fresh estimate; at t = 1 it copies the
-    estimate outright. Returns the advanced state.
+    estimate outright. Returns the advanced state; estimates of other row
+    shapes than y's raise ValueError.
     """
     alpha = max(1.0 / state.t, float(aux_learning_rate))
     if not 0.0 < alpha <= 1.0:
         raise ValueError(f"step weight {alpha} outside (0, 1]")
-    new_y = map_rows(
-        lambda y, g: y - alpha * (y - g), stack_rows(state.y), stack_rows(grad_estimates)
-    )
-    return AuxiliaryState(new_y, state.t + 1)
+    tracked = stack_rows(state.y)
+    fresh = stack_like("grad_estimates", grad_estimates, tracked)
+    return AuxiliaryState(map_rows(lambda y, g: y - alpha * (y - g), tracked, fresh), state.t + 1)

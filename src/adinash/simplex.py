@@ -148,6 +148,19 @@ def stack_rows(vectors):
     return rows
 
 
+def stack_like(name, vectors, rows):
+    """`vectors` as `stack_rows` gives them, one row of each shape of `rows`
+    (a stack or a list); anything else raises ValueError naming `name`."""
+    if not (isinstance(vectors, np.ndarray) and vectors.shape == getattr(rows, "shape", None)):
+        vectors = stack_rows(vectors)
+        if len(vectors) != len(rows):
+            raise ValueError(f"{name} has {len(vectors)} vectors, want {len(rows)}")
+        for k, (v, r) in enumerate(zip(vectors, rows)):
+            if v.shape != r.shape:
+                raise ValueError(f"{name} vector {k} has shape {v.shape}, want {r.shape}")
+    return vectors
+
+
 def map_rows(fn, *arrays):
     """fn on (n, m) stacks at once, or on each row of per-player lists,
     whose results are a list."""

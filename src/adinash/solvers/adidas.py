@@ -20,8 +20,7 @@ from ..adi import (
     symmetric_adi_exact,
     unregularized_gains,
 )
-# best_response has no caller here; bench/tracer.py patches this binding
-from ..entropy import Entropy, best_response  # noqa: F401
+from ..entropy import Entropy, best_response
 from ..exact import SharedBlock, exact_pairwise_matrices
 from .. import normalform
 from ..normalform import (
@@ -45,6 +44,7 @@ from ..simplex import (
     map_rows,
     mirror_step_entropic,
     simplex_project_euclidean,
+    stack_like,
     stack_rows,
     tangent_project,
 )
@@ -93,16 +93,18 @@ def descent_step(strategies, gradients, learning_rate, projection="euclidean", t
     (n, m) array when the strategies have one length, else a list. Any
     `projection` but "mirror" steps Euclidean; `AdidasSolver` checks its own.
 
-    The gradient is tangent-projected (which can overflow on huge finite
-    entries), checked finite, then stepped; a non-finite gradient or
-    Euclidean step raises FloatingPointError. Ascent is descent on the
-    negated gradients with `tangent=False`. Every returned row is finite,
-    nonnegative and of unit mass up to rounding (the Euclidean projection
-    clamps at 0 and checks the mass; the mirror step renormalizes and raises
-    unless every entry is positive), so the strategy check would return its
-    bytes as they are: the loops hold it as a ``StrategyProfile._stepped``.
+    Gradients shaped unlike the strategies raise ValueError. A gradient is
+    tangent-projected (which can overflow on huge finite entries), checked
+    finite, then stepped; a non-finite gradient or Euclidean step raises
+    FloatingPointError. Ascent is descent on the negated gradients with
+    `tangent=False`. Every returned row is finite, nonnegative and of unit
+    mass up to rounding (the Euclidean projection clamps at 0 and checks the
+    mass; the mirror step renormalizes and raises unless every entry is
+    positive), so the strategy check would return its bytes: the loops hold it
+    as a ``StrategyProfile._stepped``.
     """
-    x, g = stack_rows(strategies), stack_rows(gradients)
+    x = stack_rows(strategies)
+    g = stack_like("gradients", gradients, x)
     if tangent:
         g = map_rows(tangent_project, g)
     if not _finite(g):
@@ -217,7 +219,7 @@ class AdidasSolver(BaseSolver):
             nablas = blocks.payoff_gradient(x)
             aux = update_aux(aux, nablas, self.aux_learning_rate)
             estimate, estimate_unreg = view.amortized(x, aux.y, kind)
-            gradients = adi_gradient(blocks, nablas, aux.y, x, kind)
+            gradients = adi_gradient(blocks, nablas, estimate.responses, x, kind)
             rows = descent_step(
                 x, gradients, self.learning_rate, self.projection, self.tangent_projection
             )
@@ -423,8 +425,8 @@ class _SymmetricView(_GeneralView):
     def amortized(self, x, y, kind):
         """Every player shares the strategy and the tracker, so one player's
         gain is every player's: computed once, reported n times."""
-        report = adi_amortized(x, y, kind)
-        report = AdiReport(np.full(self.players, report.per_player[0]), report.regularized)
+        one = adi_amortized(x, y, kind)
+        report = AdiReport(one.per_player.repeat(self.players), one.regularized, one.responses)
         return report, self.players * float(unregularized_gains(y[0], x[0]))
 
     def exact_adi(self, strategies):
@@ -440,7 +442,11 @@ def blocks_gradient(matrices, x, kind):
     """The `kind` deviation-incentive gradient with the blocks' payoff
     gradients, built once, feeding both the policy terms and the responses."""
     nablas = matrices.payoff_gradient(x)
-    return adi_gradient(matrices, nablas, nablas, x, kind)
+    if isinstance(nablas, np.ndarray):
+        responses = best_response(nablas, kind)
+    else:
+        responses = [best_response(g, kind) for g in nablas]
+    return adi_gradient(matrices, nablas, responses, x, kind)
 
 
 def warmup_anneal_descend(
@@ -459,13 +465,15 @@ def warmup_anneal_descend(
     size is learning_rate * min(1, temperature): the loss curvature grows as
     1/temperature, so a fixed step leaves the stability region as the path
     cools. Steps are Euclidean and tangent-projected. Desk-scale games only;
-    no Tsallis offset is applied. A count that is not an integer >= 0, or a
-    rate that is not positive and finite, raises ValueError naming it.
+    no Tsallis offset is applied. Counts must be integers >= 0, rates positive
+    and finite, the family "shannon" or "tsallis"; else ValueError names it.
 
     Steps through the general view, even for a SymmetricGame: the symmetric
     view's gradients differ in the last bits, and at large step sizes the
     warm-up amplifies such differences into a different path.
     """
+    if entropy_family not in ("shannon", "tsallis"):
+        raise ValueError(f"entropy_family must be 'shannon' or 'tsallis', got {entropy_family!r}")
     rounds = validate_integer("anneal_rounds", anneal_rounds, 0)
     steps = validate_integer("descent_steps", descent_steps, 0)
     for name, rate in (("anneal_increment", anneal_increment), ("learning_rate", learning_rate)):

@@ -29,14 +29,15 @@ class BaseSolver:
         ]
 
     def _validate_shared(self, rates, min_exact_adi_every):
-        """Check what every solver takes: each named rate positive and
-        finite, `iterations` an integer >= 1, and `exact_adi_every` None or
-        an integer >= `min_exact_adi_every`."""
+        """Check what every solver takes: each named rate positive and finite,
+        `iterations` an integer >= 1, `seed` one in [0, 2**128), and
+        `exact_adi_every` None or an integer >= `min_exact_adi_every`."""
         for name in rates:
             value = getattr(self, name)
             if not (np.isfinite(value) and value > 0.0):
                 raise ValueError(f"{name} must be positive and finite, got {value!r}")
         validate_integer("iterations", self.iterations, 1)
+        validate_integer("seed", self.seed, 0, 2**128)
         if self.exact_adi_every is not None:
             validate_integer("exact_adi_every", self.exact_adi_every, min_exact_adi_every)
 

@@ -5,7 +5,9 @@ import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
 
+from adinash.entropy import best_response
 from adinash.normalform import GameTensor, StrategyProfile, SymmetricGame, multiset_count
+from adinash.simplex import stack_rows
 
 # CI draws the same examples on every run, so a property failure there
 # replays locally with CI=1
@@ -40,6 +42,15 @@ def random_profile(rng, game, concentration=3.0):
     return StrategyProfile(
         [rng.dirichlet(np.full(m, concentration)) for m in game.action_counts]
     )
+
+
+def best_responses(grads, kind):
+    """The responses `adi_gradient` takes: `best_response` of a stack, else
+    one per row of a per-player list."""
+    rows = stack_rows(grads)
+    if isinstance(rows, np.ndarray):
+        return best_response(rows, kind)
+    return [best_response(g, kind) for g in rows]
 
 
 def finite_difference_adi_gradient(game, profile, kind, player, h):

@@ -46,7 +46,12 @@ from adinash.solvers import (
     baseline_step,
 )
 
-from conftest import finite_difference_adi_gradient, random_game, random_profile
+from conftest import (
+    best_responses,
+    finite_difference_adi_gradient,
+    random_game,
+    random_profile,
+)
 
 
 def report(number, ok, detail):
@@ -110,8 +115,10 @@ def test_criterion_02_gradient_correctness():
         grads = [payoff_gradient(game, profile, i) for i in range(players)]
         nablas = blocks.payoff_gradient(profile)
         for temperature in (1.0, 0.1, 0.01):
-            shannon = adi_gradient(blocks, nablas, grads, profile, Entropy.shannon(temperature))
-            tsallis = adi_gradient(blocks, nablas, grads, profile, Entropy.tsallis(temperature))
+            shannon, tsallis = (
+                adi_gradient(blocks, nablas, best_responses(grads, kind), profile, kind)
+                for kind in (Entropy.shannon(temperature), Entropy.tsallis(temperature))
+            )
             h = 1e-6 if temperature <= 0.05 else 1e-5
             for analytic, kind in (
                 (shannon, Entropy.shannon(temperature)),

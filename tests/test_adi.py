@@ -10,13 +10,18 @@ from adinash.adi import (
     consensus_loss_check,
     response_terms,
 )
-from adinash.entropy import SHANNON_TEMP_MIN, Entropy
+from adinash.entropy import SHANNON_TEMP_MIN, Entropy, best_response
 from adinash.exact import exact_pairwise_matrices, payoff_gradient
 from adinash.generators import BlottoSpec, make_blotto, make_modified_shapley
 from adinash.normalform import GameTensor, StrategyProfile
 from adinash.solvers import BaselineSolver
 
-from conftest import finite_difference_adi_gradient, random_game, random_profile
+from conftest import (
+    best_responses,
+    finite_difference_adi_gradient,
+    random_game,
+    random_profile,
+)
 
 
 class TestAdiExact:
@@ -145,9 +150,9 @@ class TestGradients:
             blocks = exact_pairwise_matrices(g, x)
             grads = [payoff_gradient(g, x, i) for i in range(players)]
             nablas = blocks.payoff_gradient(x)
-            analytic = adi_gradient(blocks, nablas, grads, x, Entropy.shannon(temperature))
-            h = 1e-6 if temperature <= 0.05 else 1e-5
             kind = Entropy.shannon(temperature)
+            analytic = adi_gradient(blocks, nablas, best_responses(grads, kind), x, kind)
+            h = 1e-6 if temperature <= 0.05 else 1e-5
             for i in range(players):
                 fd = finite_difference_adi_gradient(g, x, kind, i, h)
                 rel = np.abs(analytic[i] - fd).max() / max(1.0, np.abs(analytic[i]).max())
@@ -161,10 +166,10 @@ class TestGradients:
         below = Entropy.shannon(np.nextafter(SHANNON_TEMP_MIN, 0.0))
         at = Entropy.shannon(SHANNON_TEMP_MIN)
         assert below.is_hard and not at.is_hard
-        policy, effect = response_terms(nabla, y, x, below)
+        policy, effect = response_terms(nabla, best_response(y, below), x, below)
         assert np.array_equal(effect, np.array([0.0, 0.0, 1.0]) - x)
         assert np.array_equal(policy, nabla - below.temperature * (np.log(x) + 1.0))
-        _, effect = response_terms(nabla, y, x, at)
+        _, effect = response_terms(nabla, best_response(y, at), x, at)
         assert np.abs(effect - (np.array([0.0, 0.0, 1.0]) - x)).max() > 0.1
 
     @pytest.mark.parametrize("power", TEMPERATURE_GRID)
@@ -177,9 +182,9 @@ class TestGradients:
             blocks = exact_pairwise_matrices(g, x)
             grads = [payoff_gradient(g, x, i) for i in range(players)]
             nablas = blocks.payoff_gradient(x)
-            analytic = adi_gradient(blocks, nablas, grads, x, Entropy.tsallis(power))
-            h = 1e-6 if power <= 0.05 else 1e-5
             kind = Entropy.tsallis(power)
+            analytic = adi_gradient(blocks, nablas, best_responses(grads, kind), x, kind)
+            h = 1e-6 if power <= 0.05 else 1e-5
             for i in range(players):
                 fd = finite_difference_adi_gradient(g, x, kind, i, h)
                 rel = np.abs(analytic[i] - fd).max() / max(1.0, np.abs(analytic[i]).max())
@@ -192,7 +197,8 @@ class TestGradients:
         blocks = exact_pairwise_matrices(g, x)
         grads = [payoff_gradient(g, x, i) for i in range(3)]
         nablas = blocks.payoff_gradient(x)
-        got = adi_gradient(blocks, nablas, grads, x, Entropy.shannon(0.0))
+        kind = Entropy.shannon(0.0)
+        got = adi_gradient(blocks, nablas, best_responses(grads, kind), x, kind)
         from adinash.entropy import _hard_argmax
 
         for i in range(3):
@@ -210,7 +216,8 @@ class TestGradients:
         blocks = exact_pairwise_matrices(g, x)
         grads = [payoff_gradient(g, x, i) for i in range(2)]
         nablas = blocks.payoff_gradient(x)
-        got = adi_gradient(blocks, nablas, grads, x, Entropy.tsallis(0.0))
+        kind = Entropy.tsallis(0.0)
+        got = adi_gradient(blocks, nablas, best_responses(grads, kind), x, kind)
         from adinash.entropy import _hard_argmax
         from adinash.simplex import tangent_project
 
@@ -237,7 +244,8 @@ class TestGradients:
         blocks = exact_pairwise_matrices(dense, profile)
         grads = [payoff_gradient(dense, profile, i) for i in range(3)]
         nablas = blocks.payoff_gradient(profile)
-        out = adi_gradient(blocks, nablas, grads, profile, Entropy.tsallis(0.5))
+        kind = Entropy.tsallis(0.5)
+        out = adi_gradient(blocks, nablas, best_response(grads, kind), profile, kind)
         assert np.allclose(out[0], out[1], atol=1e-9)
         assert np.allclose(out[1], out[2], atol=1e-9)
 
@@ -246,13 +254,13 @@ class TestGradients:
         # then the analytic tangent-projected gradient must vanish
         from adinash.simplex import simplex_project_euclidean, tangent_project
 
-        temperature = 0.5
+        kind = Entropy.shannon(0.5)
         x = StrategyProfile.uniform([2, 2])
         for _ in range(4000):
             blocks = exact_pairwise_matrices(matching_pennies, x)
             grads = [payoff_gradient(matching_pennies, x, i) for i in range(2)]
             nablas = blocks.payoff_gradient(x)
-            step = adi_gradient(blocks, nablas, grads, x, Entropy.shannon(temperature))
+            step = adi_gradient(blocks, nablas, best_response(grads, kind), x, kind)
             x = StrategyProfile(
                 [
                     simplex_project_euclidean(x[i] - 0.05 * tangent_project(step[i]))
@@ -262,9 +270,56 @@ class TestGradients:
         blocks = exact_pairwise_matrices(matching_pennies, x)
         grads = [payoff_gradient(matching_pennies, x, i) for i in range(2)]
         nablas = blocks.payoff_gradient(x)
-        final = adi_gradient(blocks, nablas, grads, x, Entropy.shannon(temperature))
+        final = adi_gradient(blocks, nablas, best_response(grads, kind), x, kind)
         norm = max(np.abs(tangent_project(g)).max() for g in final)
         assert norm <= 1e-5
+
+
+class TestGradientInputs:
+    @staticmethod
+    def _case(counts, kind):
+        rng = np.random.default_rng(11)
+        game = GameTensor(rng.uniform(0.5, 1.5, size=(len(counts), *counts)))
+        x = StrategyProfile([rng.dirichlet(np.ones(m)) for m in counts])
+        blocks = exact_pairwise_matrices(game, x)
+        nablas = blocks.payoff_gradient(x)
+        return blocks, nablas, best_responses(nablas, kind), x
+
+    @pytest.mark.parametrize("kind", [Entropy.shannon(0.3), Entropy.tsallis(0.5)], ids=str)
+    def test_stacked_rows_unlike_x_raise_naming_the_argument(self, kind):
+        # a (1, 3) nablas or response stack broadcast into a wrong 3 x 3 gradient
+        blocks, nablas, responses, x = self._case((3, 3, 3), kind)
+        for bad in (nablas[:1], nablas[:, :2], list(nablas[:2])):
+            with pytest.raises(ValueError, match="nablas"):
+                adi_gradient(blocks, bad, responses, x, kind)
+        for bad in (nablas[:1], nablas[:, :2]):
+            with pytest.raises(ValueError, match="responses"):
+                adi_gradient(blocks, nablas, best_response(bad, kind), x, kind)
+
+    @pytest.mark.parametrize("kind", [Entropy.shannon(0.3), Entropy.tsallis(0.5)], ids=str)
+    def test_ragged_rows_unlike_x_raise_naming_the_argument(self, kind):
+        # zip dropped the players past a short list
+        blocks, nablas, responses, x = self._case((2, 3, 4), kind)
+        with pytest.raises(ValueError, match="nablas"):
+            adi_gradient(blocks, nablas[:2], responses, x, kind)
+        with pytest.raises(ValueError, match="nablas"):
+            adi_gradient(blocks, [nablas[0], nablas[2], nablas[1]], responses, x, kind)
+        with pytest.raises(ValueError, match="responses"):
+            adi_gradient(blocks, nablas, responses[:2], x, kind)
+        with pytest.raises(ValueError, match="responses"):
+            adi_gradient(blocks, nablas, responses[::-1], x, kind)
+
+    def test_tsallis_zero_rejects_negative_gradients(self, matching_pennies):
+        # the estimate used to return the unregularized gains here, while the
+        # gradient already raised: both take the one response now
+        x = StrategyProfile([[0.8, 0.2], [0.7, 0.3]])
+        kind = Entropy.tsallis(0.0)
+        with pytest.raises(ValueError, match="offset the game"):
+            adi_amortized(x, [np.array([-1.0, 0.5]), np.array([0.2, 0.3])], kind)
+        with pytest.raises(ValueError, match="offset the game"):
+            adi_exact(matching_pennies, x, kind)
+        shifted = adi_exact(matching_pennies.offset(2.0), x, kind).total
+        assert shifted == pytest.approx(adi_exact(matching_pennies, x).total)
 
 
 class TestConsensusIdentity:

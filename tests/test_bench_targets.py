@@ -61,6 +61,7 @@ TINY_RUNS = {
         SHARED_LAYERS
         | {
             "adi.adi_gradient",
+            "entropy.best_response",
             "exact.PairwiseMatrices.payoff_gradient",
             "exact.exact_pairwise_matrices",
             "normalform.expand_to_tensor",

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from adinash import adi
-from adinash.entropy import Entropy
+from adinash.entropy import Entropy, best_response
 from adinash.generators import ElFarolSpec, make_el_farol
 from adinash.normalform import StrategyProfile
 from adinash.simplex import (
@@ -78,8 +78,11 @@ class TestRowKernels:
         n, m, rng = case
         nabla = rng.normal(size=(n, m))
         y, x = gradients(rng, n, m, kind), strategies(rng, n, m)
-        policy, effect = adi.response_terms(nabla, y, x, kind)
-        rows = [adi.response_terms(nabla[i], y[i], x[i], kind) for i in range(n)]
+        policy, effect = adi.response_terms(nabla, best_response(y, kind), x, kind)
+        rows = [
+            adi.response_terms(nabla[i], best_response(y[i], kind), x[i], kind)
+            for i in range(n)
+        ]
         assert identical(policy, [p for p, _ in rows])
         assert identical(effect, [e for _, e in rows])
 

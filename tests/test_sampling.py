@@ -205,6 +205,22 @@ class TestAuxiliaryUpdates:
         with pytest.raises(ValueError):
             update_aux(state, [np.zeros(2)], 1.5)
 
+    @pytest.mark.parametrize(
+        "counts,grads",
+        [
+            ((3, 3, 3), np.ones((1, 3))),
+            ((3, 3, 3), np.ones((3, 2))),
+            ((2, 3), [np.ones(2)]),
+            ((2, 3), [np.ones(2), np.ones(2)]),
+        ],
+        ids=["one-row-stack", "short-rows", "short-list", "wrong-row"],
+    )
+    def test_rejects_estimates_unlike_the_state(self, counts, grads):
+        # a (1, 3) stack set all three trackers to it, and zip dropped the
+        # players past a short list
+        with pytest.raises(ValueError, match="grad_estimates"):
+            update_aux(AuxiliaryState.zeros(counts), grads, 0.5)
+
     def test_geometric_tracking(self):
         # frozen target: error contracts by (1 - rate) once t > 1/rate
         target = [np.array([1.0, 3.0])]

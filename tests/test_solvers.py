@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from adinash.adi import adi_exact
-from adinash.entropy import Entropy
+from adinash.entropy import Entropy, best_response
 from adinash.generators import (
     ElFarolSpec,
     make_bernoulli_metagame,
@@ -479,9 +479,10 @@ class TestSymmetricGeneralAgreement:
             profile = StrategyProfile([x] * n)
             blocks = exact_pairwise_matrices(dense, profile)
             grads = [blocks.payoff_gradient(profile)[i] for i in range(n)]
-            general = adi_gradient(blocks, grads, grads, profile, kind)
+            general = adi_gradient(blocks, grads, best_response(grads, kind), profile, kind)
             own = game.pair_payoff_matrix(x)
-            shared = adi_gradient(SharedBlock(own, n), [own @ x], grads[:1], [x], kind)[0]
+            responses = best_response(grads[:1], kind)
+            shared = adi_gradient(SharedBlock(own, n), [own @ x], responses, [x], kind)[0]
             (warmup,) = blocks_gradient(SharedBlock(own, n), [x], kind)
             for g in general:
                 assert np.allclose(shared, g, atol=1e-9)
@@ -618,6 +619,14 @@ class TestWarmup:
                 "anneal_increment": 1.0, **rates
             })
 
+    @pytest.mark.parametrize("family", ["bogus", "none", None])
+    @pytest.mark.parametrize("rounds", [0, 1])
+    def test_rejects_an_unknown_entropy_family_by_name(self, matching_pennies, family, rounds):
+        # "bogus" with no rounds returned uniform, and "none" failed in round 1
+        # with "unregularized kind carries no temperature"
+        with pytest.raises(ValueError, match="entropy_family"):
+            warmup_anneal_descend(matching_pennies, rounds, 1, 1.0, entropy_family=family)
+
     def test_zero_rounds_returns_uniform(self, matching_pennies):
         profile = warmup_anneal_descend(
             matching_pennies, anneal_rounds=0, descent_steps=10, anneal_increment=1.0
@@ -724,7 +733,7 @@ def test_monotone_descent_between_anneals():
         blocks = exact_pairwise_matrices(dense, x)
         grads = [blocks.payoff_gradient(x)[i] for i in range(dense.players)]
         values.append(adi_exact(dense, x, kind).total)
-        step = adi_gradient(blocks, grads, grads, x, kind)
+        step = adi_gradient(blocks, grads, best_response(grads, kind), x, kind)
         x = StrategyProfile(
             [
                 simplex_project_euclidean(x[i] - 1e-3 * tangent_project(step[i]))
@@ -759,3 +768,93 @@ def test_one_step_builds_each_payoff_gradient_once(step, monkeypatch):
     monkeypatch.setattr(PairwiseMatrices, "payoff_gradient", counted)
     step(make_el_farol(ElFarolSpec(players=4)).expand_to_tensor())
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize(
+    "fit",
+    [
+        lambda g: AdidasSolver(entropy="shannon", iterations=30, exact_adi_every=0).fit(g),
+        lambda g: SymmetricAdidasSolver(entropy="tsallis", iterations=30, exact_adi_every=0).fit(g),
+    ],
+    ids=["general-shannon", "symmetric-tsallis"],
+)
+def test_one_step_takes_one_best_response(fit, monkeypatch):
+    # the ADI estimate's responses feed the gradient; under Tsallis the
+    # gradient used to take its own response to the same tracker
+    from adinash import adi
+    from adinash.solvers import adidas
+
+    calls = []
+    for module in (adi, adidas):
+        original = module.best_response
+
+        def counted(y, kind, original=original):
+            calls.append(kind)
+            return original(y, kind)
+
+        monkeypatch.setattr(module, "best_response", counted)
+    fit(make_el_farol(ElFarolSpec(players=4)))
+    assert len(calls) == 30
+
+
+@pytest.mark.parametrize(
+    "kind", [Entropy.shannon(0.3), Entropy.tsallis(0.5), Entropy.none()], ids=str
+)
+def test_ragged_blocks_gradient_matches_the_per_row_gradients(kind):
+    # one response per row of a ragged (2, 3, 4) game, each player's gradient
+    # assembled alone from its own terms and its partners' effects
+    from adinash.adi import response_terms
+    from adinash.exact import exact_pairwise_matrices
+    from adinash.solvers.adidas import blocks_gradient
+
+    rng = np.random.default_rng(3)
+    game = GameTensor(rng.uniform(0.5, 1.5, size=(3, 2, 3, 4)))
+    x = StrategyProfile([rng.dirichlet(np.ones(m)) for m in (2, 3, 4)])
+    blocks = exact_pairwise_matrices(game, x)
+    got = blocks_gradient(blocks, x, kind)
+    nablas = blocks.payoff_gradient(x)
+    terms = [response_terms(g, best_response(g, kind), s, kind) for g, s in zip(nablas, x)]
+    assert [g.shape for g in got] == [(2,), (3,), (4,)]
+    for i in range(3):
+        want = -terms[i][0]
+        for j in range(3):
+            if j != i:
+                want = want + blocks.matrix(j, i).T @ terms[j][1]
+        assert np.array_equal(got[i], want)
+
+
+@pytest.mark.parametrize(
+    "strategies,gradients",
+    [
+        (np.full((3, 3), 1 / 3), np.ones((1, 3))),
+        (np.full((3, 3), 1 / 3), np.ones((3, 2))),
+        ([np.full(2, 0.5), np.full(3, 1 / 3)], [np.ones(2)]),
+        ([np.full(2, 0.5), np.full(3, 1 / 3)], [np.ones(2), np.ones(2)]),
+    ],
+    ids=["one-row-stack", "short-rows", "short-list", "wrong-row"],
+)
+def test_descent_step_rejects_gradients_unlike_the_strategies(strategies, gradients):
+    # a (1, 3) stack stepped every player, and zip dropped a short list's players
+    from adinash.solvers.adidas import descent_step
+
+    with pytest.raises(ValueError, match="gradients"):
+        descent_step(strategies, gradients, 0.1)
+
+
+@pytest.mark.parametrize("make", [AdidasSolver, SymmetricAdidasSolver, BaselineSolver])
+@pytest.mark.parametrize(
+    "seed", [1.5, True, "3", -1, 2**128], ids=["1.5", "True", "str", "-1", "2**128"]
+)
+def test_seed_is_checked_by_name(make, seed):
+    # 1.5 and True ran as seed 1 and "3" as 3; -1 and 2**128 raised numpy's
+    # Philox key error without naming seed, and BaselineSolver fitted
+    with pytest.raises(ValueError, match="seed"):
+        make(iterations=2, seed=seed).fit(make_el_farol(ElFarolSpec(players=3)))
+
+
+@pytest.mark.parametrize("make", [AdidasSolver, SymmetricAdidasSolver, BaselineSolver])
+def test_any_integer_philox_key_is_a_seed(make):
+    game = make_el_farol(ElFarolSpec(players=3))
+    assert make(iterations=2, seed=2**128 - 1).fit(game).log_.seed == 2**128 - 1
+    numpy_seed = make(iterations=2, seed=np.uint8(3)).fit(game).profile_.stack
+    assert numpy_seed.tobytes() == make(iterations=2, seed=3).fit(game).profile_.stack.tobytes()
