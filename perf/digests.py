@@ -5,7 +5,10 @@ entropy, exact and sampled blocks and both projections; the general solver
 also on a game with unequal action counts, on the benchmark's covariant
 4x6 game and on a Bernoulli oracle that overrides ``pair_payoffs``, whose
 blocks are read pair by pair in query order; the six baselines on six games, ``ped`` on five players, and the
-shared-strategy form; the exact warm-up; the gradient-bias table, Tsallis rows included; block
+shared-strategy form; the exact warm-up; exact ADI, utilities and payoff
+gradients of Blotto(4,3,3) at a shared, a pure and a two-strategy profile,
+and each player's utility, payoff gradient and pairwise blocks of two
+general games; the gradient-bias table, Tsallis rows included; block
 fills of a Bernoulli oracle, single and stacked, at the benchmark's planted 7x5
 shape and on planted 4x21; the tables of Blotto(10,3,4),
 El Farol(10) and the planted 7x5 winrates;
@@ -101,7 +104,9 @@ def runs(fitted_bytes=_fitted_bytes, strategy_bytes=_strategy_bytes):
     `strategy_bytes(arrays)`; ``perf/moved.py`` passes its own encoders."""
     from adinash import generators as gen
     from adinash import nfg
+    from adinash.adi import adi_exact
     from adinash.entropy import Entropy
+    from adinash.exact import expected_utility, pairwise_jacobian_exact, payoff_gradient
     from adinash.normalform import GameTensor
     from adinash.oracles import BernoulliOracle
     from adinash.harness import measure_gradient_bias
@@ -173,10 +178,6 @@ def runs(fitted_bytes=_fitted_bytes, strategy_bytes=_strategy_bytes):
 
     out.append(("adidas/bernoulli-pair-by-pair/shannon/sampled", pair_by_pair))
     for game in ("covariant3x3", "elfarol4"):
-        out.append((f"adidas/{game}/no-tangent", solve(
-            AdidasSolver, game, tangent_projection=False, iterations=30, seed=5,
-            initial_temperature=0.5, exact_adi_every=10,
-        )))
         out.append((f"adidas/{game}/average", solve(
             AdidasSolver, game, average_iterates=True, anneal=False, iterations=30, seed=6,
             exact_adi_every=10,
@@ -232,6 +233,45 @@ def runs(fitted_bytes=_fitted_bytes, strategy_bytes=_strategy_bytes):
     out.append(("warmup/shapley-tsallis", lambda: strategy_bytes(warmup_anneal_descend(
         gen.make_modified_shapley(0.5, offset=True), 3, 10, 1.0, entropy_family="tsallis"
     ))))
+
+    def mixed(m, step):
+        """A fixed interior strategy over m actions, weights 1, 1 + step, ..."""
+        weights = 1.0 + step * np.arange(m)
+        return weights / weights.sum()
+
+    def blotto_profile(form):
+        game = games["blotto"]()
+        m = game.action_counts[0]
+        if form == "shared":
+            return game, [mixed(m, 0.5)] * game.players
+        if form == "pure":
+            # one pure action per player, all different: the opponent
+            # support enumeration, one joint action
+            return game, [np.eye(m)[a] for a in (0, 5, m - 1)]
+        return game, [mixed(m, 0.5), mixed(m, 0.5), mixed(m, 2.0)[::-1]]
+
+    for form in ("shared", "pure", "two-mixed"):
+        def symmetric_exact(form=form):
+            game, x = blotto_profile(form)
+            report = adi_exact(game, x)
+            values = [expected_utility(game, x, i) for i in range(game.players)]
+            grads = [payoff_gradient(game, x, i) for i in range(game.players)]
+            return strategy_bytes([report.per_player, np.array(values), *grads])
+
+        out.append((f"exact/blotto/{form}", symmetric_exact))
+    for game in ("covariant3x3", "ragged234"):
+        def single_outputs(game=game):
+            built = games[game]()
+            x = [mixed(m, 0.5 + i) for i, m in enumerate(built.action_counts)]
+            players = range(built.players)
+            values = [expected_utility(built, x, i) for i in players]
+            grads = [payoff_gradient(built, x, i) for i in players]
+            blocks = [
+                pairwise_jacobian_exact(built, x, i, j) for i in players for j in players if i != j
+            ]
+            return strategy_bytes([np.array(values), *grads, *blocks])
+
+        out.append((f"exact/{game}/single", single_outputs))
 
     shannon = [Entropy.none(), Entropy("shannon", 0.1), Entropy("shannon", 1.0)]
     tsallis = [Entropy("tsallis", 0.5), Entropy("tsallis", 1.0)]
