@@ -156,8 +156,12 @@ def adi_gradient(matrices, nablas, responses, x, kind):
     rows = stack_rows(profile)
     nablas = stack_like("nablas", nablas, rows)
     if profile.stack is not None:
-        if responses.dist.shape != rows.shape:
-            stack_like("responses", responses.dist, rows)
+        try:
+            dist = responses.dist
+        except AttributeError:
+            raise ValueError("responses to a stack must be one BestResponse") from None
+        if dist.shape != rows.shape:
+            stack_like("responses", dist, rows)
         policy, effect = response_terms(nablas, responses, rows, kind)
     else:
         stack_like("responses", [r.dist for r in responses], rows)

@@ -89,9 +89,6 @@ def _add_solver_arguments(parser):
         group.add_argument("--samples", type=int, help="joint-play samples per iteration"),
         group.add_argument("--exact-gradients", action="store_true"),
         group.add_argument("--projection", choices=["euclidean", "mirror"]),
-        group.add_argument(
-            "--no-tangent-projection", dest="tangent_projection", action="store_false"
-        ),
         group.add_argument("--average-iterates", action="store_true"),
     ]
     parser.set_defaults(solver_flags=[flag.dest for flag in flags])

@@ -82,15 +82,15 @@ class CellSummary:
 
 
 def default_sweep_grids():
-    """The standard sweep: strategy rates over five decades, auxiliary rate as
-    a multiple of the strategy rate, anneal thresholds, both projections, and
-    fixed temperatures alongside the annealed run."""
+    """The standard sweep, with no annealing: strategy rates over five
+    decades, auxiliary rate as a multiple of the strategy rate, both
+    projections and four fixed temperatures, 112 cells once the ratio cap
+    applies. An annealed sweep is a caller's grid that leaves `anneal` at its
+    default and lists `adi_threshold`, which only an annealed run reads."""
     return {
         "learning_rate": [1e-5, 1e-4, 1e-3, 1e-2, 1e-1],
         "aux_rate_ratio": [1.0, 10.0, 100.0],
-        "adi_threshold": [0.01, 0.05],
         "projection": ["euclidean", "mirror"],
-        "tangent_projection": [True, False],
         "initial_temperature": [0.0, 0.01, 0.05, 0.1],
         "anneal": [False],
     }

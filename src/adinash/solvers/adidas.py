@@ -50,8 +50,8 @@ from ..simplex import (
 )
 from .base import BaseSolver, IterateLog, profile_hash
 
-DEFAULT_SHANNON_TEMP = 100.0
-DEFAULT_TSALLIS_POWER = 1.0
+# each family's starting temperature when `initial_temperature` is None
+DEFAULT_TEMPERATURE = {"shannon": 100.0, "tsallis": 1.0, "none": 0.0}
 TSALLIS_OFFSET_MARGIN = 0.05
 
 
@@ -63,19 +63,6 @@ def anneal_decision(kind, estimate_mean, anneal_steps, threshold, aux_learning_r
     if estimate_mean < threshold and anneal_steps >= 1.0 / aux_learning_rate:
         return kind.anneal(), 0
     return kind, anneal_steps + 1
-
-
-def _resolve_entropy(entropy, initial_temperature):
-    if isinstance(entropy, Entropy):
-        return entropy
-    family = str(entropy)
-    if family == "none":
-        return Entropy.none()
-    if initial_temperature is None:
-        initial_temperature = (
-            DEFAULT_SHANNON_TEMP if family == "shannon" else DEFAULT_TSALLIS_POWER
-        )
-    return Entropy(family, float(initial_temperature))
 
 
 def tsallis_offset(game):
@@ -127,12 +114,15 @@ def _finite(rows):
 class AdidasSolver(BaseSolver):
     """Anneal-and-descend Nash approximator for general normal-form games.
 
-    Parameters mirror the algorithm: `learning_rate` steps the strategies,
+    Parameters mirror the algorithm: `entropy` names the regularizer family
+    ("shannon", "tsallis" or "none", which takes no `initial_temperature`
+    but None or 0), `learning_rate` steps the strategies,
     `aux_learning_rate` tracks the payoff-gradient averages, `adi_threshold`
-    triggers annealing, `samples` fresh joint actions are averaged per
-    iteration. `exact_gradients` substitutes exact pairwise blocks for the
-    sampled ones (the infinite-sample variant); it needs a desk-scale game,
-    not a bare oracle.
+    triggers annealing (read only while `anneal` is on), `samples` fresh
+    joint actions are averaged per iteration. Every step's gradient is
+    tangent-projected. `exact_gradients` substitutes exact pairwise blocks
+    for the sampled ones (the infinite-sample variant); it, and a positive
+    `exact_adi_every`, need the game's payoffs, not a bare oracle.
     """
 
     def __init__(
@@ -146,7 +136,6 @@ class AdidasSolver(BaseSolver):
         samples=1,
         exact_gradients=False,
         projection="euclidean",
-        tangent_projection=True,
         average_iterates=False,
         anneal=True,
         exact_adi_every=None,
@@ -162,7 +151,6 @@ class AdidasSolver(BaseSolver):
         self.samples = samples
         self.exact_gradients = exact_gradients
         self.projection = projection
-        self.tangent_projection = tangent_projection
         self.average_iterates = average_iterates
         self.anneal = anneal
         self.exact_adi_every = exact_adi_every
@@ -177,14 +165,20 @@ class AdidasSolver(BaseSolver):
         self._validate_shared(("learning_rate", "aux_learning_rate", "adi_threshold"), 0)
         if not self.aux_learning_rate <= 1.0:
             raise ValueError(f"aux_learning_rate must be <= 1, got {self.aux_learning_rate!r}")
+        if self.entropy not in ("shannon", "tsallis", "none"):
+            raise ValueError(
+                f"entropy must be 'shannon', 'tsallis' or 'none', got {self.entropy!r}"
+            )
         temperature = self.initial_temperature
         if temperature is not None and not np.isfinite(float(temperature)):
             raise ValueError(f"initial_temperature must be finite, got {temperature!r}")
+        if self.entropy == "none" and temperature not in (None, 0):
+            raise ValueError(f"entropy 'none' takes no initial_temperature, got {temperature!r}")
         validate_integer("samples", self.samples, 1)
         if self.projection not in ("euclidean", "mirror"):
             raise ValueError(f"projection must be 'euclidean' or 'mirror', got {self.projection!r}")
-        flags = ("exact_gradients", "tangent_projection", "average_iterates", "anneal")
-        values = (self.exact_gradients, self.tangent_projection, self.average_iterates, self.anneal)
+        flags = ("exact_gradients", "average_iterates", "anneal")
+        values = (self.exact_gradients, self.average_iterates, self.anneal)
         for name, value in zip(flags, values):
             if type(value) not in (bool, np.bool_):
                 raise ValueError(f"{name} must be a bool, got {value!r}")
@@ -193,7 +187,10 @@ class AdidasSolver(BaseSolver):
         """The anneal-and-descend loop of both solvers; `view_type` supplies
         everything that depends on the kind of game."""
         self._validate()
-        kind = _resolve_entropy(self.entropy, self.initial_temperature)
+        temperature = self.initial_temperature
+        if temperature is None:
+            temperature = DEFAULT_TEMPERATURE[self.entropy]
+        kind = Entropy(self.entropy, float(temperature))
         view = view_type(game_or_oracle, kind)
         oracle = view.oracle
         if self.exact_gradients:
@@ -220,9 +217,7 @@ class AdidasSolver(BaseSolver):
             aux = update_aux(aux, nablas, self.aux_learning_rate)
             estimate, estimate_unreg = view.amortized(x, aux.y, kind)
             gradients = adi_gradient(blocks, nablas, estimate.responses, x, kind)
-            rows = descent_step(
-                x, gradients, self.learning_rate, self.projection, self.tangent_projection
-            )
+            rows = descent_step(x, gradients, self.learning_rate, self.projection)
             x = StrategyProfile._stepped(rows)
             report = map_rows(lambda m, s: m + (s - m) / t, report, rows) if average else rows
 
@@ -255,14 +250,18 @@ class AdidasSolver(BaseSolver):
         return self
 
     def _exact_cadence(self, view):
-        """Steps between exact-ADI evaluations, 0 for none (always without a
-        desk game): `exact_adi_every` if given, else 1% where it is cheap."""
+        """Steps between exact-ADI evaluations, 0 for none: `exact_adi_every`
+        if given, else 1% where it is cheap. A positive setting without a
+        desk game, or past what exact ADI can expand, raises."""
         every = self.exact_adi_every
-        if view.desk is None:
-            return 0
         if every is None:
-            return max(1, int(self.iterations) // 100) if view.exact_is_cheap() else 0
+            cheap = view.desk is not None and view.exact_is_cheap()
+            return max(1, int(self.iterations) // 100) if cheap else 0
         if every:
+            if view.desk is None:
+                raise ValueError(
+                    f"exact_adi_every={every!r} needs the game's payoffs, not a bare oracle"
+                )
             view.check_fits("exact_adi_every needs exact ADI")
         return int(every)
 

@@ -119,11 +119,10 @@ def baseline_step(method, state, game, learning_rate):
 class BaselineSolver(BaseSolver):
     """Estimator wrapper around the baseline steps with exact-ADI logging.
 
-    `report="average"` evaluates and returns the running iterate average (the
-    convergence object for rm / fp); `"last"` uses the final iterate; None
-    picks "average" for rm / fp and "last" otherwise. `symmetric=True` runs
-    the shared-strategy form of ftrl / rm / fp on a SymmetricGame, the mode
-    used when a symmetric equilibrium is required.
+    rm and fp evaluate and return the running iterate average, their
+    convergence object; every other method the last iterate. `symmetric=True`
+    runs the shared-strategy form of ftrl / rm / fp on a SymmetricGame, the
+    mode used when a symmetric equilibrium is required.
 
     The game comes through the ADIDAS solvers' views with no entropy: the
     steps read the symmetric view's game, or the general view's `exact`, and
@@ -137,7 +136,6 @@ class BaselineSolver(BaseSolver):
         learning_rate=0.05,
         iterations=1000,
         inner_step=None,
-        report=None,
         symmetric=False,
         exact_adi_every=None,
         seed=0,
@@ -147,7 +145,6 @@ class BaselineSolver(BaseSolver):
         self.learning_rate = learning_rate
         self.iterations = iterations
         self.inner_step = inner_step
-        self.report = report
         self.symmetric = symmetric
         self.exact_adi_every = exact_adi_every
         self.seed = seed
@@ -157,8 +154,6 @@ class BaselineSolver(BaseSolver):
         """Reject bad hyperparameters, NaN and inf included, naming each."""
         if self.method not in METHODS:
             raise ValueError(f"method must be one of {METHODS}, got {self.method!r}")
-        if self.report not in (None, "average", "last"):
-            raise ValueError(f"report must be None, 'average' or 'last', got {self.report!r}")
         self._validate_shared(("learning_rate",), 1)
         inner = self.inner_step
         if not (inner is None or inner == np.inf or (np.isfinite(inner) and inner > 0.0)):
@@ -175,7 +170,7 @@ class BaselineSolver(BaseSolver):
         view = (_SymmetricView if self.symmetric else _GeneralView)(game, Entropy.none())
         view.check_fits("BaselineSolver steps on the dense game")
         source = view.desk if self.symmetric else view.exact
-        report = self.report or ("average" if self.method in ("rm", "fp") else "last")
+        average = self.method in ("rm", "fp")
         iterations, every = int(self.iterations), self.exact_adi_every
         cadence = max(1, iterations // 100) if every is None else int(every)
         log = IterateLog(self.run_id or f"{self.method}-{self.seed}", self.seed)
@@ -184,7 +179,7 @@ class BaselineSolver(BaseSolver):
         state.inner_step = self.inner_step
         for t in range(1, iterations + 1):
             state = baseline_step(self.method, state, source, self.learning_rate)
-            tracked = state.average if report == "average" else list(state.profile)
+            tracked = state.average if average else list(state.profile)
             if t % cadence == 0 or t == iterations:
                 exact = view.exact_adi(_stepped(tracked))
                 log.append(

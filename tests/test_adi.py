@@ -295,6 +295,9 @@ class TestGradientInputs:
         for bad in (nablas[:1], nablas[:, :2]):
             with pytest.raises(ValueError, match="responses"):
                 adi_gradient(blocks, nablas, best_response(bad, kind), x, kind)
+        # one response per row, the ragged form, raised AttributeError on a stack
+        with pytest.raises(ValueError, match="responses"):
+            adi_gradient(blocks, nablas, [best_response(r, kind) for r in nablas], x, kind)
 
     @pytest.mark.parametrize("kind", [Entropy.shannon(0.3), Entropy.tsallis(0.5)], ids=str)
     def test_ragged_rows_unlike_x_raise_naming_the_argument(self, kind):

@@ -107,7 +107,7 @@ class TestExploitabilityDescent:
 
     def test_zero_sum_convergence(self, matching_pennies):
         solver = BaselineSolver(
-            method="extragrad", learning_rate=0.25, iterations=3000, report="last"
+            method="extragrad", learning_rate=0.25, iterations=3000
         ).fit(matching_pennies)
         assert adi_exact(
             matching_pennies, solver.profile_, Entropy.none()
@@ -209,7 +209,6 @@ class TestValidation:
         "params, name",
         [
             (dict(method="bogus", iterations=0), "method"),
-            (dict(report="avg"), "report"),
             (dict(iterations=0), "iterations"),
             (dict(learning_rate=float("nan")), "learning_rate"),
             (dict(learning_rate=float("inf")), "learning_rate"),

@@ -90,6 +90,12 @@ class TestSolve:
         assert code == 1
         assert "configuration error" in stderr and "exact_gradients" in stderr
 
+    def test_removed_flag_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["solve", "--game", "shapley", "--no-tangent-projection"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --no-tangent-projection" in capsys.readouterr().err
+
     def test_config_error_exit_code(self, capsys):
         code, _, stderr = run_cli(
             capsys,
@@ -338,16 +344,29 @@ class TestSweep:
         assert "best cell" in stdout
         assert (tmp_path / "runs" / "summary.csv").exists()
 
-    def test_parameter_the_solver_does_not_take_is_a_config_error(self, capsys, tmp_path):
+    @pytest.mark.parametrize(
+        "line,name,solver",
+        [
+            ("bernoulli_repeats = 2", "bernoulli_repeats", "adidas"),
+            # settings that no longer exist name themselves
+            ("tangent_projection = False", "tangent_projection", "adidas"),
+            ("grid.tangent_projection = [True, False]", "tangent_projection", "adidas"),
+            ("report = 'last'", "report", "rm"),
+        ],
+    )
+    def test_parameter_the_solver_does_not_take_is_a_config_error(
+        self, capsys, tmp_path, line, name, solver
+    ):
         # every cell failed on it and the sweep exited 2, the numeric-failure code
         cfg = tmp_path / "sweep.cfg"
-        cfg.write_text("bernoulli_repeats = 2\niterations = 3\nrepetitions = 1\n")
+        cfg.write_text(f"{line}\niterations = 3\nrepetitions = 1\n")
         out = tmp_path / "runs"
         code, stdout, stderr = run_cli(
-            capsys, "sweep", "--game", "shapley", "--config", str(cfg), "--out", str(out)
+            capsys, "sweep", "--game", "shapley", "--solver", solver,
+            "--config", str(cfg), "--out", str(out),
         )
         assert code == 1
-        assert "configuration error" in stderr and "bernoulli_repeats" in stderr
+        assert "configuration error" in stderr and name in stderr
         assert not out.exists()  # raised before any cell ran
 
     @pytest.mark.parametrize(

@@ -122,12 +122,18 @@ class TestRunExperiment:
         assert len(summaries) == 2
 
     def test_default_grids_cover_the_sweep_table(self):
-        grids = default_sweep_grids()
-        assert grids["learning_rate"] == [1e-5, 1e-4, 1e-3, 1e-2, 1e-1]
-        assert grids["aux_rate_ratio"] == [1.0, 10.0, 100.0]
-        assert grids["adi_threshold"] == [0.01, 0.05]
-        assert set(grids["projection"]) == {"euclidean", "mirror"}
-        assert grids["initial_temperature"] == [0.0, 0.01, 0.05, 0.1]
+        # no grid key is inert: adi_threshold is read only by annealed runs,
+        # and tangent_projection is gone
+        assert default_sweep_grids() == {
+            "learning_rate": [1e-5, 1e-4, 1e-3, 1e-2, 1e-1],
+            "aux_rate_ratio": [1.0, 10.0, 100.0],
+            "projection": ["euclidean", "mirror"],
+            "initial_temperature": [0.0, 0.01, 0.05, 0.1],
+            "anneal": [False],
+        }
+        assert "adi_threshold" not in default_sweep_grids()
+        assert "tangent_projection" not in default_sweep_grids()
+        assert len(ExperimentConfig(game=None, grids=default_sweep_grids()).cells()) == 112
 
     def test_default_cells_are_runnable(self):
         from adinash.harness import _cell_solver

@@ -291,9 +291,10 @@ class TestAdidasSolver:
         + [("projection", "sinkhorn"), ("projection", None)]
         + [
             (name, value)
-            for name in ("exact_gradients", "tangent_projection", "average_iterates", "anneal")
+            for name in ("exact_gradients", "average_iterates", "anneal")
             for value in ("no", 1, None)
-        ],
+        ]
+        + [("entropy", Entropy.shannon(1.0)), ("entropy", "gibbs"), ("entropy", None)],
     )
     def test_rejects_bad_hyperparameter_by_name(self, solver_type, name, value):
         # NaN slips through "<= 0" checks: it used to run without annealing
@@ -301,8 +302,9 @@ class TestAdidasSolver:
         # first aux update without naming it, exact_adi_every=-1 ran an
         # exact evaluation every iteration, and non-integer counts were
         # truncated (iterations=2.5 ran 2 iterations); an unknown projection
-        # failed only inside the first step, after its queries, and
-        # anneal="no" annealed
+        # failed only inside the first step, after its queries, anneal="no"
+        # annealed, an Entropy object overrode initial_temperature and an
+        # unknown family failed without naming entropy
         game = make_el_farol(ElFarolSpec(players=3))
         solver = solver_type(**{"entropy": "shannon", "iterations": 5, name: value})
         with pytest.raises(ValueError, match=name):
@@ -312,9 +314,21 @@ class TestAdidasSolver:
             solver.fit(oracle)
         assert oracle.queries == 0
 
+    @pytest.mark.parametrize("solver_type", [AdidasSolver, SymmetricAdidasSolver])
+    def test_entropy_none_takes_no_temperature(self, solver_type):
+        # the temperature was dropped: the run logged 0 whatever was passed
+        game = make_el_farol(ElFarolSpec(players=3))
+        with pytest.raises(ValueError, match="initial_temperature"):
+            solver_type(entropy="none", initial_temperature=0.5, iterations=2).fit(game)
+        for temperature in (None, 0, 0.0):
+            fitted = solver_type(
+                entropy="none", initial_temperature=temperature, iterations=2
+            ).fit(game)
+            assert fitted.log_.column("temperature") == [0.0, 0.0]
+
     def test_numpy_bools_are_bools(self):
         game = make_el_farol(ElFarolSpec(players=3))
-        flags = dict(tangent_projection=np.True_, average_iterates=np.False_, anneal=np.False_)
+        flags = dict(average_iterates=np.True_, anneal=np.False_)
         plain = {name: bool(value) for name, value in flags.items()}
         got = AdidasSolver(iterations=5, exact_gradients=np.True_, **flags).fit(game)
         want = AdidasSolver(iterations=5, exact_gradients=True, **plain).fit(game)
@@ -650,6 +664,54 @@ def test_one_player_game_is_rejected_by_count(run):
         run(GameTensor(np.zeros((1, 3))))
 
 
+@pytest.mark.parametrize(
+    "make,params",
+    [
+        (AdidasSolver, dict(tangent_projection=False)),
+        (SymmetricAdidasSolver, dict(tangent_projection=True)),
+        (BaselineSolver, dict(report="last")),
+    ],
+    ids=["adidas", "symmetric", "baseline"],
+)
+def test_removed_settings_are_type_errors(make, params):
+    (name,) = params
+    with pytest.raises(TypeError, match=name):
+        make(**params)
+
+
+def test_every_setting_is_one_a_run_reads():
+    assert AdidasSolver._param_names() == [
+        "entropy", "initial_temperature", "learning_rate", "aux_learning_rate",
+        "adi_threshold", "iterations", "samples", "exact_gradients", "projection",
+        "average_iterates", "anneal", "exact_adi_every", "seed", "run_id",
+    ]
+    assert SymmetricAdidasSolver._param_names() == AdidasSolver._param_names()
+    assert BaselineSolver._param_names() == [
+        "method", "learning_rate", "iterations", "inner_step", "symmetric",
+        "exact_adi_every", "seed", "run_id",
+    ]
+
+
+@pytest.mark.parametrize(
+    "make,wrap",
+    [
+        (AdidasSolver, lambda game: TensorOracle(game.expand_to_tensor())),
+        (SymmetricAdidasSolver, SymmetricOracle),
+    ],
+    ids=["adidas", "symmetric"],
+)
+def test_exact_adi_on_a_bare_oracle_is_rejected_before_any_query(make, wrap):
+    # a positive cadence on an oracle with no game logged all-NaN exact ADI
+    game = make_el_farol(ElFarolSpec(players=3))
+    oracle = wrap(game)
+    with pytest.raises(ValueError, match="exact_adi_every"):
+        make(iterations=3, exact_adi_every=1).fit(oracle)
+    assert oracle.queries == 0
+    for every in (None, 0):
+        fitted = make(iterations=3, exact_adi_every=every).fit(wrap(game))
+        assert np.isnan(fitted.log_.column("adi_exact")).all()
+
+
 def test_one_player_oracle_is_rejected_before_any_query():
     oracle = TensorOracle(GameTensor(np.zeros((1, 3))))
     with pytest.raises(ValueError, match="players=1"):
@@ -839,6 +901,39 @@ def test_descent_step_rejects_gradients_unlike_the_strategies(strategies, gradie
 
     with pytest.raises(ValueError, match="gradients"):
         descent_step(strategies, gradients, 0.1)
+
+
+@st.composite
+def shifted_steps(draw):
+    """Interior strategies, as one stack or a ragged list, gradients with
+    |g| <= 1e2, the gradients shifted by one constant per row with |c| <= 1e3,
+    and a rate in [1e-4, 1]."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(1, 5))
+    counts = rng.integers(2, 7, size=n) if draw(st.booleans()) else [draw(st.integers(2, 6))] * n
+    x = [rng.random(m) + 0.05 for m in counts]
+    x = [s / s.sum() for s in x]
+    g = [rng.uniform(-1e2, 1e2, size=m) for m in counts]
+    shifted = [row + rng.uniform(-1e3, 1e3) for row in g]
+    if len(set(counts)) == 1:
+        x, g, shifted = np.array(x), np.array(g), np.array(shifted)
+    return x, g, shifted, draw(st.floats(1e-4, 1.0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(shifted_steps())
+def test_tangent_projection_is_a_shift_of_the_gradient(case):
+    # both projections ignore a constant added to a row's gradient, so the
+    # tangent-projected step equals the raw step on any shifted gradient up
+    # to rounding: a step with no tangent projection differs in no result
+    from adinash.solvers.adidas import descent_step
+
+    x, g, shifted, rate = case
+    tol = 1e-12 * (1.0 + rate * max(np.abs(row).max() for row in shifted))
+    for projection in ("euclidean", "mirror"):
+        want = descent_step(x, g, rate, projection)
+        got = descent_step(x, shifted, rate, projection, tangent=False)
+        assert all(np.abs(a - b).max() <= tol for a, b in zip(want, got))
 
 
 @pytest.mark.parametrize("make", [AdidasSolver, SymmetricAdidasSolver, BaselineSolver])
